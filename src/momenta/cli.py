@@ -3,7 +3,9 @@
 Subcommands: `analyze` (exact classification plus the check suite, as JSON),
 `verify` (seeded invariant checks, exit 1 on failure), `orbit` (sampled
 affine-orbit CSV).  Exit codes: 0 pass, 1 check failure, 2 usage or config
-error.  MOMENTA_LOG=off|info|debug controls stderr logging.
+error, 3 internal error (a numerical or consistency failure outside the check
+suite).  MOMENTA_LOG=off|info|debug controls stderr logging; any other value
+is reported on stderr and treated as off.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import sys
 
 from .cylinder import affine_action, heisenberg_casimir, orbit_descriptor
-from .errors import CapabilityError, ConfigError
+from .errors import CapabilityError, ConfigError, MomentaError
 from .groups import GroupPath
 from .report import build_analysis
 from .scenario import Scenario, build_scenario, parse_config
@@ -28,8 +30,13 @@ _LOG_LEVELS = {"off": logging.CRITICAL + 10, "info": logging.INFO, "debug": logg
 
 
 def _setup_logging() -> None:
-    name = os.environ.get("MOMENTA_LOG", "off").strip().lower()
-    level = _LOG_LEVELS.get(name, _LOG_LEVELS["off"])
+    raw = os.environ.get("MOMENTA_LOG", "off")
+    name = raw.strip().lower()
+    if name not in _LOG_LEVELS:
+        print(f"momenta: unknown MOMENTA_LOG value {raw!r}, expected off|info|debug; "
+              "logging stays off", file=sys.stderr)
+        name = "off"
+    level = _LOG_LEVELS[name]
     logging.basicConfig(
         level=level, stream=sys.stderr, format="%(name)s %(levelname)s %(message)s"
     )
@@ -144,6 +151,9 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"unsupported scenario: {exc}", file=sys.stderr)
         return 2
+    except MomentaError as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
+from . import symplectic as _sym
 from .errors import CapabilityError, InputError, MomentaError, NumericalError
 from .exact import solve_linear
 from .groups import GroupPath
@@ -24,13 +24,12 @@ from .lattices import (
     quotient_invariants,
     subgroup_is_hamiltonian,
 )
-from .momentum import PhasePath, momentum_of_path, sigma_J, theta_integral
+from .momentum import PhasePath, momentum_of_path, momentum_segments, sigma_J, theta_integral
 from .symplectic import MagneticCotangent
 
 __all__ = [
     "Cylinder",
     "CylinderPoint",
-    "cylinder_project",
     "K",
     "affine_action",
     "sigma_K",
@@ -58,7 +57,11 @@ class Cylinder:
         self.L = L.reshape(len(decomp.lattice_basis), n)
         VL = np.vstack([self.V, self.L])
         if VL.size:
-            W = null_space(VL).T
+            # complement: right singular vectors past the numerical rank, with
+            # the rank cut at max(s) * eps * max(VL.shape)
+            _, s, vh = np.linalg.svd(VL, full_matrices=True)
+            rank = int(np.sum(s > s.max() * np.finfo(float).eps * max(VL.shape)))
+            W = vh[rank:]
         else:
             W = np.eye(n)
         self.W = W.reshape(-1, n)
@@ -109,15 +112,6 @@ class CylinderPoint:
 
     def translate(self, mu) -> "CylinderPoint":
         return self.cylinder.project(self.representative + np.asarray(mu, dtype=float))
-
-
-def cylinder_project(mu, decomp_or_cylinder) -> CylinderPoint:
-    cyl = (
-        decomp_or_cylinder
-        if isinstance(decomp_or_cylinder, Cylinder)
-        else Cylinder(decomp_or_cylinder)
-    )
-    return cyl.project(mu)
 
 
 def K(model: MagneticCotangent, cylinder: Cylinder, x: PhasePath) -> CylinderPoint:
@@ -275,16 +269,14 @@ def heisenberg_casimir(sigma, psi: float, nu) -> float:
     return float(0.5 * psi * psi - w @ nu)
 
 
-def _kinetic_field(model: MagneticCotangent, g_chart, mu) -> tuple[np.ndarray, np.ndarray]:
-    """Hamiltonian vector field of h = |mu|^2 / 2: solve omega(X, .) = dh."""
-    from .symplectic import PhasePoint
-
-    n = model.n
-    z = PhasePoint(np.asarray(g_chart, dtype=float), np.asarray(mu, dtype=float))
-    M = model.omega_matrix(z)
-    dh = np.concatenate([np.zeros(n), z.mu])
-    X = np.linalg.solve(M.T, dh)
-    return X[:n], X[n:]
+def _kinetic_field(model: MagneticCotangent, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Hamiltonian vector field (xi, nu) of h = |mu|^2 / 2, the solution of
+    omega(X, .) = dh in closed form: the form's block matrix
+    [[s C(mu) - Sigma, s I], [-s I, 0]] inverts to xi = s mu and
+    nu = (s C(mu) - Sigma)^T mu, with s the canonical sign."""
+    s = _sym._CANON_SIGN
+    mu = np.asarray(mu, dtype=float)
+    return s * mu, (s * model.bracket_form(mu) - model.sigma_matrix).T @ mu
 
 
 def _chart_velocity(model, g, body_xi) -> np.ndarray:
@@ -296,6 +288,29 @@ def _chart_velocity(model, g, body_xi) -> np.ndarray:
     return v
 
 
+def _kinetic_flow(model: MagneticCotangent, y0, T: float, h: float) -> np.ndarray:
+    """RK4 samples of the kinetic flow from y0 = (g, mu) in chart coordinates,
+    at ceil(T / h) equal steps over [0, T]; shape (steps + 1, 2n)."""
+    n, cover = model.n, model.cover
+
+    def rhs(y):
+        xi, nu = _kinetic_field(model, y[n:])
+        return np.concatenate([_chart_velocity(cover, y[:n], xi), nu])
+
+    steps = max(1, int(np.ceil(T / h)))
+    h = T / steps
+    ys = np.empty((steps + 1, 2 * n))
+    ys[0] = y0
+    for i in range(steps):
+        y = ys[i]
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        ys[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return ys
+
+
 def noether_check(
     model: MagneticCotangent,
     cylinder: Cylinder,
@@ -304,51 +319,39 @@ def noether_check(
     step: float = 1e-3,
 ) -> float:
     """Max drift of K along the kinetic-Hamiltonian flow started at the
-    endpoint of x, checked at time checkpoints spaced 0.1 apart."""
+    endpoint of x, checked at time checkpoints spaced 0.1 apart.
+
+    K at time t is project(J(x) + the momentum integral along the flow up to
+    t): the integral is additive over concatenation and independent of the
+    parametrisation, so one pass of per-segment integrals over the whole
+    sampled flow gives every checkpoint as a running sum.
+    """
     if T < 0:
         raise InputError("flow time must be nonnegative")
-    reference = K(model, cylinder, x)
+    J0 = momentum_of_path(model, x)
+    reference = cylinder.project(J0)
     if T == 0:
         return 0.0
-    cover = model.cover
+    n = model.n
     z = x.endpoint()
+    y0 = np.concatenate([z.g, z.mu])
 
-    def integrate(h: float):
-        steps = max(1, int(np.ceil(T / h)))
-        h = T / steps
-        ys = np.empty((steps + 1, 2 * model.n))
-        ys[0] = np.concatenate([z.g, z.mu])
-
-        def rhs(y):
-            xi, nu = _kinetic_field(model, y[: model.n], y[model.n :])
-            return np.concatenate([_chart_velocity(cover, y[: model.n], xi), nu])
-
-        for i in range(steps):
-            y = ys[i]
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            ys[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return ys
-
-    ys = integrate(step)
-    check = integrate(2.0 * step)
-    if float(np.max(np.abs(check[-1] - ys[-1]))) > 1e-8:
+    ys = _kinetic_flow(model, y0, T, step)
+    check = _kinetic_flow(model, y0, T, 2.0 * step)
+    scale = max(1.0, float(np.max(np.abs(ys))))
+    if float(np.max(np.abs(check[-1] - ys[-1]))) > 1e-8 * scale:
         raise NumericalError("kinetic flow integration failed its step-halving check")
 
     steps = len(ys) - 1
-    times = np.linspace(0.0, T, steps + 1)
+    flow_base = GroupPath.from_samples(model.cover, np.linspace(0.0, 1.0, steps + 1), ys[:, :n])
+    running = np.cumsum(momentum_segments(model, PhasePath(flow_base, ys[:, n:])), axis=0)
     drift = 0.0
     for t_check in np.arange(0.1, T + 1e-12, 0.1):
         upto = int(round(t_check / T * steps))
         if upto < 1:
             continue
-        ts = times[: upto + 1] / times[upto]
-        flow_base = GroupPath.from_samples(cover, ts, ys[: upto + 1, : model.n])
-        flow = PhasePath(flow_base, ys[: upto + 1, model.n :])
-        extended = x.concat(flow)
-        drift = max(drift, cylinder.distance(K(model, cylinder, extended), reference))
+        moved = cylinder.project(J0 + running[upto - 1])
+        drift = max(drift, cylinder.distance(moved, reference))
     return drift
 
 

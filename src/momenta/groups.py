@@ -119,6 +119,18 @@ class GroupModel:
             out[0] += 0.5 * _omega2(g[1:], h[1:])
         return self.normalize(out)
 
+    def multiply_many(self, gs, hs) -> np.ndarray:
+        """Row-wise products of stacked elements, normalized; the same
+        arithmetic as ``multiply``."""
+        gs, hs = np.asarray(gs, dtype=float), np.asarray(hs, dtype=float)
+        out = gs + hs
+        if self.kind in _HEISENBERG:
+            out[:, 0] += 0.5 * (gs[:, 1] * hs[:, 2] - gs[:, 2] * hs[:, 1])
+        mask = self.circle_mask()
+        if mask.any():
+            out[:, mask] = np.mod(out[:, mask], 1.0)
+        return out
+
     def inverse(self, g) -> np.ndarray:
         # (a,u)^{-1} = (-a,-u) also for Heisenberg, since w(u,-u) = 0
         return self.normalize(-self._check(g))
@@ -200,32 +212,47 @@ class GroupPath:
     __slots__ = ("model", "directions", "durations", "base", "times", "nodes")
 
     def __init__(self, model: GroupModel, segments, base=None):
-        self.model = model
-        dirs, durs = [], []
-        for direction, duration in segments:
-            d = np.asarray(direction, dtype=float)
-            if d.shape != (model.dim,):
-                raise InputError(f"segment direction shape {d.shape} != ({model.dim},)")
-            if duration <= 0:
-                raise InputError(f"segment duration {duration} is not positive")
-            dirs.append(d)
-            durs.append(float(duration))
-        if not dirs:
+        segments = list(segments)
+        for direction, _ in segments:
+            if np.shape(direction) != (model.dim,):
+                raise InputError(f"segment direction shape {np.shape(direction)} != ({model.dim},)")
+        directions = np.array([d for d, _ in segments], dtype=float).reshape(-1, model.dim)
+        durations = np.array([w for _, w in segments], dtype=float)
+        self._setup(model, directions, durations, base)
+
+    @classmethod
+    def _of_arrays(cls, model: GroupModel, directions, durations, base=None) -> "GroupPath":
+        """Path from stacked ``(segments, dim)`` directions and durations."""
+        path = cls.__new__(cls)
+        path._setup(model, directions, durations, base)
+        return path
+
+    def _setup(self, model: GroupModel, directions, durations, base):
+        if len(durations) == 0:
             raise InputError("a path needs at least one segment")
-        if abs(sum(durs) - 1.0) > 1e-12:
-            raise InputError(f"durations sum to {sum(durs)}, expected 1")
-        self.directions = np.array(dirs)
-        self.durations = np.array(durs)
+        if np.any(durations <= 0):
+            raise InputError(f"segment duration {durations[durations <= 0][0]} is not positive")
+        if abs(durations.sum() - 1.0) > 1e-12:
+            raise InputError(f"durations sum to {durations.sum()}, expected 1")
+        self.model = model
+        self.directions = directions
+        self.durations = durations
         self.base = model.identity() if base is None else model.normalize(base)
 
-        times = np.concatenate([[0.0], np.cumsum(self.durations)])
+        times = np.concatenate([[0.0], np.cumsum(durations)])
         times[-1] = 1.0
         self.times = times
-        nodes = np.empty((len(durs) + 1, model.dim))
-        nodes[0] = self.base
-        for k in range(len(durs)):
-            step = model.exp(self.directions[k], self.durations[k])
-            nodes[k + 1] = model.multiply(nodes[k], step)
+        # node_{k+1} = node_k * exp(duration_k direction_k): in the exponential
+        # chart the product is a running sum, plus for Heisenberg the central
+        # term w(u_k, step_k)/2 with u_k the plane part of node_k
+        steps = durations[:, None] * directions
+        nodes = np.cumsum(np.vstack([self.base, steps]), axis=0)
+        if model.kind in _HEISENBERG:
+            u = nodes[:-1, 1:]
+            nodes[1:, 0] += np.cumsum(0.5 * (u[:, 0] * steps[:, 2] - u[:, 1] * steps[:, 1]))
+        mask = model.circle_mask()
+        if mask.any():
+            nodes[:, mask] = np.mod(nodes[:, mask], 1.0)
         self.nodes = nodes
 
     # -- constructors ------------------------------------------------------
@@ -246,20 +273,26 @@ class GroupPath:
         gs = np.asarray(gs, dtype=float)
         if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12 or np.any(np.diff(ts) <= 0):
             raise InputError("sample times must increase from 0 to 1")
-        segments = []
-        for i in range(len(ts) - 1):
-            dt = ts[i + 1] - ts[i]
-            step = model.multiply(model.inverse(gs[i]), gs[i + 1])
-            segments.append((model.log(step) / dt, dt))
-        return cls(model, segments, gs[0])
+        if gs.shape != (len(ts), model.dim):
+            raise InputError(f"expected samples of shape ({len(ts)}, {model.dim}), got {gs.shape}")
+        if not model.is_simply_connected:
+            raise InputError(f"no global logarithm on {model.kind}")
+        # g_i^{-1} g_{i+1}, whose logarithm is itself in the exponential chart
+        dts = np.diff(ts)
+        steps = model.multiply_many(-gs[:-1], gs[1:])
+        return cls._of_arrays(model, steps / dts[:, None], dts, gs[0])
 
     # -- evaluation --------------------------------------------------------
+
+    def segment_index(self, ts) -> np.ndarray:
+        """Index of the segment holding each parameter, clipped into range."""
+        ks = np.searchsorted(self.times, np.clip(ts, 0.0, 1.0), side="right") - 1
+        return np.clip(ks, 0, len(self.durations) - 1)
 
     def _segment_of(self, t: float) -> int:
         if t < -1e-12 or t > 1.0 + 1e-12:
             raise InputError(f"path parameter {t} outside [0, 1]")
-        k = int(np.searchsorted(self.times, min(max(t, 0.0), 1.0), side="right")) - 1
-        return min(max(k, 0), len(self.durations) - 1)
+        return int(self.segment_index(t))
 
     def evaluate(self, t: float) -> np.ndarray:
         k = self._segment_of(t)
@@ -270,17 +303,9 @@ class GroupPath:
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < -1e-12) or np.any(ts > 1.0 + 1e-12):
             raise InputError("path parameters outside [0, 1]")
-        ks = np.searchsorted(self.times, np.clip(ts, 0.0, 1.0), side="right") - 1
-        ks = np.clip(ks, 0, len(self.durations) - 1)
+        ks = self.segment_index(ts)
         s = (ts - self.times[ks])[:, None]
-        g, step = self.nodes[ks], s * self.directions[ks]
-        out = g + step
-        if self.model.kind in _HEISENBERG:
-            out[:, 0] += 0.5 * (g[:, 1] * step[:, 2] - g[:, 2] * step[:, 1])
-        mask = self.model.circle_mask()
-        if mask.any():
-            out[:, mask] = np.mod(out[:, mask], 1.0)
-        return out
+        return self.model.multiply_many(self.nodes[ks], s * self.directions[ks])
 
     def left_velocity(self, t: float) -> np.ndarray:
         return self.directions[self._segment_of(t)].copy()
@@ -295,15 +320,14 @@ class GroupPath:
 
     def left_translate(self, g) -> "GroupPath":
         """h(t) = g * self(t); left-trivialized velocity is unchanged."""
-        return GroupPath(
-            self.model,
-            list(zip(self.directions, self.durations)),
-            self.model.multiply(g, self.base),
+        return GroupPath._of_arrays(
+            self.model, self.directions, self.durations, self.model.multiply(g, self.base)
         )
 
     def reversed(self) -> "GroupPath":
-        segs = [(-d, w) for d, w in zip(self.directions[::-1], self.durations[::-1])]
-        return GroupPath(self.model, segs, self.endpoint())
+        return GroupPath._of_arrays(
+            self.model, -self.directions[::-1], self.durations[::-1], self.endpoint()
+        )
 
     def __repr__(self):
         return f"GroupPath({self.model!r}, {len(self.durations)} segments)"
@@ -340,10 +364,7 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
     target = model.multiply(p.endpoint(), q.endpoint())
     for doublings in range(5):
         ts = _refined_grid(p, q, doublings)
-        pg, qg = p.evaluate_many(ts), q.evaluate_many(ts)
-        prods = np.empty_like(pg)
-        for i in range(len(ts)):
-            prods[i] = model.multiply(pg[i], qg[i])
+        prods = model.multiply_many(p.evaluate_many(ts), q.evaluate_many(ts))
         out = GroupPath.from_samples(model, ts, prods)
         if model.distance(out.endpoint(), target) <= 1e-10:
             return out
@@ -366,9 +387,6 @@ def concat_paths(p: GroupPath, q: GroupPath, split: float = 0.5) -> GroupPath:
     q2 = q.left_translate(shift)
     # compressing a leg into a shorter parameter window scales its velocity up
     # so each segment still covers the same arc
-    segments = [(d / split, w * split) for d, w in zip(p.directions, p.durations)]
-    segments += [
-        (d / (1.0 - split), w * (1.0 - split))
-        for d, w in zip(q2.directions, q2.durations)
-    ]
-    return GroupPath(model, segments, p.base)
+    directions = np.vstack([p.directions / split, q2.directions / (1.0 - split)])
+    durations = np.concatenate([p.durations * split, q2.durations * (1.0 - split)])
+    return GroupPath._of_arrays(model, directions, durations, p.base)

@@ -30,6 +30,7 @@ __all__ = [
     "theta_integral",
     "theta_closed_form_heisenberg",
     "momentum_of_path",
+    "momentum_segments",
     "momentum_closed_form",
     "horizontal_transport",
     "sigma_J",
@@ -70,8 +71,7 @@ class PhasePath:
 
     def momentum_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        ks = np.searchsorted(self.base.times, np.clip(ts, 0.0, 1.0), side="right") - 1
-        ks = np.clip(ks, 0, len(self.base.durations) - 1)
+        ks = self.base.segment_index(ts)
         s = (ts - self.base.times[ks])[:, None]
         return self.momenta[ks] + s * self.slopes[ks]
 
@@ -92,23 +92,22 @@ def _require_identity_based(p: GroupPath):
         raise InputError("path must be based at the identity")
 
 
+def _coadjoint_integral(p: GroupPath, matrix) -> np.ndarray:
+    """Integral of Ad*_{g(t)^{-1}} (matrix @ left velocity) dt along p."""
+
+    def integrand(ts):
+        covs = p.directions[p.segment_index(ts)] @ matrix.T
+        return p.model.coadjoint_inv_apply(p.evaluate_many(ts), covs)
+
+    return adaptive_path_quadrature(integrand, p.times).sum(axis=0)
+
+
 def theta_integral(model: GroupModel, theta: CocycleTheta, p: GroupPath) -> np.ndarray:
     """Theta(p) = integral of Ad*_{g(t)^{-1}} theta(left velocity) dt."""
     if theta.dim != model.dim or p.model.dim != model.dim:
         raise InputError("theta, model, and path dimensions must agree")
     _require_identity_based(p)
-    th = theta.float_matrix()
-
-    def integrand(ts):
-        ks = np.clip(
-            np.searchsorted(p.times, np.clip(ts, 0.0, 1.0), side="right") - 1,
-            0,
-            len(p.durations) - 1,
-        )
-        covs = p.directions[ks] @ th.T
-        return p.model.coadjoint_inv_apply(p.evaluate_many(ts), covs)
-
-    return adaptive_path_quadrature(integrand, p.times)
+    return _coadjoint_integral(p, theta.float_matrix())
 
 
 def theta_closed_form_heisenberg(model: GroupModel, sigma, endpoint) -> np.ndarray:
@@ -125,11 +124,7 @@ def theta_closed_form_heisenberg(model: GroupModel, sigma, endpoint) -> np.ndarr
 
 def _phase_kinematics(x: PhasePath, ts):
     """Velocity data (g, mu, xi-dot, nu-dot) at arbitrary parameters."""
-    ks = np.clip(
-        np.searchsorted(x.base.times, np.clip(ts, 0.0, 1.0), side="right") - 1,
-        0,
-        len(x.base.durations) - 1,
-    )
+    ks = x.base.segment_index(ts)
     return x.base.evaluate_many(ts), x.momentum_many(ts), x.base.directions[ks], x.slopes[ks]
 
 
@@ -155,11 +150,19 @@ def _check_phase_path(model: MagneticCotangent, x: PhasePath, at_base: bool):
             raise InputError("path must start at the base point (e, 0)")
 
 
+def momentum_segments(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
+    """Momentum integral over each segment of x, shape (segments, n); x may
+    start anywhere.  The integral is additive over concatenation and does not
+    depend on the parametrisation, so partial sums give it along sub-paths."""
+    _check_phase_path(model, x, at_base=False)
+    return adaptive_path_quadrature(_derived_integrand(model, x), x.base.times)
+
+
 def momentum_of_path(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     """J of the homotopy class represented by x, normalized so the trivial
-    class maps to 0; adaptive quadrature of the generator contraction."""
+    class maps to 0; exact quadrature of the generator contraction."""
     _check_phase_path(model, x, at_base=True)
-    return adaptive_path_quadrature(_derived_integrand(model, x), x.base.times)
+    return momentum_segments(model, x).sum(axis=0)
 
 
 def momentum_closed_form(model: MagneticCotangent, g_path: GroupPath, mu) -> np.ndarray:
@@ -216,18 +219,7 @@ def sigma_J(model: MagneticCotangent, g_path: GroupPath) -> np.ndarray:
     if g_path.model != model.cover:
         raise InputError("cocycle paths must live on the universal-cover model")
     _require_identity_based(g_path)
-    psi0 = model.chu_at_base()
-
-    def integrand(ts):
-        ks = np.clip(
-            np.searchsorted(g_path.times, np.clip(ts, 0.0, 1.0), side="right") - 1,
-            0,
-            len(g_path.durations) - 1,
-        )
-        covs = g_path.directions[ks] @ psi0.T
-        return g_path.model.coadjoint_inv_apply(g_path.evaluate_many(ts), covs)
-
-    return adaptive_path_quadrature(integrand, g_path.times)
+    return _coadjoint_integral(g_path, model.chu_at_base())
 
 
 def lifted_action_on_path(g_path: GroupPath, x: PhasePath) -> PhasePath:
@@ -266,7 +258,7 @@ def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi, step:
         zeta = cover.log(cover.multiply(cover.inverse(g), g_target))
         base = GroupPath.straight(cover, zeta, base=g)
         tail = PhasePath.with_linear_momentum(base, mu_target, mu_start=mu)
-        return adaptive_path_quadrature(_derived_integrand(model, tail), base.times)
+        return momentum_segments(model, tail).sum(axis=0)
 
     fd = np.empty(2 * n)
     rhs = np.empty(2 * n)

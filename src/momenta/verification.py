@@ -1,9 +1,9 @@
 """Seeded verification checks over a scenario.
 
-Every check draws its own generator from (seed, crc32(check name)), so the
-set of checks run, their order, and any parallel schedule cannot change the
-sampled data.  A numerical-integration failure inside a check is reported as
-a failed CheckReport, never as a crash.
+Every check draws its own generator from (seed, crc32(check name)), so
+neither the set of checks run nor their order can change the sampled data.
+A numerical failure inside a check is reported as a failed CheckReport,
+never as a crash.
 
 Stated tolerances assume the default config tolerance 1e-8; a looser or
 tighter config tolerance rescales every check proportionally.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -445,7 +444,7 @@ def run_check(sc, spec: CheckSpec, seed: int, tol_scale: float, samples: int) ->
     return CheckReport(spec.name, err, tol, err <= tol, used, notes)
 
 
-def run_checks(sc, seed=None, samples=None, names=None, parallel: bool = True) -> list[CheckReport]:
+def run_checks(sc, seed=None, samples=None, names=None) -> list[CheckReport]:
     cfg = sc.config.verify
     seed = cfg.seed if seed is None else seed
     samples = cfg.sample_count if samples is None else samples
@@ -453,12 +452,7 @@ def run_checks(sc, seed=None, samples=None, names=None, parallel: bool = True) -
     specs = [
         s for s in registry() if s.applies(sc) and (names is None or s.name in names)
     ]
-    if parallel and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(specs))) as pool:
-            futures = [pool.submit(run_check, sc, s, seed, tol_scale, samples) for s in specs]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [run_check(sc, s, seed, tol_scale, samples) for s in specs]
+    reports = [run_check(sc, s, seed, tol_scale, samples) for s in specs]
     for r in reports:
         log.info("check %-32s %s (max %.3e <= %.3e)", r.check_name,
                  "pass" if r.passed else "FAIL", r.max_error, r.tolerance)

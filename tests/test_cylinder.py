@@ -5,6 +5,8 @@ import pytest
 
 from momenta.cylinder import (
     K,
+    _kinetic_field,
+    _kinetic_flow,
     affine_action,
     affine_cylinder_action,
     deck_group_of_reduced_cover,
@@ -25,6 +27,7 @@ from momenta.momentum import (
     sigma_J,
 )
 from momenta.scenario import build_scenario, parse_config
+from momenta.symplectic import PhasePoint
 
 RNG = np.random.default_rng(918273)
 
@@ -331,6 +334,26 @@ class TestNoether:
     def test_heisenberg_drift(self):
         x = PhasePath.to_point(SC_HEIS.model, [0.2, 0.1, -0.3], [0.4, 0.2, 0.1])
         assert noether_check(SC_HEIS.model, SC_HEIS.cylinder, x, 1.0) <= 1e-6
+
+    def test_kinetic_field_solves_the_form(self):
+        # reference: solve omega(X, .) = d(|mu|^2 / 2) with the assembled matrix
+        for sc in (SC_TORUS, SC_HEIS, SC_DENSE):
+            n = sc.n
+            for _ in range(20):
+                z = PhasePoint(RNG.uniform(-1.0, 1.0, n), RNG.uniform(-2.0, 2.0, n))
+                want = np.linalg.solve(sc.model.omega_matrix(z).T, np.concatenate([np.zeros(n), z.mu]))
+                assert np.allclose(np.concatenate(_kinetic_field(sc.model, z.mu)), want, rtol=0.0, atol=1e-13)
+
+    def test_torus_flow_is_a_rotation(self):
+        # Sigma = J: mu rotates at unit speed and g integrates it,
+        # g(t) = g0 + [[sin t, cos t - 1], [1 - cos t, sin t]] mu0
+        g0, mu0 = np.array([0.3, 0.1]), np.array([0.4, -0.2])
+        ys = _kinetic_flow(SC_TORUS.model, np.concatenate([g0, mu0]), 1.0, 1e-3)
+        t = np.linspace(0.0, 1.0, len(ys))[:, None]
+        c, s = np.cos(t), np.sin(t)
+        mu = np.hstack([c * mu0[0] - s * mu0[1], s * mu0[0] + c * mu0[1]])
+        g = g0 + np.hstack([s * mu0[0] + (c - 1.0) * mu0[1], (1.0 - c) * mu0[0] + s * mu0[1]])
+        assert np.abs(ys - np.hstack([g, mu])).max() <= 1e-12
 
 
 class TestReductionFiber:

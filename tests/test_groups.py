@@ -56,6 +56,13 @@ class TestGroupOps:
         for g in random_elements(model, 20):
             assert model.equal(model.multiply(g, model.inverse(g)), model.identity(), 1e-12)
 
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
+    def test_multiply_many_matches_multiply(self, model):
+        gs, hs = random_elements(model, 200), random_elements(model, 200)
+        rows = model.multiply_many(gs, hs)
+        for g, h, row in zip(gs, hs, rows):
+            assert np.array_equal(row, model.multiply(g, h))
+
     def test_normalization_idempotent(self):
         for model in ALL_MODELS:
             for g in random_elements(model, 10):
@@ -243,6 +250,26 @@ class TestGroupPath:
         q = GroupPath.from_samples(H, ts, p.evaluate_many(ts))
         for t in np.linspace(0.0, 1.0, 11):
             assert H.distance(p.evaluate(t), q.evaluate(t)) <= 1e-10
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
+    def test_nodes_match_sequential_products(self, model):
+        # reference: the node recursion node_{k+1} = node_k * exp(w_k d_k)
+        for segments in (1, 7, 300):
+            durs = RNG.uniform(0.5, 1.5, segments)
+            durs /= durs.sum()
+            dirs = RNG.uniform(-2.0, 2.0, (segments, model.dim))
+            p = GroupPath(model, list(zip(dirs, durs)), base=random_elements(model, 1)[0])
+            node = p.base
+            for k in range(segments):
+                node = model.multiply(node, model.exp(dirs[k], durs[k]))
+                assert model.distance(p.nodes[k + 1], node) <= 1e-12 * max(1.0, np.abs(node).max())
+
+    def test_from_samples_validates_samples(self):
+        ts = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(InputError):
+            GroupPath.from_samples(GroupModel("heisenberg"), ts, np.zeros((4, 3)))
+        with pytest.raises(InputError):
+            GroupPath.from_samples(GroupModel("torus", 2), ts, np.zeros((5, 2)))
 
     def test_left_translate_keeps_velocity(self):
         H = GroupModel("heisenberg")
