@@ -43,7 +43,7 @@ def main():
     print("synthetic pair: Z^2 over 2Z x Z")
     inv = quotient_invariants(
         LatticeSubgroup.standard(2),
-        LatticeSubgroup.from_columns(2, [(2, 0), (0, 1)]),
+        LatticeSubgroup(2, [(2, 0), (0, 1)]),
     )
     print("  deck group:", inv.describe())
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import symplectic as _sym
 from .errors import CapabilityError, InputError, MomentaError, NumericalError
-from .exact import solve_linear
 from .groups import GroupPath
 from .lattices import (
     AbelianInvariants,
@@ -24,7 +23,15 @@ from .lattices import (
     quotient_invariants,
     subgroup_is_hamiltonian,
 )
-from .momentum import PhasePath, momentum_of_path, momentum_segments, sigma_J, theta_integral
+from .momentum import (
+    PhasePath,
+    _coadjoint_integrand,
+    momentum_of_path,
+    momentum_segments,
+    sigma_J,
+    theta_integral,
+)
+from .numerics import adaptive_path_quadrature
 from .symplectic import MagneticCotangent
 
 __all__ = [
@@ -32,6 +39,7 @@ __all__ = [
     "CylinderPoint",
     "K",
     "affine_action",
+    "affine_action_straight",
     "sigma_K",
     "affine_cylinder_action",
     "gamma_mu",
@@ -127,6 +135,22 @@ def affine_action(model: MagneticCotangent, g_path: GroupPath, mu) -> np.ndarray
     return coad @ mu + sigma_J(model, g_path)
 
 
+def affine_action_straight(model: MagneticCotangent, directions, mu) -> np.ndarray:
+    """affine_action along the straight lift t -> exp(t X) of every row X of
+    ``directions``, with one quadrature call for all rows; shape (rows, n).
+    The chart is exponential, so the lift sits at t X and ends at X."""
+    X = np.asarray(directions, dtype=float).reshape(-1, model.n)
+    cover, chu = model.cover, model.chu_at_base()
+
+    def integrand(ts):
+        gs = (ts[:, None, None] * X).reshape(-1, model.n)
+        vals = _coadjoint_integrand(cover, chu, gs, np.tile(X, (len(ts), 1)))
+        return vals.reshape(len(ts), X.size)
+
+    sigma = adaptive_path_quadrature(integrand, [0.0, 1.0])[0].reshape(X.shape)
+    return cover.coadjoint_inv_apply(X, np.broadcast_to(mu, X.shape)) + sigma
+
+
 def _check_lift(model: MagneticCotangent, g, lift_path: GroupPath):
     proj = model.group.normalize(lift_path.endpoint())
     if not model.group.equal(proj, model.group.normalize(np.asarray(g, dtype=float))):
@@ -168,15 +192,10 @@ def affine_cylinder_action(
 
 def gamma_mu(scenario, mu) -> LatticeSubgroup:
     """Subgroup of fundamental-group loops whose momentum shift stays in the
-    affine-orbit direction space; closed form per supported family."""
+    affine-orbit direction space; closed form per supported family.  On the
+    torus the shift of loop e_a is theta column a, which lies in the column
+    span that the orbit moves along, so every loop qualifies."""
     if scenario.kind == "torus":
-        cols = scenario.theta.columns()
-        basis_rows = [list(col) for col in cols]
-        # honest membership: express each theta-column in the column span
-        system = [list(row) for row in zip(*basis_rows)] if basis_rows else []
-        for a, col in enumerate(cols):
-            if solve_linear([row[:] for row in system], list(col)) is None:
-                raise MomentaError(f"theta column {a} escaped its own span")
         return LatticeSubgroup.standard(scenario.gamma_dim)
     if scenario.kind == "central_extension":
         return LatticeSubgroup.standard(1)
@@ -209,21 +228,27 @@ class OrbitDescriptor:
             return f"affineSubspace dim={self.basis.shape[0]} through ({point})"
         return f"casimirLevelSet f={self.casimir_value:.12g}"
 
-    def contains(self, mu, tol: float = 1e-8) -> bool:
-        mu = np.asarray(mu, dtype=float)
+    def residuals(self, mus) -> np.ndarray:
+        """How far each row of ``mus`` is from the orbit: its distance to the
+        affine subspace, or its Casimir gap on the level set."""
+        mus = np.atleast_2d(np.asarray(mus, dtype=float))
         if self.kind == "affineSubspace":
-            diff = mu - self.basepoint
+            diff = mus - self.basepoint
             if self.basis.size:
-                coeffs, *_ = np.linalg.lstsq(self.basis.T, diff, rcond=None)
-                diff = diff - self.basis.T @ coeffs
-            return float(np.linalg.norm(diff)) <= tol
+                coeffs, *_ = np.linalg.lstsq(self.basis.T, diff.T, rcond=None)
+                diff = diff - (self.basis.T @ coeffs).T
+            return np.linalg.norm(diff, axis=1)
         sigma = self.basepoint  # stored sigma covector for the level set
-        return abs(heisenberg_casimir(sigma, mu[0], mu[1:]) - self.casimir_value) <= tol
+        return np.abs(heisenberg_casimir(sigma, mus[:, 0], mus[:, 1:]) - self.casimir_value)
+
+    def contains(self, mu, tol: float = 1e-8) -> bool:
+        return bool(self.residuals(mu)[0] <= tol)
 
 
 def orbit_descriptor(scenario, mu, rng=None, samples: int = 200) -> OrbitDescriptor:
-    """Orbit of mu under the dual-space affine action, with sampled
-    validation of the analytic description."""
+    """Orbit of mu under the dual-space affine action, with the analytic
+    description validated on ``samples`` straight lifts of random directions
+    drawn from [-2, 2]^n."""
     mu = np.asarray(mu, dtype=float)
     rng = np.random.default_rng(0) if rng is None else rng
     if scenario.kind not in ("torus", "central_extension"):
@@ -241,11 +266,9 @@ def orbit_descriptor(scenario, mu, rng=None, samples: int = 200) -> OrbitDescrip
             "casimirLevelSet", sigma, casimir_value=value, validated_samples=samples
         )
 
-    for _ in range(samples):
-        path = GroupPath.straight(model.cover, rng.uniform(-2.0, 2.0, model.n))
-        moved = affine_action(model, path, mu)
-        if not desc.contains(moved, 1e-8):
-            raise MomentaError("sampled orbit point escaped its analytic description")
+    moved = affine_action_straight(model, rng.uniform(-2.0, 2.0, (samples, model.n)), mu)
+    if not np.all(desc.residuals(moved) <= 1e-8):
+        raise MomentaError("sampled orbit point escaped its analytic description")
     return desc
 
 
@@ -259,14 +282,15 @@ def _exact_row_basis(scenario):
     return [reduced[i] for i in range(len(pivots))]
 
 
-def heisenberg_casimir(sigma, psi: float, nu) -> float:
+def heisenberg_casimir(sigma, psi, nu):
     """Casimir f(psi, nu) = psi^2/2 - <w, nu> with w the vector satisfying
     i_w omega = sigma, i.e. w = (sigma_2, -sigma_1); constancy along affine
-    orbits pins this convention (the opposite sign fails it)."""
+    orbits pins this convention (the opposite sign fails it).  psi and the
+    rows of nu may be stacked."""
     s = np.array([float(x) for x in sigma])
     nu = np.asarray(nu, dtype=float)
     w = np.array([s[1], -s[0]])
-    return float(0.5 * psi * psi - w @ nu)
+    return 0.5 * psi * psi - nu @ w
 
 
 def _kinetic_field(model: MagneticCotangent, mu) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,6 @@ __all__ = [
     "xgcd",
     "hermite_normal_form",
     "smith_normal_form",
-    "integer_determinant",
     "integer_kernel",
     "LatticeSubgroup",
     "AbelianInvariants",
@@ -190,28 +189,6 @@ def smith_normal_form(A):
     return D, S, T
 
 
-def integer_determinant(A) -> int:
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [[int(x) for x in row] for row in A]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 def _as_int(x) -> int:
     if isinstance(x, bool):
         raise TypeError("boolean is not a lattice coordinate")
@@ -249,10 +226,6 @@ class LatticeSubgroup:
             ]
         self.ambient_dim = ambient_dim
         self.columns = tuple(cols)
-
-    @classmethod
-    def from_columns(cls, ambient_dim, columns):
-        return cls(ambient_dim, columns)
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -373,7 +346,7 @@ def integer_kernel(rational_rows, ncols: int) -> LatticeSubgroup:
         for j in range(ncols)
         if all(H[i][j] == 0 for i in range(m))
     ]
-    return LatticeSubgroup.from_columns(ncols, cols)
+    return LatticeSubgroup(ncols, cols)
 
 
 class GeneratedSubgroup:

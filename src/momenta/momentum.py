@@ -92,12 +92,18 @@ def _require_identity_based(p: GroupPath):
         raise InputError("path must be based at the identity")
 
 
+def _coadjoint_integrand(model: GroupModel, matrix, gs, velocities) -> np.ndarray:
+    """Row-wise Ad*_{g^{-1}} (matrix @ left velocity): the integrand of Theta
+    and sigma_J."""
+    return model.coadjoint_inv_apply(gs, velocities @ matrix.T)
+
+
 def _coadjoint_integral(p: GroupPath, matrix) -> np.ndarray:
     """Integral of Ad*_{g(t)^{-1}} (matrix @ left velocity) dt along p."""
 
     def integrand(ts):
-        covs = p.directions[p.segment_index(ts)] @ matrix.T
-        return p.model.coadjoint_inv_apply(p.evaluate_many(ts), covs)
+        velocities = p.directions[p.segment_index(ts)]
+        return _coadjoint_integrand(p.model, matrix, p.evaluate_many(ts), velocities)
 
     return adaptive_path_quadrature(integrand, p.times).sum(axis=0)
 

@@ -1,11 +1,12 @@
 """The path-integral kernel shared by the momentum and cylinder modules.
 
 On the simply connected cover every path integrand in this package is a
-polynomial of degree at most 2 in t on each segment: the chart is
-exponential, the coadjoint action is affine in the group element, and
-momentum curves are piecewise linear.  A 3-point Gauss-Legendre rule per
-segment, exact up to degree 5, therefore integrates them exactly up to
-rounding.
+polynomial of degree at most 1 in t on each segment: the chart is
+exponential, the coadjoint action is affine in the group element, momentum
+curves are piecewise linear, and the coadjoint factor (the central
+component of the covector) is constant on a segment.  A 3-point
+Gauss-Legendre rule per segment, exact up to degree 5, therefore
+integrates them exactly up to rounding, with room to spare.
 """
 
 from __future__ import annotations

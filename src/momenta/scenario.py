@@ -111,7 +111,7 @@ def _parse_theta(field: QuadraticField, rows, dim: int) -> CocycleTheta:
                 raise ConfigError(f"theta[{i}][{j}]", str(err)) from err
         parsed.append(out)
     try:
-        return CocycleTheta.from_matrix(field, parsed)
+        return CocycleTheta(field, parsed)
     except InputError as err:
         raise ConfigError("theta", "theta not antisymmetric") from err
 

@@ -55,10 +55,6 @@ class CocycleTheta:
         self._float = np.array([[float(x) for x in row] for row in matrix])
 
     @classmethod
-    def from_matrix(cls, field: QuadraticField, rows) -> "CocycleTheta":
-        return cls(field, rows)
-
-    @classmethod
     def from_sigma(cls, field: QuadraticField, sigma) -> "CocycleTheta":
         s1, s2 = (field.coerce(x) for x in sigma)
         zero = field.zero
@@ -81,21 +77,27 @@ class CocycleTheta:
         return [tuple(self.matrix[i][k] for i in range(self.dim)) for k in range(self.dim)]
 
     def is_cocycle_for(self, model: GroupModel) -> bool:
-        """Exact cocycle identity <theta[a,b],c> + cyclic = 0 on basis triples."""
+        """Exact cocycle identity <theta[a,b],c> + cyclic = 0 on basis triples.
+
+        Only nonzero structure constants contribute: c^k_xy enters the triples
+        (x, y, z), (z, x, y) and (y, z, x) with theta[z][k] c^k_xy for every z,
+        so an abelian model needs no arithmetic at all.
+        """
         if model.dim != self.dim:
             raise InputError("theta dimension does not match the group")
         c = model.structure_constants()
         n = self.dim
-        for a in range(n):
-            for b in range(n):
-                for d in range(n):
-                    total = self.field.zero
-                    for (x, y, z) in ((a, b, d), (b, d, a), (d, a, b)):
-                        for k in range(n):
-                            total = total + self.matrix[z][k] * c[x][y][k]
-                    if total != self.field.zero:
-                        return False
-        return True
+        nonzero = [
+            (x, y, k, c[x][y][k])
+            for x in range(n) for y in range(n) for k in range(n) if c[x][y][k]
+        ]
+        totals = {}
+        for x, y, k, cxyk in nonzero:
+            for z in range(n):
+                term = self.matrix[z][k] * cxyk
+                for triple in ((x, y, z), (z, x, y), (y, z, x)):
+                    totals[triple] = totals.get(triple, self.field.zero) + term
+        return not any(totals.values())
 
 
 @dataclass(frozen=True)

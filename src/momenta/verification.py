@@ -374,18 +374,8 @@ def _chk_orbit_descriptor(sc, rng, samples):
     worst = 0.0
     for mu in sc.mu_list:
         desc = cyl.orbit_descriptor(sc, mu, rng=rng, samples=samples)
-        for _ in range(samples):
-            moved = cyl.affine_action(sc.model, sc.random_cover_path(rng), mu)
-            if desc.kind == "affineSubspace":
-                diff = moved - desc.basepoint
-                if desc.basis.size:
-                    coeffs, *_ = np.linalg.lstsq(desc.basis.T, diff, rcond=None)
-                    diff = diff - desc.basis.T @ coeffs
-                worst = max(worst, float(np.linalg.norm(diff)))
-            else:
-                sigma = desc.basepoint
-                f = cyl.heisenberg_casimir(sigma, moved[0], moved[1:])
-                worst = max(worst, abs(f - desc.casimir_value))
+        moved = [cyl.affine_action(sc.model, sc.random_cover_path(rng), mu) for _ in range(samples)]
+        worst = max(worst, float(desc.residuals(moved).max()))
     return worst, 2 * samples * len(sc.mu_list), ""
 
 

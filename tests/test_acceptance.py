@@ -235,7 +235,7 @@ def test_reduced_cover_deck_groups():
 
     # synthetic quotient with torsion: Z^2 over 2Z x Z
     inv = quotient_invariants(
-        LatticeSubgroup.standard(2), LatticeSubgroup.from_columns(2, [(2, 0), (0, 1)])
+        LatticeSubgroup.standard(2), LatticeSubgroup(2, [(2, 0), (0, 1)])
     )
     assert inv.free_rank == 0 and inv.torsion == (2,)
     assert inv.describe() == "Z/2"

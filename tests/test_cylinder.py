@@ -3,11 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from momenta import cylinder
 from momenta.cylinder import (
     K,
     _kinetic_field,
     _kinetic_flow,
     affine_action,
+    affine_action_straight,
     affine_cylinder_action,
     deck_group_of_reduced_cover,
     gamma_mu,
@@ -17,7 +19,7 @@ from momenta.cylinder import (
     reduction_fiber_check,
     sigma_K,
 )
-from momenta.errors import CapabilityError, InputError
+from momenta.errors import CapabilityError, InputError, MomentaError
 from momenta.groups import GroupPath, concat_paths, path_product
 from momenta.lattices import LatticeSubgroup
 from momenta.momentum import (
@@ -42,6 +44,9 @@ SC_TORUS = scenario(
 SC_FLAT = scenario('{"group":"torus","dim":2,"theta":[["0","0"],["0","0"]]}')
 SC_HEIS = scenario(
     '{"group":"centralExtension","sigma":["1","0"],"muList":[[0.5,0.1,-0.4]]}'
+)
+SC_TORUS3 = scenario(
+    '{"group":"torus","dim":3,"theta":[["0","1","0"],["-1","0","0"],["0","0","0"]]}'
 )
 SC_DENSE = scenario(
     '{"group":"torus","dim":3,"field":2,'
@@ -270,10 +275,7 @@ class TestOrbits:
         assert not desc.contains([0.5, 0.9])
 
     def test_torus_rank_two_plane(self):
-        sc = scenario(
-            '{"group":"torus","dim":3,"theta":[["0","1","0"],["-1","0","0"],["0","0","0"]]}'
-        )
-        desc = orbit_descriptor(sc, [0.1, 0.2, 0.3], rng=np.random.default_rng(13))
+        desc = orbit_descriptor(SC_TORUS3, [0.1, 0.2, 0.3], rng=np.random.default_rng(13))
         assert desc.basis.shape[0] == 2
         assert desc.contains([0.7, -0.4, 0.3])
         assert not desc.contains([0.1, 0.2, 0.4])
@@ -315,6 +317,40 @@ class TestOrbits:
     def test_orbit_capability_error(self):
         with pytest.raises(CapabilityError):
             orbit_descriptor(FakeScenario(), np.zeros(2))
+
+    @pytest.mark.parametrize("sc", [SC_TORUS, SC_TORUS3, SC_HEIS], ids=["torus2", "torus3", "heis"])
+    def test_batched_rows_match_straight_affine_action(self, sc):
+        directions = RNG.uniform(-2.0, 2.0, (40, sc.n))
+        mu = sc.random_mu(RNG)
+        rows = affine_action_straight(sc.model, directions, mu)
+        assert rows.shape == directions.shape
+        for x, row in zip(directions, rows):
+            want = affine_action(sc.model, GroupPath.straight(sc.cover, x), mu)
+            assert np.max(np.abs(row - want)) <= 1e-14
+
+    def test_validation_draws_one_direction_per_sample(self):
+        # the batched draw is the same stream as one draw per sample, so a
+        # caller's generator ends where it did with per-sample validation
+        batched, single = np.random.default_rng(31), np.random.default_rng(31)
+        orbit_descriptor(SC_HEIS, SC_HEIS.mu_list[0], rng=batched, samples=200)
+        for _ in range(200):
+            single.uniform(-2.0, 2.0, SC_HEIS.n)
+        assert batched.uniform() == single.uniform()
+
+    @pytest.mark.parametrize(
+        "sc, mu", [(SC_FLAT, [0.4, 0.9]), (SC_HEIS, SC_HEIS.mu_list[0])], ids=["flat", "heis"]
+    )
+    def test_escaped_sample_raises(self, sc, mu, monkeypatch):
+        exact = cylinder.affine_action_straight
+
+        def nudged(model, directions, mu):
+            out = exact(model, directions, mu)
+            out[7, -1] += 1e-3
+            return out
+
+        monkeypatch.setattr(cylinder, "affine_action_straight", nudged)
+        with pytest.raises(MomentaError, match="escaped its analytic description"):
+            orbit_descriptor(sc, mu, rng=np.random.default_rng(5))
 
 
 class TestNoether:

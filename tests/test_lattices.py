@@ -15,7 +15,6 @@ from momenta.lattices import (
     LatticeSubgroup,
     classify_cover,
     hermite_normal_form,
-    integer_determinant,
     integer_kernel,
     is_closed,
     kernel_lattice,
@@ -25,6 +24,28 @@ from momenta.lattices import (
 )
 
 F2 = QuadraticField(2)
+
+
+def integer_determinant(A) -> int:
+    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+    n = len(A)
+    if n == 0:
+        return 1
+    M = [[int(x) for x in row] for row in A]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if piv is None:
+                return 0
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
 
 
 def mat_mul(A, B):
@@ -78,7 +99,7 @@ class TestHermite:
     def test_membership_reduction(self):
         # columns (2,0),(1,1) generate {(a,b): a+b even}... actually Z^2: det -2?
         # det [[2,1],[0,1]] = 2, index-2 sublattice {(a,b): a odd => ...}
-        L = LatticeSubgroup.from_columns(2, [(2, 0), (1, 1)])
+        L = LatticeSubgroup(2, [(2, 0), (1, 1)])
         assert L.contains((3, 1))       # (1,1) + (2,0)
         assert not L.contains((1, 0))   # odd first coordinate with even second
         assert L.contains((0, 2))       # 2*(1,1) - (2,0)
@@ -116,14 +137,14 @@ class TestSmith:
 
 class TestQuotients:
     def test_equal_lattices_trivial(self):
-        L = LatticeSubgroup.from_columns(2, [(1, 0), (0, 1)])
+        L = LatticeSubgroup(2, [(1, 0), (0, 1)])
         inv = quotient_invariants(L, L)
         assert inv.is_trivial
         assert inv.describe() == "trivial"
 
     def test_index_six(self):
         big = LatticeSubgroup.standard(2)
-        small = LatticeSubgroup.from_columns(2, [(2, 0), (0, 3)])
+        small = LatticeSubgroup(2, [(2, 0), (0, 3)])
         inv = quotient_invariants(big, small)
         assert inv.free_rank == 0
         assert inv.torsion == (6,)
@@ -139,14 +160,14 @@ class TestQuotients:
     def test_synthetic_z2(self):
         # Gamma_mu = Z^2, Gamma' = 2Z x Z, Gamma_N = 0: quotient Z/2 via SNF
         big = LatticeSubgroup.standard(2)
-        small = LatticeSubgroup.from_columns(2, [(2, 0), (0, 1)])
+        small = LatticeSubgroup(2, [(2, 0), (0, 1)])
         inv = quotient_invariants(big, small.sum(LatticeSubgroup.zero(2)))
         assert inv.free_rank == 0 and inv.torsion == (2,)
         assert inv.describe() == "Z/2"
 
     def test_not_a_subgroup_rejected(self):
-        big = LatticeSubgroup.from_columns(2, [(2, 0), (0, 2)])
-        small = LatticeSubgroup.from_columns(2, [(1, 0)])
+        big = LatticeSubgroup(2, [(2, 0), (0, 2)])
+        small = LatticeSubgroup(2, [(1, 0)])
         with pytest.raises(ValueError):
             quotient_invariants(big, small)
 
@@ -156,7 +177,7 @@ class TestQuotients:
         n = len(A)
         if len(A[0]) != n:  # index formula needs a square generator matrix
             return
-        small = LatticeSubgroup.from_columns(n, list(zip(*A)))
+        small = LatticeSubgroup(n, list(zip(*A)))
         if small.rank < n:
             return
         big = LatticeSubgroup.standard(n)
@@ -187,7 +208,7 @@ class TestKernelLattice:
         field = F2
         theta = [field.parse_vector(r) for r in [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]]
         L = kernel_lattice(theta, 3)
-        assert L == LatticeSubgroup.from_columns(3, [(0, 0, 1)])
+        assert L == LatticeSubgroup(3, [(0, 0, 1)])
 
     def test_exhaustive_small_box(self):
         # every integer vector of the [-5,5]^3 box in ker theta lies in the
@@ -210,18 +231,18 @@ class TestSubgroupAndCover:
         assert subgroup_is_hamiltonian(LatticeSubgroup.zero(3), LatticeSubgroup.standard(3))
 
     def test_gamma_n_equal_gamma0(self):
-        g0 = LatticeSubgroup.from_columns(2, [(1, 2)])
+        g0 = LatticeSubgroup(2, [(1, 2)])
         assert subgroup_is_hamiltonian(g0, g0)
 
     def test_nonzero_not_in_zero(self):
-        gn = LatticeSubgroup.from_columns(2, [(1, 0)])
+        gn = LatticeSubgroup(2, [(1, 0)])
         assert not subgroup_is_hamiltonian(gn, LatticeSubgroup.zero(2))
 
     def test_cover_strings(self):
         assert classify_cover(LatticeSubgroup.standard(3), 3).text == "T^3"
         assert classify_cover(LatticeSubgroup.zero(2), 2).text == "R^2"
-        assert classify_cover(LatticeSubgroup.from_columns(2, [(1, 0)]), 2).text == "T^1 x R^1"
-        assert classify_cover(LatticeSubgroup.from_columns(3, [(0, 0, 1)]), 3).text == "T^1 x R^2"
+        assert classify_cover(LatticeSubgroup(2, [(1, 0)]), 2).text == "T^1 x R^1"
+        assert classify_cover(LatticeSubgroup(3, [(0, 0, 1)]), 3).text == "T^1 x R^2"
 
 
 def brute_force_min_norm(vectors, bound):
@@ -308,7 +329,7 @@ class TestIntegerKernel:
     def test_kernel_of_rational_rows(self):
         # x1 + x2/2 = 0 over Z: (1, -2)
         L = integer_kernel([[Fraction(1), Fraction(1, 2)]], 2)
-        assert L == LatticeSubgroup.from_columns(2, [(1, -2)])
+        assert L == LatticeSubgroup(2, [(1, -2)])
 
     def test_kernel_saturated(self):
         L = integer_kernel([[Fraction(2), Fraction(-2)]], 2)

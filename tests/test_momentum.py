@@ -26,7 +26,7 @@ THETA_2D = [["0", "1"], ["-1", "0"]]
 
 
 def torus_model(rows=THETA_2D, d=2):
-    theta = CocycleTheta.zero(F2, d) if rows is None else CocycleTheta.from_matrix(F2, rows)
+    theta = CocycleTheta.zero(F2, d) if rows is None else CocycleTheta(F2, rows)
     return MagneticCotangent(GroupModel("torus", d), theta)
 
 

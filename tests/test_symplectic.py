@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ def torus_model(theta_rows=None, d=2):
     theta = (
         CocycleTheta.zero(F2, d)
         if theta_rows is None
-        else CocycleTheta.from_matrix(F2, theta_rows)
+        else CocycleTheta(F2, theta_rows)
     )
     return MagneticCotangent(GroupModel("torus", d), theta)
 
@@ -37,10 +40,52 @@ def random_point(model):
     return model.point(RNG.uniform(-2, 2, model.n), RNG.uniform(-2, 2, model.n))
 
 
+class H3PlusR:
+    """Stub 4-dim algebra h3 + R: [e1, e2] = e0, and e3 central and outside
+    every bracket.  Unlike the supported models it has skew forms that are
+    not cocycles: the identity on (e1, e2, e3) reads theta(e0, e3) = 0."""
+
+    dim = 4
+
+    def structure_constants(self):
+        c = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
+        c[1][2][0], c[2][1][0] = Fraction(1), Fraction(-1)
+        return c
+
+
+def dense_is_cocycle(theta, model) -> bool:
+    """Oracle: the cocycle identity summed over every basis triple and every
+    structure constant, zero or not."""
+    c = model.structure_constants()
+    n = theta.dim
+    for a, b, d in itertools.product(range(n), repeat=3):
+        total = theta.field.zero
+        for x, y, z in ((a, b, d), (b, d, a), (d, a, b)):
+            for k in range(n):
+                total = total + theta.matrix[z][k] * c[x][y][k]
+        if total:
+            return False
+    return True
+
+
+def random_skew_theta(rng, n, zero_03=False):
+    def entry():
+        a = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+        b = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+        return F2.scalar(a, b)
+
+    rows = [[F2.zero] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if not (zero_03 and (i, j) == (0, 3)):
+            rows[i][j] = entry()
+            rows[j][i] = -rows[i][j]
+    return CocycleTheta(F2, rows)
+
+
 class TestCocycleTheta:
     def test_skewness_enforced(self):
         with pytest.raises(InputError):
-            CocycleTheta.from_matrix(F2, [["0", "1"], ["1", "0"]])
+            CocycleTheta(F2, [["0", "1"], ["1", "0"]])
 
     def test_sigma_assembly(self):
         theta = CocycleTheta.from_sigma(F2, ("1", "2"))
@@ -56,17 +101,43 @@ class TestCocycleTheta:
         H = GroupModel("heisenberg")
         assert CocycleTheta.from_sigma(F2, ("1", "0")).is_cocycle_for(H)
         assert CocycleTheta.from_sigma(F2, ("1/2", "1*al")).is_cocycle_for(H)
-        generic = CocycleTheta.from_matrix(
+        generic = CocycleTheta(
             F2, [["0", "1", "1*al"], ["-1", "0", "1/3"], ["-1*al", "-1/3", "0"]]
         )
         assert generic.is_cocycle_for(H)
 
     def test_abelian_cocycle_vacuous(self):
         T = GroupModel("torus", 2)
-        assert CocycleTheta.from_matrix(F2, THETA_2D).is_cocycle_for(T)
+        assert CocycleTheta(F2, THETA_2D).is_cocycle_for(T)
+
+    @pytest.mark.parametrize(
+        "model",
+        [GroupModel("torus", 2), GroupModel("universal_torus", 5), GroupModel("heisenberg"),
+         GroupModel("central_extension"), H3PlusR()],
+        ids=["torus2", "torus5", "heis", "central", "h3+R"],
+    )
+    def test_sparse_identity_matches_dense_oracle(self, model):
+        rng = np.random.default_rng(4242)
+        verdicts = []
+        for trial in range(30):
+            theta = random_skew_theta(rng, model.dim, zero_03=trial % 2 == 0)
+            verdict = theta.is_cocycle_for(model)
+            assert verdict == dense_is_cocycle(theta, model)
+            verdicts.append(verdict)
+        # h3 + R rejects exactly the forms with theta(e0, e3) != 0; every
+        # supported model accepts every skew form
+        expected = [t % 2 == 0 for t in range(30)] if isinstance(model, H3PlusR) else [True] * 30
+        assert verdicts == expected
+
+    def test_h3_plus_r_rejects_e0_wedge_e3(self):
+        rows = [["0"] * 4 for _ in range(4)]
+        rows[0][3], rows[3][0] = "1", "-1"
+        theta = CocycleTheta(F2, rows)
+        assert not theta.is_cocycle_for(H3PlusR())
+        assert not dense_is_cocycle(theta, H3PlusR())
 
     def test_model_rejects_dimension_mismatch(self):
-        theta = CocycleTheta.from_matrix(F2, THETA_2D)
+        theta = CocycleTheta(F2, THETA_2D)
         with pytest.raises(InputError):
             MagneticCotangent(GroupModel("heisenberg"), theta)
 
