@@ -73,7 +73,8 @@ def _cmd_verify(args) -> int:
         flag = "PASS" if r.passed else "FAIL"
         print(
             f"{flag} {r.check_name:32s} max_error={r.max_error:.3e} "
-            f"tolerance={r.tolerance:.1e} samples={r.sample_count}"
+            f"tolerance={r.tolerance:.1e} samples={r.sample_count} "
+            f"time={r.duration_seconds:.3f}s"
         )
     failed = [r for r in reports if not r.passed]
     print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")

@@ -255,10 +255,9 @@ def orbit_descriptor(scenario, mu, rng=None, samples: int = 200) -> OrbitDescrip
         raise CapabilityError(f"no orbit description for scenario kind {scenario.kind!r}")
     model = scenario.model
     if scenario.kind == "torus":
-        rows = _exact_row_basis(scenario)
-        basis = np.array([[float(x) for x in row] for row in rows], dtype=float)
-        basis = basis.reshape(len(rows), model.n)
-        desc = OrbitDescriptor("affineSubspace", mu.copy(), basis, validated_samples=samples)
+        desc = OrbitDescriptor(
+            "affineSubspace", mu.copy(), scenario.orbit_basis, validated_samples=samples
+        )
     elif scenario.kind == "central_extension":
         sigma = np.array([float(s) for s in scenario.theta.sigma])
         value = heisenberg_casimir(sigma, mu[0], mu[1:])
@@ -272,16 +271,6 @@ def orbit_descriptor(scenario, mu, rng=None, samples: int = 200) -> OrbitDescrip
     return desc
 
 
-def _exact_row_basis(scenario):
-    """Exact basis of the real span of the theta columns (torus orbits are
-    affine translates of that span)."""
-    from .exact import rref
-
-    cols = [list(col) for col in scenario.theta.columns()]
-    reduced, pivots = rref(cols)
-    return [reduced[i] for i in range(len(pivots))]
-
-
 def heisenberg_casimir(sigma, psi, nu):
     """Casimir f(psi, nu) = psi^2/2 - <w, nu> with w the vector satisfying
     i_w omega = sigma, i.e. w = (sigma_2, -sigma_1); constancy along affine
@@ -293,37 +282,41 @@ def heisenberg_casimir(sigma, psi, nu):
     return 0.5 * psi * psi - nu @ w
 
 
-def _kinetic_field(model: MagneticCotangent, mu) -> tuple[np.ndarray, np.ndarray]:
-    """Hamiltonian vector field (xi, nu) of h = |mu|^2 / 2, the solution of
-    omega(X, .) = dh in closed form: the form's block matrix
+def _kinetic_field(model: MagneticCotangent):
+    """Hamiltonian vector field of h = |mu|^2 / 2 in chart coordinates, as a
+    function of y = (g, mu), built once from precomputed arrays.
+
+    omega(X, .) = dh is solved in closed form: the form's block matrix
     [[s C(mu) - Sigma, s I], [-s I, 0]] inverts to xi = s mu and
-    nu = (s C(mu) - Sigma)^T mu, with s the canonical sign."""
+    nu = s C(mu)^T mu - Sigma^T mu, with s the canonical sign read when the
+    field is built.  In chart coordinates the field is quadratic,
+    y' = A y + Q (y x y): A holds xi = s mu and -Sigma^T mu; Q holds
+    (C(mu)^T mu)_b = sum c^k_ab mu_a mu_k and, on the Heisenberg chart, the
+    central velocity (g_1 xi_2 - g_2 xi_1) / 2 of a body velocity xi."""
     s = _sym._CANON_SIGN
-    mu = np.asarray(mu, dtype=float)
-    return s * mu, (s * model.bracket_form(mu) - model.sigma_matrix).T @ mu
-
-
-def _chart_velocity(model, g, body_xi) -> np.ndarray:
-    """Chart derivative of a curve through g with body velocity body_xi."""
-    v = np.asarray(body_xi, dtype=float).copy()
-    if model.kind in ("heisenberg", "central_extension"):
-        # invert the chart-to-body map (1, w2/2, -w1/2; 0,1,0; 0,0,1)
-        v[0] = v[0] - 0.5 * g[2] * v[1] + 0.5 * g[1] * v[2]
-    return v
+    n = model.n
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, n:] = s * np.eye(n)
+    A[n:, n:] = -model.sigma_matrix.T
+    Q = np.zeros((2 * n, 2 * n, 2 * n))
+    Q[n:, n:, n:] = s * model._structure.transpose(1, 0, 2)
+    if model.cover.kind == "heisenberg":
+        Q[0, 1, n + 2] = 0.5 * s
+        Q[0, 2, n + 1] = -0.5 * s
+    if not Q.any():
+        return lambda y: A @ y
+    Q = Q.reshape(2 * n, 4 * n * n)
+    return lambda y: A @ y + Q @ (y[:, None] * y).ravel()
 
 
 def _kinetic_flow(model: MagneticCotangent, y0, T: float, h: float) -> np.ndarray:
     """RK4 samples of the kinetic flow from y0 = (g, mu) in chart coordinates,
-    at ceil(T / h) equal steps over [0, T]; shape (steps + 1, 2n)."""
-    n, cover = model.n, model.cover
-
-    def rhs(y):
-        xi, nu = _kinetic_field(model, y[n:])
-        return np.concatenate([_chart_velocity(cover, y[:n], xi), nu])
-
+    at ceil(T / h) equal steps over [0, T]; shape (steps + 1, 2n).  The field
+    is built once per flow (``_kinetic_field``)."""
+    rhs = _kinetic_field(model)
     steps = max(1, int(np.ceil(T / h)))
     h = T / steps
-    ys = np.empty((steps + 1, 2 * n))
+    ys = np.empty((steps + 1, len(y0)))
     ys[0] = y0
     for i in range(steps):
         y = ys[i]

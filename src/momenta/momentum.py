@@ -134,17 +134,16 @@ def _phase_kinematics(x: PhasePath, ts):
     return x.base.evaluate_many(ts), x.momentum_many(ts), x.base.directions[ks], x.slopes[ks]
 
 
+def _momentum_rows(model: MagneticCotangent, gs, mus, xid, nud) -> np.ndarray:
+    """Momentum-map integrand with the canonical sign frozen at +1, row-wise
+    over stacked kinematics: Ad*_{g^{-1}} (nu-dot + (C(mu) - Sigma) xi-dot)."""
+    covs = nud + np.einsum("abk,tk,tb->ta", model._structure, mus, xid) - xid @ model.sigma_matrix.T
+    return model.cover.coadjoint_inv_apply(gs, covs)
+
+
 def _derived_integrand(model: MagneticCotangent, x: PhasePath):
-    """Momentum-map integrand with the canonical sign frozen at +1:
-    Ad*_{g^{-1}} (nu-dot + (C(mu) - Sigma) xi-dot)."""
-    struct, sig = model._structure, model.sigma_matrix
-
-    def integrand(ts):
-        gs, mus, xid, nud = _phase_kinematics(x, ts)
-        covs = nud + np.einsum("abk,tk,tb->ta", struct, mus, xid) - xid @ sig.T
-        return x.base.model.coadjoint_inv_apply(gs, covs)
-
-    return integrand
+    """The momentum-map integrand along x, as a function of the parameter."""
+    return lambda ts: _momentum_rows(model, *_phase_kinematics(x, ts))
 
 
 def _check_phase_path(model: MagneticCotangent, x: PhasePath, at_base: bool):
@@ -179,42 +178,61 @@ def momentum_closed_form(model: MagneticCotangent, g_path: GroupPath, mu) -> np.
     return g_path.model.coadjoint_inv(g) @ mu + theta_integral(g_path.model, model.theta, g_path)
 
 
+def _simpson_sweeps(vals, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Simpson integrals of 4 m + 1 equally spaced rows h / 4
+    apart: the coarse sweep over m panels of width h reads the even-indexed
+    rows, the fine sweep over 2 m panels of width h / 2 reads them all."""
+
+    def simpson(v, width):
+        return (width / 6.0) * (v[0:-1:2].sum(axis=0) + 4.0 * v[1::2].sum(axis=0) + v[2::2].sum(axis=0))
+
+    return simpson(vals[::2], h), simpson(vals, 0.5 * h)
+
+
 def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     """Transport oracle: integrate the horizontality condition
     <mu-dot, e_i> = omega(e_i-generator, x-dot) from (z0, 0) with a classical
-    4th-order step <= 1/1024 per segment, Richardson-checked at half the step.
+    4th-order step, Richardson-checked at half the step.
 
     The right-hand side does not involve the transported variable, so the RK4
-    update collapses exactly to a composite Simpson rule per step; directions
-    and momentum slopes are pinned to their segment so kinks never leak into a
-    step's endpoint evaluation.  The form enters through the symplectic
-    module's current sign, keeping this oracle independent of the derived
-    quadrature integrand.
+    update collapses exactly to a composite Simpson rule per step.  On a
+    segment of length w the integrand is evaluated once, on a grid of
+    4 steps + 1 points with steps = ceil(1024 w): the coarse sweep (steps
+    panels, step <= 1/1024) reads the even-indexed points, the fine sweep
+    (2 steps panels, step <= 1/2048) reads them all.  Each point is
+    evaluated from its own segment's node, direction and momentum slope, so
+    kinks never leak into a panel.
+
+    Both sweeps are exact up to rounding on these integrands, and rounding
+    grows with the size of the data, so they must agree to 1e-10 times the
+    largest of the integrand's values, the momenta and Sigma times each
+    velocity, and never less than 1e-7.  The form enters through the
+    symplectic module's current sign, keeping this oracle independent of the
+    derived quadrature integrand.
     """
     _check_phase_path(model, x, at_base=True)
+    s = _sym._CANON_SIGN
     struct, sig = model._structure, model.sigma_matrix
-    cover = x.base.model
-
-    def sweep(scale: int) -> np.ndarray:
-        s = _sym._CANON_SIGN
-        total = np.zeros(model.n)
-        for k, (t0, w) in enumerate(zip(x.base.times[:-1], x.base.durations)):
-            steps = max(1, int(np.ceil(w * 1024 * scale)))
-            h = w / steps
-            ts = t0 + 0.5 * h * np.arange(2 * steps + 1)
-            gs = x.base.evaluate_many(np.clip(ts, 0.0, 1.0))
-            mus = x.momentum_many(ts)
-            xid, nud = x.base.directions[k], x.slopes[k]
-            covs = s * (np.einsum("abk,tk,b->ta", struct, mus, xid) + nud) - sig @ xid
-            vals = cover.coadjoint_inv_apply(gs, covs)
-            total += (h / 6.0) * (
-                vals[0:-1:2].sum(axis=0) + 4.0 * vals[1::2].sum(axis=0) + vals[2::2].sum(axis=0)
-            )
-        return total
-
-    coarse, fine = sweep(1), sweep(2)
+    base = x.base
+    coarse, fine = np.zeros(model.n), np.zeros(model.n)
+    size = max(float(np.abs(x.momenta).max()), float(np.abs(base.directions @ sig.T).max()))
+    for k, w in enumerate(base.durations):
+        steps = max(1, int(np.ceil(w * 1024)))
+        h = w / steps
+        offsets = (0.25 * h * np.arange(4 * steps + 1))[:, None]
+        xid, nud = base.directions[k], x.slopes[k]
+        nodes = np.broadcast_to(base.nodes[k], (len(offsets), model.n))
+        # the velocity is constant on the segment, so the bracket term is
+        # one matrix applied to every momentum row
+        bracket = s * np.einsum("abk,b->ak", struct, xid)
+        covs = (x.momenta[k] + offsets * nud) @ bracket.T + (s * nud - sig @ xid)
+        vals = base.model.coadjoint_inv_apply(base.model.multiply_many(nodes, offsets * xid), covs)
+        size = max(size, float(np.abs(vals).max()))
+        c, f = _simpson_sweeps(vals, h)
+        coarse += c
+        fine += f
     gap = float(np.max(np.abs(fine - coarse)))
-    if gap > 1e-7:
+    if gap > max(1e-7, 1e-10 * size):
         raise NumericalError(f"transport Richardson check failed: step halving moved result by {gap:.3e}")
     return fine
 
@@ -245,6 +263,26 @@ def _chart_to_body(model: GroupModel, g) -> np.ndarray:
     return T
 
 
+def _straight_tails(model: MagneticCotangent, g, mu, g_targets, mu_targets) -> np.ndarray:
+    """Momentum integrals along straight tails from (g, mu), one per row of
+    the targets, shape (tails, n).  Tail j is t -> g exp(t zeta_j) with
+    zeta_j = log(g^{-1} g_j) and momentum mu + t (mu_j - mu); one quadrature
+    call integrates them all."""
+    cover, n = model.cover, model.n
+    zetas = cover.multiply_many(np.broadcast_to(-g, g_targets.shape), g_targets)
+    nuds = mu_targets - mu
+    tails = len(zetas)
+
+    def integrand(ts):
+        offsets = (ts[:, None, None] * zetas).reshape(-1, n)
+        gs = cover.multiply_many(np.broadcast_to(g, offsets.shape), offsets)
+        mus = (mu + ts[:, None, None] * nuds).reshape(-1, n)
+        xid, nud = np.tile(zetas, (len(ts), 1)), np.tile(nuds, (len(ts), 1))
+        return _momentum_rows(model, gs, mus, xid, nud).reshape(len(ts), tails * n)
+
+    return adaptive_path_quadrature(integrand, [0.0, 1.0])[0].reshape(tails, n)
+
+
 def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi, step: float = 1e-4) -> float:
     """Max relative error of the momentum condition at z: central finite
     differences of the momentum integral along the 2n chart directions against
@@ -252,7 +290,7 @@ def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi, step:
 
     Displaced evaluations share the whole path up to z, so only the short
     tail from z contributes to each difference and trunk quadrature cancels
-    identically.
+    identically; the 4n straight tails are integrated together.
     """
     cover = model.cover
     n = model.n
@@ -260,26 +298,20 @@ def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi, step:
     g = np.asarray(z.g, dtype=float)
     mu = np.asarray(z.mu, dtype=float)
 
-    def tail_integral(g_target, mu_target) -> np.ndarray:
-        zeta = cover.log(cover.multiply(cover.inverse(g), g_target))
-        base = GroupPath.straight(cover, zeta, base=g)
-        tail = PhasePath.with_linear_momentum(base, mu_target, mu_start=mu)
-        return momentum_segments(model, tail).sum(axis=0)
+    # displaced targets in the order (+g, -g) for each chart direction, then
+    # (+mu, -mu) likewise, so consecutive rows form the central differences
+    shifts = np.repeat(step * np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None]
+    zero = np.zeros_like(shifts)
+    g_targets, mu_targets = g + np.vstack([shifts, zero]), mu + np.vstack([zero, shifts])
+    integrals = _straight_tails(model, g, mu, g_targets, mu_targets)
+    fd = (integrals[0::2] - integrals[1::2]) @ xi / (2.0 * step)
 
-    fd = np.empty(2 * n)
     rhs = np.empty(2 * n)
     gen = model.generator(xi, z)
     body = _chart_to_body(cover, g)
     for a in range(n):
         e = np.eye(n)[a]
-        plus = tail_integral(g + step * e, mu)
-        minus = tail_integral(g - step * e, mu)
-        fd[a] = (plus - minus) @ xi / (2.0 * step)
         rhs[a] = model.omega(z, gen, model.tangent(body @ e, np.zeros(n)))
-
-        plus = tail_integral(g, mu + step * e)
-        minus = tail_integral(g, mu - step * e)
-        fd[n + a] = (plus - minus) @ xi / (2.0 * step)
         rhs[n + a] = model.omega(z, gen, model.tangent(np.zeros(n), e))
 
     denom = max(float(np.linalg.norm(rhs)), 1e-8)

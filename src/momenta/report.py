@@ -3,8 +3,8 @@
 Reports keep an "exact" section (lattice and group facts, no tolerances) apart
 from a "numeric" section (sampled checks with max errors).  Exact scalars are
 serialized as strings so that round-tripping a report never corrupts lattice
-data.  The only non-deterministic field is the timestamp, isolated in the
-header so reports are comparable by stripping it.
+data.  The only non-deterministic fields are the timestamp and the per-check
+wall times, isolated in the header so reports are comparable by stripping it.
 """
 
 from __future__ import annotations
@@ -131,6 +131,7 @@ def build_analysis(sc, checks: list[CheckReport] | None = None, timestamp: str |
             "generatedAt": timestamp,
             "tool": "momenta",
             "schemaVersion": SCHEMA_VERSION,
+            "checkSeconds": {c.check_name: c.duration_seconds for c in checks},
         },
         "scenario": sc.config.summary(),
         "exact": exact,

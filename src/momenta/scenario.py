@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cylinder import Cylinder
 from .errors import ConfigError, InputError
-from .exact import QuadraticField
+from .exact import QuadraticField, rref
 from .groups import GroupModel, GroupPath
 from .lattices import (
     CoverDescriptor,
@@ -277,6 +278,17 @@ class Scenario:
         return CoverDescriptor(
             rank=self.gamma0.rank, dim=3, text=text, basis=self.gamma0.columns
         )
+
+    @cached_property
+    def orbit_basis(self) -> np.ndarray:
+        """Rows of an exact basis (reduced row echelon form) of the real span
+        of the theta columns, as floats; affine-action orbits on the torus are
+        translates of that span.  Computed once per scenario."""
+        reduced, pivots = rref([list(col) for col in self.theta.columns()])
+        rows = [[float(x) for x in reduced[i]] for i in range(len(pivots))]
+        basis = np.array(rows, dtype=float).reshape(len(pivots), self.n)
+        basis.flags.writeable = False  # shared by every orbit descriptor
+        return basis
 
     def gamma_prime(self) -> LatticeSubgroup:
         """Stabilizer-image subgroup at the base point; all of gamma for T*G

@@ -12,8 +12,9 @@ tighter config tolerance rescales every check proportionally.
 from __future__ import annotations
 
 import logging
+import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -48,6 +49,9 @@ class CheckReport:
     passed: bool
     sample_count: int
     notes: str = ""
+    # wall time of the runner; kept out of to_dict so that the numeric
+    # section of a report stays deterministic (analyze puts it in the header)
+    duration_seconds: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -426,12 +430,14 @@ def run_check(sc, spec: CheckSpec, seed: int, tol_scale: float, samples: int) ->
     rng = check_rng(seed, spec.name)
     tol = spec.tolerance * tol_scale
     log.debug("running check %s (tol %.3e)", spec.name, tol)
+    start = time.perf_counter()
     try:
         err, used, notes = spec.runner(sc, rng, samples)
     except NumericalError as exc:
-        return CheckReport(spec.name, float("inf"), tol, False, 0, f"numerical failure: {exc}")
+        err, used, notes = float("inf"), 0, f"numerical failure: {exc}"
+    elapsed = time.perf_counter() - start
     err = float(err)
-    return CheckReport(spec.name, err, tol, err <= tol, used, notes)
+    return CheckReport(spec.name, err, tol, err <= tol, used, notes, elapsed)
 
 
 def run_checks(sc, seed=None, samples=None, names=None) -> list[CheckReport]:

@@ -24,6 +24,7 @@ from momenta.groups import GroupPath, concat_paths, path_product
 from momenta.lattices import LatticeSubgroup
 from momenta.momentum import (
     PhasePath,
+    _chart_to_body,
     lifted_action_on_path,
     momentum_of_path,
     sigma_J,
@@ -314,6 +315,24 @@ class TestOrbits:
             worst = max(worst, abs(wrong(moved[0], moved[1:]) - wrong(mu[0], mu[1:])))
         assert worst > 0.1
 
+    def test_torus_basis_is_reduced_once_per_scenario(self, monkeypatch):
+        from momenta import exact, scenario as scenario_module
+
+        calls = []
+
+        def counting_rref(rows):
+            calls.append(len(rows))
+            return exact.rref(rows)
+
+        monkeypatch.setattr(scenario_module, "rref", counting_rref)
+        sc = scenario('{"group":"torus","dim":3,"theta":[["0","1","0"],["-1","0","0"],["0","0","0"]]}')
+        first = orbit_descriptor(sc, [0.1, 0.2, 0.3], rng=np.random.default_rng(1))
+        second = orbit_descriptor(sc, [-0.5, 0.0, 0.7], rng=np.random.default_rng(2))
+        assert calls == [3]
+        # rref rows of the theta columns (0,-1,0) and (1,0,0): e_1 and e_2
+        assert np.array_equal(first.basis, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert second.basis is first.basis and not first.basis.flags.writeable
+
     def test_orbit_capability_error(self):
         with pytest.raises(CapabilityError):
             orbit_descriptor(FakeScenario(), np.zeros(2))
@@ -372,13 +391,18 @@ class TestNoether:
         assert noether_check(SC_HEIS.model, SC_HEIS.cylinder, x, 1.0) <= 1e-6
 
     def test_kinetic_field_solves_the_form(self):
-        # reference: solve omega(X, .) = d(|mu|^2 / 2) with the assembled matrix
-        for sc in (SC_TORUS, SC_HEIS, SC_DENSE):
+        # reference: solve omega(X, .) = d(|mu|^2 / 2) with the assembled
+        # matrix; the field the flow runs gives chart velocities, which the
+        # chart-to-body map takes back to the body frame
+        for sc in (SC_TORUS, SC_FLAT, SC_HEIS, SC_TORUS3, SC_DENSE):
             n = sc.n
+            field = _kinetic_field(sc.model)
             for _ in range(20):
                 z = PhasePoint(RNG.uniform(-1.0, 1.0, n), RNG.uniform(-2.0, 2.0, n))
                 want = np.linalg.solve(sc.model.omega_matrix(z).T, np.concatenate([np.zeros(n), z.mu]))
-                assert np.allclose(np.concatenate(_kinetic_field(sc.model, z.mu)), want, rtol=0.0, atol=1e-13)
+                dy = field(np.concatenate([z.g, z.mu]))
+                got = np.concatenate([_chart_to_body(sc.cover, z.g) @ dy[:n], dy[n:]])
+                assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
     def test_torus_flow_is_a_rotation(self):
         # Sigma = J: mu rotates at unit speed and g integrates it,

@@ -3,26 +3,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from momenta import symplectic
 from momenta.errors import InputError
 from momenta.exact import QuadraticField
 from momenta.groups import GroupModel, GroupPath, path_product
 from momenta.momentum import (
     PhasePath,
+    _simpson_sweeps,
+    _straight_tails,
     horizontal_transport,
     lifted_action_on_path,
     momentum_closed_form,
     momentum_of_path,
+    momentum_segments,
     sigma_J,
     theta_closed_form_heisenberg,
     theta_integral,
     verify_momentum_condition,
 )
+from momenta.scenario import build_scenario, parse_config
 from momenta.symplectic import CocycleTheta, MagneticCotangent
 
 RNG = np.random.default_rng(550123)
 F2 = QuadraticField(2)
 
 THETA_2D = [["0", "1"], ["-1", "0"]]
+THETA_3D = [["0", "1", "0"], ["-1", "0", "1/2"], ["0", "-1/2", "0"]]
 
 
 def torus_model(rows=THETA_2D, d=2):
@@ -220,6 +226,71 @@ class TestTransportOracle:
                 assert np.linalg.norm(a - b) <= 1e-7
 
 
+def two_sweep_transport(model, x):
+    """Reference transport: two independent Simpson sweeps, one with
+    ceil(1024 w) and one with ceil(2048 w) steps per segment, each evaluating
+    the integrand on its own grid; returns the fine sweep."""
+    struct, sig, s = model._structure, model.sigma_matrix, symplectic._CANON_SIGN
+
+    def sweep(scale):
+        total = np.zeros(model.n)
+        for k, (t0, w) in enumerate(zip(x.base.times[:-1], x.base.durations)):
+            steps = max(1, int(np.ceil(w * 1024 * scale)))
+            h = w / steps
+            ts = t0 + 0.5 * h * np.arange(2 * steps + 1)
+            gs = x.base.evaluate_many(np.clip(ts, 0.0, 1.0))
+            xid, nud = x.base.directions[k], x.slopes[k]
+            covs = s * (np.einsum("abk,tk,b->ta", struct, x.momentum_many(ts), xid) + nud) - sig @ xid
+            vals = x.base.model.coadjoint_inv_apply(gs, covs)
+            total += (h / 6.0) * (vals[0:-1:2].sum(axis=0) + 4.0 * vals[1::2].sum(axis=0) + vals[2::2].sum(axis=0))
+        return total
+
+    coarse, fine = sweep(1), sweep(2)
+    assert np.max(np.abs(fine - coarse)) <= 1e-7
+    return fine
+
+
+SCALED_CONFIGS = {
+    "torus2": '{"group":"torus","dim":2,"theta":[["0","1"],["-1","0"]]}',
+    "flat2": '{"group":"torus","dim":2,"theta":[["0","0"],["0","0"]]}',
+    "torus3": '{"group":"torus","dim":3,"theta":[["0","1","0"],["-1","0","0"],["0","0","0"]]}',
+    "dense3": '{"group":"torus","dim":3,"field":2,"theta":[["0","1","1*al"],["-1","0","1"],["-1*al","-1","0"]]}',
+    "heis": '{"group":"heisenberg","sigma":["1","0"]}',
+}
+
+
+class TestSharedGridTransport:
+    @pytest.mark.parametrize("make", [torus_model, lambda: torus_model(THETA_3D, 3), heisenberg_model],
+                             ids=["torus2", "torus3", "heis"])
+    def test_matches_two_sweep_reference(self, make):
+        model = make()
+        for nseg in range(1, 17):
+            x = random_phase_path(model, nseg)
+            got, want = horizontal_transport(model, x), two_sweep_transport(model, x)
+            assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+    def test_coarse_sweep_has_twice_the_step(self):
+        # on exp(t) Simpson's error falls 16-fold when the step halves
+        for steps in (1, 4, 16):
+            h = 1.0 / steps
+            t = 0.25 * h * np.arange(4 * steps + 1)
+            coarse, fine = _simpson_sweeps(np.exp(t)[:, None], h)
+            ratio = (coarse[0] - (np.e - 1.0)) / (fine[0] - (np.e - 1.0))
+            assert 15.0 < ratio < 16.5
+
+    @pytest.mark.parametrize("name", sorted(SCALED_CONFIGS))
+    def test_richardson_threshold_scales_with_the_momenta(self, name):
+        # momenta of size 1e7 leave a rounding gap near 5e-7 between the
+        # sweeps; an absolute 1e-7 threshold reported it as a failed check
+        sc = build_scenario(parse_config(SCALED_CONFIGS[name]))
+        rng = np.random.default_rng(4242)
+        for _ in range(10):
+            x = sc.random_phase_path(rng)
+            x = PhasePath(x.base, 1e7 * x.momenta)
+            got, want = horizontal_transport(sc.model, x), momentum_of_path(sc.model, x)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestAdditivityAndEquivariance:
     def test_additivity_torus_lattice_loops(self):
         model = torus_model()
@@ -312,3 +383,24 @@ class TestMomentumCondition:
             z = model.point(RNG.uniform(-1.0, 1.0, model.n), RNG.uniform(-1.0, 1.0, model.n))
             xi = RNG.uniform(-1.0, 1.0, model.n)
             assert verify_momentum_condition(model, z, xi) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "make",
+        [torus_model, lambda: torus_model(THETA_3D, 3), heisenberg_model],
+        ids=["torus2", "torus3", "heis"],
+    )
+    def test_batched_tails_match_segments(self, make):
+        # every tail, integrated alone as a straight phase path from (g, mu)
+        model = make()
+        cover, n = model.cover, model.n
+        for scale in (1e-4, 1.0):
+            g, mu = RNG.uniform(-1.0, 1.0, n), RNG.uniform(-1.0, 1.0, n)
+            g_targets = g + scale * RNG.uniform(-1.0, 1.0, (7, n))
+            mu_targets = mu + scale * RNG.uniform(-1.0, 1.0, (7, n))
+            got = _straight_tails(model, g, mu, g_targets, mu_targets)
+            assert got.shape == (7, n)
+            for row, gt, mt in zip(got, g_targets, mu_targets):
+                zeta = cover.log(cover.multiply(cover.inverse(g), gt))
+                tail = PhasePath.with_linear_momentum(GroupPath.straight(cover, zeta, base=g), mt, mu_start=mu)
+                want = momentum_segments(model, tail).sum(axis=0)
+                assert np.abs(row - want).max() <= 1e-14

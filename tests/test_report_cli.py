@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -93,6 +95,18 @@ class TestCheckReport:
         assert not rep.passed
         assert math.isinf(rep.max_error)
         assert rep.notes.startswith("numerical failure")
+        assert rep.duration_seconds >= 0.0
+
+    def test_duration_is_timed_but_not_reported(self, torus_sc):
+        def runner(sc, rng, samples):
+            time.sleep(0.01)
+            return 0.0, samples, ""
+
+        rep = run_check(torus_sc, CheckSpec("sleepy", 1e-8, runner), seed=0, tol_scale=1.0, samples=5)
+        assert rep.duration_seconds >= 0.01
+        assert "durationSeconds" not in rep.to_dict() and "duration_seconds" not in rep.to_dict()
+        # equality and round trips ignore the time
+        assert CheckReport.from_dict(rep.to_dict()) == rep
 
 
 class TestRunChecks:
@@ -163,6 +177,13 @@ class TestReport:
         assert a.data != b.data
         assert a.without_header() == b.without_header()
 
+    def test_check_seconds_in_header(self, torus_sc, torus_checks):
+        rep = build_analysis(torus_sc, checks=torus_checks, timestamp="T0")
+        seconds = rep.data["header"]["checkSeconds"]
+        assert seconds == {r.check_name: r.duration_seconds for r in torus_checks}
+        assert all(t > 0.0 for t in seconds.values())
+        assert build_analysis(torus_sc, checks=[], timestamp="T0").data["header"]["checkSeconds"] == {}
+
     def test_torus_exact_section(self, torus_sc, torus_checks):
         rep = build_analysis(torus_sc, checks=torus_checks, timestamp="T0")
         exact = rep.exact
@@ -224,6 +245,8 @@ class TestCLI:
         lines = out.strip().splitlines()
         n = len(lines) - 1
         assert lines[-1] == f"{n}/{n} checks passed"
+        for line in lines[:-1]:
+            assert re.search(r" time=\d+\.\d{3}s$", line), line
 
     def test_verify_sign_flip_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("momenta.symplectic._CANON_SIGN", -1.0)
@@ -239,11 +262,16 @@ class TestCLI:
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         assert cli.main(["analyze", "--config", cfg, "--out", str(out1)]) == 0
         assert cli.main(["analyze", "--config", cfg, "--out", str(out2)]) == 0
-        strip = lambda p: [
-            ln for ln in p.read_text().splitlines() if "generatedAt" not in ln
-        ]
+        def strip(p):
+            # the header block (timestamp and check times) is the only part
+            # allowed to differ; everything else must match byte for byte
+            lines = p.read_text().splitlines()
+            start = lines.index('  "header": {')
+            return lines[:start] + lines[lines.index("  },", start) + 1 :]
+
         assert strip(out1) == strip(out2)
         data = json.loads(out1.read_text())
+        assert set(data["header"]) == {"generatedAt", "tool", "schemaVersion", "checkSeconds"}
         assert data["exact"]["coverClassification"] == "T^2"
         assert data["numeric"]["allPassed"] is True
         assert data["scenario"]["group"] == "torus"
