@@ -17,9 +17,8 @@ import logging
 import os
 import sys
 
-from .cylinder import affine_action, heisenberg_casimir, orbit_descriptor
+from .cylinder import affine_action_straight, heisenberg_casimir, orbit_descriptor
 from .errors import CapabilityError, ConfigError, MomentaError
-from .groups import GroupPath
 from .report import build_analysis
 from .scenario import Scenario, build_scenario, parse_config
 from .verification import check_rng, run_checks
@@ -82,6 +81,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    if args.samples < 1:
+        print(f"--samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
     sc = _load_scenario(args.config)
     if not 0 <= args.mu < len(sc.mu_list):
         print(
@@ -105,13 +107,15 @@ def _cmd_orbit(args) -> int:
         + (["casimir"] if with_casimir else [])
     )
     writer.writerow(header)
-    for i in range(args.samples):
-        u = rng.uniform(-2.0, 2.0, sc.n)
-        moved = affine_action(sc.model, GroupPath.straight(sc.cover, u), mu)
-        row = [i] + [f"{x:.12g}" for x in u] + [f"{x:.12g}" for x in moved]
+    # one block of directions, the same numbers as drawing them row by row
+    us = rng.uniform(-2.0, 2.0, (args.samples, sc.n))
+    moved = affine_action_straight(sc.model, us, mu)
+    if with_casimir:
+        casimir = heisenberg_casimir(sc.theta.sigma, moved[:, 0], moved[:, 1:])
+    for i, (u, m) in enumerate(zip(us, moved)):
+        row = [i] + [f"{x:.12g}" for x in u] + [f"{x:.12g}" for x in m]
         if with_casimir:
-            sigma = [float(s) for s in sc.theta.sigma]
-            row.append(f"{heisenberg_casimir(sigma, moved[0], moved[1:]):.12g}")
+            row.append(f"{casimir[i]:.12g}")
         writer.writerow(row)
     _emit(buf.getvalue(), args.out)
     return 0
@@ -135,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("orbit", help="sample an affine orbit as CSV")
     po.add_argument("--config", required=True, help="scenario config JSON file")
     po.add_argument("--mu", type=int, required=True, help="index into muList")
-    po.add_argument("--samples", type=int, default=100)
+    po.add_argument("--samples", type=int, default=100, help="number of rows, at least 1")
     po.add_argument("--out", help="write the CSV here instead of stdout")
     return parser
 

@@ -80,12 +80,13 @@ class Cylinder:
         self._nv, self._nl = self.V.shape[0], self.L.shape[0]
 
     def coords(self, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(subspace, lattice, complement) coordinates of a dual vector."""
-        c = self._to_coords @ np.asarray(mu, dtype=float)
-        return c[: self._nv], c[self._nv : self._nv + self._nl], c[self._nv + self._nl :]
+        """(subspace, lattice, complement) coordinates of a dual vector, or
+        of each row of stacked ones."""
+        c = np.asarray(mu, dtype=float) @ self._to_coords.T
+        return c[..., : self._nv], c[..., self._nv : self._nv + self._nl], c[..., self._nv + self._nl :]
 
     def _assemble(self, b, c) -> np.ndarray:
-        out = np.zeros(self.n)
+        out = np.zeros(b.shape[:-1] + (self.n,))
         if self._nl:
             out += b @ self.L
         if self.W.shape[0]:
@@ -93,19 +94,23 @@ class Cylinder:
         return out
 
     def project(self, mu) -> "CylinderPoint":
+        """The point of a dual vector, or one point holding the rows of
+        stacked ones."""
         _, b, c = self.coords(mu)
         return CylinderPoint(self, self._assemble(np.mod(b, 1.0), c))
 
     def zero(self) -> "CylinderPoint":
         return CylinderPoint(self, np.zeros(self.n))
 
-    def distance(self, p: "CylinderPoint", q: "CylinderPoint") -> float:
+    def distance(self, p: "CylinderPoint", q: "CylinderPoint"):
+        """Distance of two points, or row by row of stacked ones."""
         a, b, c = self.coords(p.representative - q.representative)
         b = np.mod(b + 0.5, 1.0) - 0.5
         resid = self._assemble(b, c)
         if self._nv:
             resid = resid + a @ self.V  # should be ~0 for canonical reps
-        return float(np.linalg.norm(resid))
+        dist = np.linalg.norm(resid, axis=-1)
+        return float(dist) if dist.ndim == 0 else dist
 
 
 @dataclass(frozen=True)
@@ -123,23 +128,24 @@ class CylinderPoint:
 
 
 def K(model: MagneticCotangent, cylinder: Cylinder, x: PhasePath) -> CylinderPoint:
-    """Cylinder-valued momentum of the endpoint of x: project o J; the deck
-    ambiguity of the path shifts J inside H and cancels in the quotient."""
+    """Cylinder-valued momentum of the endpoint of x (of each path of a
+    batch): project o J; the deck ambiguity of the path shifts J inside H
+    and cancels in the quotient."""
     return cylinder.project(momentum_of_path(model, x))
 
 
 def affine_action(model: MagneticCotangent, g_path: GroupPath, mu) -> np.ndarray:
-    """Dual-space affine action Ad*_{g^{-1}} mu + sigma_J(g-path)."""
-    mu = np.asarray(mu, dtype=float)
-    coad = g_path.model.coadjoint_inv(g_path.endpoint())
-    return coad @ mu + sigma_J(model, g_path)
+    """Dual-space affine action Ad*_{g^{-1}} mu + sigma_J(g-path); on a batch
+    mu may give one row per path."""
+    coad = g_path._shaped(g_path.model.coadjoint_inv_apply(g_path.ends(), mu))
+    return coad + sigma_J(model, g_path)
 
 
 def affine_action_straight(model: MagneticCotangent, directions, mu) -> np.ndarray:
     """affine_action along the straight lift t -> exp(t X) of every row X of
     ``directions``, with one quadrature call for all rows; shape (rows, n).
     The chart is exponential, so the lift sits at t X and ends at X."""
-    X = np.asarray(directions, dtype=float).reshape(-1, model.n)
+    X = np.asarray(directions, dtype=float).reshape(-1, model.n)  # mu: one row, or one per direction
     cover, chu = model.cover, model.chu_at_base()
 
     def integrand(ts):
@@ -152,14 +158,16 @@ def affine_action_straight(model: MagneticCotangent, directions, mu) -> np.ndarr
 
 
 def _check_lift(model: MagneticCotangent, g, lift_path: GroupPath):
-    proj = model.group.normalize(lift_path.endpoint())
-    if not model.group.equal(proj, model.group.normalize(np.asarray(g, dtype=float))):
+    group = model.group
+    proj = group.normalize_many(lift_path.ends())
+    if np.any(group.distance_many(proj, group.normalize_many(np.atleast_2d(g))) > 1e-10):
         raise InputError("lift path does not end over the given group element")
 
 
 def sigma_K(model: MagneticCotangent, cylinder: Cylinder, g, lift_path: GroupPath) -> CylinderPoint:
     """Projected non-equivariance cocycle; lift-independent because two lifts
-    differ by a fundamental-group loop whose sigma_J value lies in H."""
+    differ by a fundamental-group loop whose sigma_J value lies in H.  A
+    batch of lifts takes one row of g per lift."""
     _check_lift(model, g, lift_path)
     return cylinder.project(sigma_J(model, lift_path))
 
@@ -178,13 +186,13 @@ def affine_cylinder_action(
     lift_path: GroupPath | None = None,
 ) -> CylinderPoint:
     """Cylinder affine action: coadjoint part descends because H-bar is
-    pointwise fixed, and the cocycle part is sigma_K."""
+    pointwise fixed, and the cocycle part is sigma_K.  A batch of lifts
+    moves one row of ``point`` (and of g) each."""
     if lift_path is None:
         lift_path = _canonical_lift(model, g)
     _check_lift(model, g, lift_path)
-    coad = lift_path.model.coadjoint_inv(lift_path.endpoint())
-    moved = coad @ point.representative + sigma_J(model, lift_path)
-    return cylinder.project(moved)
+    coad = lift_path._shaped(lift_path.model.coadjoint_inv_apply(lift_path.ends(), point.representative))
+    return cylinder.project(coad + sigma_J(model, lift_path))
 
 
 # -- scenario-level reduction data ------------------------------------------
@@ -284,7 +292,8 @@ def heisenberg_casimir(sigma, psi, nu):
 
 def _kinetic_field(model: MagneticCotangent):
     """Hamiltonian vector field of h = |mu|^2 / 2 in chart coordinates, as a
-    function of y = (g, mu), built once from precomputed arrays.
+    function of y = (g, mu) (or of stacked rows of states), built once from
+    precomputed arrays.
 
     omega(X, .) = dh is solved in closed form: the form's block matrix
     [[s C(mu) - Sigma, s I], [-s I, 0]] inverts to xi = s mu and
@@ -303,20 +312,23 @@ def _kinetic_field(model: MagneticCotangent):
     if model.cover.kind == "heisenberg":
         Q[0, 1, n + 2] = 0.5 * s
         Q[0, 2, n + 1] = -0.5 * s
+    At = A.T
     if not Q.any():
-        return lambda y: A @ y
-    Q = Q.reshape(2 * n, 4 * n * n)
-    return lambda y: A @ y + Q @ (y[:, None] * y).ravel()
+        return lambda y: y @ At
+    Qt = Q.reshape(2 * n, 4 * n * n).T
+    return lambda y: y @ At + (y[..., :, None] * y[..., None, :]).reshape(y.shape[:-1] + (-1,)) @ Qt
 
 
 def _kinetic_flow(model: MagneticCotangent, y0, T: float, h: float) -> np.ndarray:
-    """RK4 samples of the kinetic flow from y0 = (g, mu) in chart coordinates,
-    at ceil(T / h) equal steps over [0, T]; shape (steps + 1, 2n).  The field
-    is built once per flow (``_kinetic_field``)."""
+    """RK4 samples of the kinetic flow from y0 = (g, mu) in chart coordinates
+    (or from each row of stacked states, integrated as one state), at
+    ceil(T / h) equal steps over [0, T]; shape (steps + 1,) + y0.shape.  The
+    field is built once per flow (``_kinetic_field``)."""
     rhs = _kinetic_field(model)
+    y0 = np.asarray(y0, dtype=float)
     steps = max(1, int(np.ceil(T / h)))
     h = T / steps
-    ys = np.empty((steps + 1, len(y0)))
+    ys = np.empty((steps + 1,) + y0.shape)
     ys[0] = y0
     for i in range(steps):
         y = ys[i]
@@ -334,9 +346,10 @@ def noether_check(
     x: PhasePath,
     T: float,
     step: float = 1e-3,
-) -> float:
+):
     """Max drift of K along the kinetic-Hamiltonian flow started at the
-    endpoint of x, checked at time checkpoints spaced 0.1 apart.
+    endpoint of x, checked at time checkpoints spaced 0.1 apart; one drift
+    per path of a batch, whose flows are integrated as one stacked state.
 
     K at time t is project(J(x) + the momentum integral along the flow up to
     t): the integral is additive over concatenation and independent of the
@@ -345,31 +358,33 @@ def noether_check(
     """
     if T < 0:
         raise InputError("flow time must be nonnegative")
-    J0 = momentum_of_path(model, x)
-    reference = cylinder.project(J0)
+    J0 = np.atleast_2d(momentum_of_path(model, x))
+    paths = len(J0)
     if T == 0:
-        return 0.0
+        return x.base._shaped(np.zeros(paths))
     n = model.n
-    z = x.endpoint()
-    y0 = np.concatenate([z.g, z.mu])
+    y0 = np.concatenate([x.base.ends(), x.end_momenta()], axis=1)
 
     ys = _kinetic_flow(model, y0, T, step)
     check = _kinetic_flow(model, y0, T, 2.0 * step)
-    scale = max(1.0, float(np.max(np.abs(ys))))
-    if float(np.max(np.abs(check[-1] - ys[-1]))) > 1e-8 * scale:
+    scale = np.maximum(1.0, np.abs(ys).max(axis=(0, 2)))
+    if np.any(np.abs(check[-1] - ys[-1]).max(axis=1) > 1e-8 * scale):
         raise NumericalError("kinetic flow integration failed its step-halving check")
 
     steps = len(ys) - 1
-    flow_base = GroupPath.from_samples(model.cover, np.linspace(0.0, 1.0, steps + 1), ys[:, :n])
-    running = np.cumsum(momentum_segments(model, PhasePath(flow_base, ys[:, n:])), axis=0)
-    drift = 0.0
-    for t_check in np.arange(0.1, T + 1e-12, 0.1):
-        upto = int(round(t_check / T * steps))
-        if upto < 1:
-            continue
-        moved = cylinder.project(J0 + running[upto - 1])
-        drift = max(drift, cylinder.distance(moved, reference))
-    return drift
+    flows = ys.transpose(1, 0, 2).reshape(-1, 2 * n)  # path after path
+    flow_base = GroupPath.from_samples(
+        model.cover, np.tile(np.linspace(0.0, 1.0, steps + 1), paths), flows[:, :n], np.full(paths, steps + 1)
+    )
+    segments = momentum_segments(model, PhasePath(flow_base, flows[:, n:]))
+    running = np.cumsum(segments.reshape(paths, steps, n), axis=1)
+    upto = [int(round(t / T * steps)) for t in np.arange(0.1, T + 1e-12, 0.1)]
+    upto = np.array([u for u in upto if u >= 1], dtype=np.intp)
+    if not len(upto):
+        return x.base._shaped(np.zeros(paths))
+    moved = cylinder.project(J0[:, None, :] + running[:, upto - 1])
+    drift = cylinder.distance(moved, cylinder.project(J0[:, None, :])).max(axis=1)
+    return x.base._shaped(drift)
 
 
 def reduction_fiber_check(scenario, mu, samples: int = 5, rng=None) -> dict:

@@ -110,6 +110,14 @@ class GroupModel:
             g[mask] = np.mod(g[mask], 1.0)
         return g
 
+    def normalize_many(self, gs) -> np.ndarray:
+        """Row-wise ``normalize`` of stacked elements."""
+        gs = np.array(gs, dtype=float)
+        mask = self.circle_mask()
+        if mask.any():
+            gs[:, mask] = np.mod(gs[:, mask], 1.0)
+        return gs
+
     # -- group operations --------------------------------------------------
 
     def multiply(self, g, h) -> np.ndarray:
@@ -153,6 +161,14 @@ class GroupModel:
             d[mask] = np.mod(d[mask] + 0.5, 1.0) - 0.5
         return float(np.linalg.norm(d))
 
+    def distance_many(self, gs, hs) -> np.ndarray:
+        """Row-wise ``distance`` of stacked (or broadcast) elements."""
+        d = np.atleast_2d(np.asarray(gs, dtype=float) - np.asarray(hs, dtype=float))
+        mask = self.circle_mask()
+        if mask.any():
+            d[:, mask] = np.mod(d[:, mask] + 0.5, 1.0) - 0.5
+        return np.sqrt((d * d).sum(axis=1))
+
     def equal(self, g, h, tol: float = 1e-10) -> bool:
         return self.distance(g, h) <= tol
 
@@ -188,28 +204,65 @@ class GroupModel:
         defined by <Ad*_{g^{-1}} mu, xi> = <mu, Ad_{g^{-1}} xi>."""
         return self.adjoint(self.inverse(g)).T
 
-    def coadjoint_inv_apply(self, gs, mus) -> np.ndarray:
-        """Row-wise Ad*_{g^{-1}} mu for stacked elements and covectors."""
+    def coadjoint_inv_many(self, gs) -> np.ndarray:
+        """Stacked ``coadjoint_inv`` matrices, shape (rows, dim, dim)."""
         gs = np.atleast_2d(np.asarray(gs, dtype=float))
-        mus = np.atleast_2d(np.asarray(mus, dtype=float))
+        out = np.tile(np.eye(self.dim), (len(gs), 1, 1))
+        if self.kind in _HEISENBERG:
+            out[:, 1, 0] = gs[:, 2]
+            out[:, 2, 0] = -gs[:, 1]
+        return out
+
+    def coadjoint_inv_apply(self, gs, mus) -> np.ndarray:
+        """Row-wise Ad*_{g^{-1}} mu for stacked elements and covectors (a
+        single covector is applied to every element)."""
+        gs = np.atleast_2d(np.asarray(gs, dtype=float))
+        shape = np.broadcast_shapes(gs.shape, np.shape(mus))
+        gs, out = np.broadcast_to(gs, shape), np.array(np.broadcast_to(mus, shape), dtype=float)
         if self.kind in _ABELIAN:
-            return mus.copy()
-        out = mus.copy()
-        psi = mus[:, 0]
+            return out
+        psi = out[:, 0]
         out[:, 1] += psi * gs[:, 2]
         out[:, 2] -= psi * gs[:, 1]
         return out
 
 
+def _ranges(starts, counts) -> np.ndarray:
+    """The index ranges starts[i] : starts[i] + counts[i], one after another."""
+    counts = np.asarray(counts, dtype=np.intp)
+    firsts = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(np.asarray(starts, dtype=np.intp) - firsts, counts)
+
+
+def _interleave(a, a_starts, a_counts, b, b_starts, b_counts) -> np.ndarray:
+    """Rows a[a_starts[i] : + a_counts[i]] then b[b_starts[i] : + b_counts[i]],
+    block after block."""
+    a_counts, b_counts = np.asarray(a_counts), np.asarray(b_counts)
+    sizes = a_counts + b_counts
+    firsts = np.cumsum(sizes) - sizes
+    out = np.empty((sizes.sum(),) + a.shape[1:])
+    out[_ranges(firsts, a_counts)] = a[_ranges(a_starts, a_counts)]
+    out[_ranges(firsts + a_counts, b_counts)] = b[_ranges(b_starts, b_counts)]
+    return out
+
+
 class GroupPath:
-    """Piecewise-exponential path on [0,1]: on segment k the path is
+    """B piecewise-exponential paths on [0,1]: on segment k a path is
     node_k * exp((t - t_k) direction_k), continuous by construction.
 
-    Segment durations must sum to 1 within 1e-12.  Instances are treated as
-    immutable after construction.
+    The paths share one flat segment table: path b owns the rows
+    ``offsets[b]:offsets[b + 1]`` of ``directions`` and ``durations`` and the
+    one-longer run of breakpoints ``offsets[b] + b : offsets[b + 1] + b + 1``
+    of ``times`` and ``nodes``, so ragged segment counts need no padding.
+    A path built alone is a single path (B = 1): its ``base``, its
+    ``endpoint()`` and every kernel result on it have shape (n,).  A batch
+    (``batched``) gives them a leading axis of length B.
+
+    Segment durations must sum to 1 within 1e-12 on every path.  Instances
+    are treated as immutable after construction.
     """
 
-    __slots__ = ("model", "directions", "durations", "base", "times", "nodes")
+    __slots__ = ("model", "directions", "durations", "offsets", "bases", "batched", "times", "nodes", "_first")
 
     def __init__(self, model: GroupModel, segments, base=None):
         segments = list(segments)
@@ -218,38 +271,79 @@ class GroupPath:
                 raise InputError(f"segment direction shape {np.shape(direction)} != ({model.dim},)")
         directions = np.array([d for d, _ in segments], dtype=float).reshape(-1, model.dim)
         durations = np.array([w for _, w in segments], dtype=float)
-        self._setup(model, directions, durations, base)
+        self._setup(model, directions, durations, base, None)
 
     @classmethod
-    def _of_arrays(cls, model: GroupModel, directions, durations, base=None) -> "GroupPath":
-        """Path from stacked ``(segments, dim)`` directions and durations."""
+    def _of_arrays(cls, model: GroupModel, directions, durations, base=None, counts=None) -> "GroupPath":
+        """Path from stacked ``(segments, dim)`` directions and durations; a
+        batch when ``counts`` (segments per path) is given."""
         path = cls.__new__(cls)
-        path._setup(model, directions, durations, base)
+        path._setup(model, np.asarray(directions, dtype=float), np.asarray(durations, dtype=float), base, counts)
         return path
 
-    def _setup(self, model: GroupModel, directions, durations, base):
-        if len(durations) == 0:
+    @classmethod
+    def batch(cls, model: GroupModel, directions, durations, counts, bases=None) -> "GroupPath":
+        """Batch of len(counts) paths from one segment table: path b takes the
+        next counts[b] rows of ``directions`` and ``durations`` and starts at
+        bases[b] (default the identity)."""
+        return cls._of_arrays(model, directions, durations, bases, counts)
+
+    def _setup(self, model: GroupModel, directions, durations, base, counts):
+        self.batched = counts is not None
+        segments, n = len(durations), model.dim
+        counts = np.array([segments] if counts is None else counts, dtype=np.intp)
+        nb = len(counts)
+        if nb == 0 or counts.min() < 1 or counts.sum() != segments:
             raise InputError("a path needs at least one segment")
-        if np.any(durations <= 0):
+        if durations.min() <= 0:
             raise InputError(f"segment duration {durations[durations <= 0][0]} is not positive")
-        if abs(durations.sum() - 1.0) > 1e-12:
-            raise InputError(f"durations sum to {durations.sum()}, expected 1")
+        offsets = np.zeros(nb + 1, dtype=np.intp)
+        counts.cumsum(out=offsets[1:])
+        owner = np.arange(nb).repeat(counts)  # path of each segment
+        self._first = np.arange(segments) + owner  # breakpoint starting each segment
+        # the running sums run per path on a (paths, segments) layout, zero
+        # padded behind shorter paths: cumsum is sequential, so the padding
+        # leaves them exact
+        width = counts.max()
+        valid = None if segments == nb * width else np.arange(width + 1) <= counts[:, None]
+        if valid is None:
+            padded = durations.reshape(nb, width)
+            steps = (durations[:, None] * directions).reshape(nb, width, n)
+        else:
+            local = np.arange(segments) - offsets[owner]
+            padded, steps = np.zeros((nb, width)), np.zeros((nb, width, n))
+            padded[owner, local] = durations
+            steps[owner, local] = durations[:, None] * directions
+        cum = padded.cumsum(axis=1)
+        totals = cum[np.arange(nb), counts - 1]
+        bad = np.abs(totals - 1.0) > 1e-12
+        if bad.any():
+            raise InputError(f"durations sum to {totals[bad][0]}, expected 1")
         self.model = model
         self.directions = directions
         self.durations = durations
-        self.base = model.identity() if base is None else model.normalize(base)
+        self.offsets = offsets
+        if base is None:
+            self.bases = np.zeros((nb, n))
+        elif np.shape(base) in ((n,), (nb, n)):
+            self.bases = model.normalize_many(np.broadcast_to(base, (nb, n)))
+        else:
+            raise InputError(f"expected base of shape ({n},), got {np.shape(base)}")
 
-        times = np.concatenate([[0.0], np.cumsum(durations)])
-        times[-1] = 1.0
-        self.times = times
+        times = np.zeros((nb, width + 1))
+        times[:, 1:] = cum
+        times[np.arange(nb), counts] = 1.0
         # node_{k+1} = node_k * exp(duration_k direction_k): in the exponential
         # chart the product is a running sum, plus for Heisenberg the central
         # term w(u_k, step_k)/2 with u_k the plane part of node_k
-        steps = durations[:, None] * directions
-        nodes = np.cumsum(np.vstack([self.base, steps]), axis=0)
+        nodes = np.concatenate([self.bases[:, None], steps], axis=1).cumsum(axis=1)
         if model.kind in _HEISENBERG:
-            u = nodes[:-1, 1:]
-            nodes[1:, 0] += np.cumsum(0.5 * (u[:, 0] * steps[:, 2] - u[:, 1] * steps[:, 1]))
+            u = nodes[:, :-1, 1:]
+            nodes[:, 1:, 0] += (0.5 * (u[..., 0] * steps[..., 2] - u[..., 1] * steps[..., 1])).cumsum(axis=1)
+        if valid is None:
+            self.times, nodes = times.ravel(), nodes.reshape(-1, n)
+        else:
+            self.times, nodes = times[valid], nodes[valid]
         mask = model.circle_mask()
         if mask.any():
             nodes[:, mask] = np.mod(nodes[:, mask], 1.0)
@@ -263,66 +357,158 @@ class GroupPath:
 
     @classmethod
     def straight(cls, model: GroupModel, xi, base=None) -> "GroupPath":
-        return cls(model, [(np.asarray(xi, dtype=float), 1.0)], base)
+        """t -> base * exp(t xi); a batch of one-segment paths when ``xi``
+        stacks several directions (rows)."""
+        xi = np.asarray(xi, dtype=float)
+        if xi.ndim == 2:
+            return cls.batch(model, xi, np.ones(len(xi)), np.ones(len(xi), dtype=np.intp), base)
+        return cls(model, [(xi, 1.0)], base)
 
     @classmethod
-    def from_samples(cls, model: GroupModel, ts, gs) -> "GroupPath":
+    def from_samples(cls, model: GroupModel, ts, gs, counts=None) -> "GroupPath":
         """Interpolating path: one exponential segment between consecutive
-        samples, hitting every sample exactly.  Needs a global logarithm."""
+        samples, hitting every sample exactly.  Needs a global logarithm.
+        With ``counts``, ``ts`` and ``gs`` hold the samples of len(counts)
+        paths one after another, counts[b] of them for path b, and the
+        result is a batch."""
         ts = np.asarray(ts, dtype=float)
         gs = np.asarray(gs, dtype=float)
-        if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12 or np.any(np.diff(ts) <= 0):
-            raise InputError("sample times must increase from 0 to 1")
         if gs.shape != (len(ts), model.dim):
             raise InputError(f"expected samples of shape ({len(ts)}, {model.dim}), got {gs.shape}")
         if not model.is_simply_connected:
             raise InputError(f"no global logarithm on {model.kind}")
-        # g_i^{-1} g_{i+1}, whose logarithm is itself in the exponential chart
-        dts = np.diff(ts)
-        steps = model.multiply_many(-gs[:-1], gs[1:])
-        return cls._of_arrays(model, steps / dts[:, None], dts, gs[0])
+        if counts is None:
+            sizes, firsts, lasts = len(ts), 0, len(ts) - 1
+        else:
+            sizes = np.asarray(counts, dtype=np.intp)
+            lasts = sizes.cumsum() - 1
+            firsts = lasts - sizes + 1
+        if np.size(sizes) == 0 or np.min(sizes) < 2 or np.sum(sizes) != len(ts):
+            raise InputError("sample times must increase from 0 to 1")
+        # g_i^{-1} g_{i+1}, whose logarithm is itself in the exponential chart;
+        # a step from one path's last sample to the next path's first is dropped
+        dts, steps = ts[1:] - ts[:-1], model.multiply_many(-gs[:-1], gs[1:])
+        if np.size(sizes) > 1:  # a batch
+            inner = np.ones(len(dts), dtype=bool)
+            inner[lasts[:-1]] = False
+            dts, steps = dts[inner], steps[inner]
+        if abs(ts[firsts]).max() > 1e-12 or abs(ts[lasts] - 1.0).max() > 1e-12 or dts.min() <= 0:
+            raise InputError("sample times must increase from 0 to 1")
+        if counts is None:
+            return cls._of_arrays(model, steps / dts[:, None], dts, gs[0])
+        return cls._of_arrays(model, steps / dts[:, None], dts, gs[firsts], sizes - 1)
+
+    # -- batch structure ---------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def _shaped(self, rows):
+        """Per-path rows as returned to the caller: a single path drops the
+        batch axis."""
+        return rows if self.batched else rows[0]
+
+    @property
+    def base(self) -> np.ndarray:
+        return self._shaped(self.bases)
+
+    def counts(self) -> np.ndarray:
+        """Number of segments of each path."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    def point_paths(self) -> np.ndarray:
+        """Path of each breakpoint (row of ``times`` and ``nodes``)."""
+        return np.repeat(np.arange(len(self)), self.counts() + 1)
+
+    def ends(self) -> np.ndarray:
+        """Endpoint of each path, shape (B, n) also for a single path."""
+        return self.nodes[self.offsets[1:] + np.arange(len(self))]
+
+    def sum_segments(self, rows) -> np.ndarray:
+        """Per-path sums of per-segment rows (a kernel's output).  Paths with
+        the same segment count are summed together as one (paths, segments)
+        block, so a path's sum does not depend on the batch around it."""
+        rows = np.asarray(rows)
+        if not self.batched:
+            return rows.sum(axis=0)
+        counts = self.counts()
+        out = np.empty((len(counts),) + rows.shape[1:])
+        for m in np.flatnonzero(np.bincount(counts)):
+            sel = np.flatnonzero(counts == m)
+            out[sel] = rows[self.offsets[sel][:, None] + np.arange(m)].sum(axis=1)
+        return out
+
+    def _select(self, index) -> "GroupPath":
+        """The batch of paths ``index`` (in that order)."""
+        counts = self.counts()[index]
+        seg = _ranges(self.offsets[index], counts)
+        return GroupPath.batch(self.model, self.directions[seg], self.durations[seg], counts, self.bases[index])
 
     # -- evaluation --------------------------------------------------------
 
-    def segment_index(self, ts) -> np.ndarray:
-        """Index of the segment holding each parameter, clipped into range."""
-        ks = np.searchsorted(self.times, np.clip(ts, 0.0, 1.0), side="right") - 1
-        return np.clip(ks, 0, len(self.durations) - 1)
+    def segment_index(self, ts, paths=None) -> np.ndarray:
+        """Row of the segment table holding each parameter, clipped into its
+        path's range; ``paths`` names the path of each parameter and is
+        needed only when there are several."""
+        ts = np.minimum(np.maximum(ts, 0.0), 1.0)
+        if len(self) == 1:
+            ks = np.searchsorted(self.times, ts, side="right") - 1
+            return np.minimum(np.maximum(ks, 0), len(self.durations) - 1)
+        if paths is None:
+            raise InputError("parameters on a batch of paths need the path of each")
+        paths = np.asarray(paths, dtype=np.intp)
+        # merge breakpoints and parameters ordered by (path, value), with a
+        # breakpoint before an equal parameter (searchsorted's right side);
+        # the breakpoints counted before a parameter are all of the earlier
+        # paths' plus its own path's up to it
+        npts = len(self.times)
+        kind = np.concatenate([np.zeros(npts, dtype=np.intp), np.ones(len(ts), dtype=np.intp)])
+        order = np.lexsort((kind, np.concatenate([self.times, ts]), np.concatenate([self.point_paths(), paths])))
+        is_point = order < npts
+        below = np.empty(len(ts), dtype=np.intp)
+        below[order[~is_point] - npts] = np.cumsum(is_point)[~is_point]
+        local = below - (self.offsets[paths] + paths) - 1
+        return self.offsets[paths] + np.minimum(np.maximum(local, 0), self.counts()[paths] - 1)
+
+    def kernel_segments(self, ts) -> np.ndarray:
+        """Segment of each node of one kernel call over ``times``: the kernel
+        lists the same number of nodes for every segment, segment by
+        segment."""
+        segments = len(self.durations)
+        return np.repeat(np.arange(segments), len(ts) // segments)
+
+    def at_segments(self, ks, ts) -> np.ndarray:
+        """Path points at parameters ``ts`` known to lie in segments ``ks``."""
+        first = self._first[ks]
+        s = (ts - self.times[first])[:, None]
+        return self.model.multiply_many(self.nodes[first], s * self.directions[ks])
 
     def _segment_of(self, t: float) -> int:
         if t < -1e-12 or t > 1.0 + 1e-12:
             raise InputError(f"path parameter {t} outside [0, 1]")
-        return int(self.segment_index(t))
+        return int(self.segment_index(np.array([t]))[0])
 
     def evaluate(self, t: float) -> np.ndarray:
-        k = self._segment_of(t)
-        step = self.model.exp(self.directions[k], t - self.times[k])
-        return self.model.multiply(self.nodes[k], step)
+        return self.evaluate_many(np.array([t], dtype=float))[0]
 
-    def evaluate_many(self, ts) -> np.ndarray:
+    def evaluate_many(self, ts, paths=None) -> np.ndarray:
+        """Points at parameters ``ts``; ``paths`` names the path of each when
+        there are several."""
         ts = np.asarray(ts, dtype=float)
-        if np.any(ts < -1e-12) or np.any(ts > 1.0 + 1e-12):
+        if len(ts) and (ts.min() < -1e-12 or ts.max() > 1.0 + 1e-12):
             raise InputError("path parameters outside [0, 1]")
-        ks = self.segment_index(ts)
-        s = (ts - self.times[ks])[:, None]
-        return self.model.multiply_many(self.nodes[ks], s * self.directions[ks])
+        return self.at_segments(self.segment_index(ts, paths), ts)
 
     def left_velocity(self, t: float) -> np.ndarray:
         return self.directions[self._segment_of(t)].copy()
 
     def endpoint(self) -> np.ndarray:
-        return self.nodes[-1].copy()
+        return self._shaped(self.ends())
 
     def is_loop(self, tol: float = 1e-10) -> bool:
         return self.model.equal(self.endpoint(), self.base, tol)
 
     # -- derived paths -----------------------------------------------------
-
-    def left_translate(self, g) -> "GroupPath":
-        """h(t) = g * self(t); left-trivialized velocity is unchanged."""
-        return GroupPath._of_arrays(
-            self.model, self.directions, self.durations, self.model.multiply(g, self.base)
-        )
 
     def reversed(self) -> "GroupPath":
         return GroupPath._of_arrays(
@@ -330,51 +516,121 @@ class GroupPath:
         )
 
     def __repr__(self):
+        if self.batched:
+            return f"GroupPath({self.model!r}, {len(self)} paths, {len(self.durations)} segments)"
         return f"GroupPath({self.model!r}, {len(self.durations)} segments)"
 
 
-def _refined_grid(p: GroupPath, q: GroupPath, doublings: int) -> np.ndarray:
-    grid = np.union1d(p.times, q.times)
-    pieces = [grid]
-    target = 32 * (2**doublings)
-    splits = max(1, -(-target // (len(grid) - 1)))  # per-interval subdivisions
-    for f in range(1, splits):
-        pieces.append(grid[:-1] + np.diff(grid) * (f / splits))
-    return np.unique(np.concatenate(pieces))
+def _distinct(ts) -> np.ndarray:
+    """Sorted distinct values."""
+    ts = np.sort(ts)
+    return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
+
+
+def _distinct_points(paths, ts):
+    """Sorted distinct (path, parameter) pairs."""
+    order = np.lexsort((ts, paths))
+    paths, ts = paths[order], ts[order]
+    keep = np.ones(len(ts), dtype=bool)
+    keep[1:] = (paths[1:] != paths[:-1]) | (ts[1:] != ts[:-1])
+    return paths[keep], ts[keep]
+
+
+def _refined_grids(p: GroupPath, q: GroupPath, pairs, doublings: int):
+    """Sample times for the pairs ``pairs`` of p and q: per pair the union of
+    both paths' breakpoints, each interval split into equal parts so that
+    there are at least 32 * 2**doublings intervals.  Returns the times, the
+    position in ``pairs`` of each, and the number per pair."""
+    target = 32 * 2**doublings
+    if len(p) == 1:  # one pair: a plain sorted grid
+        grid = _distinct(np.concatenate([p.times, q.times]))
+        split = max(1, -(-target // (len(grid) - 1)))
+        pieces = grid[:-1, None] + (grid[1:] - grid[:-1])[:, None] * (np.arange(1, split) / split)
+        grid = _distinct(np.concatenate([grid, pieces.ravel()]))
+        return grid, np.zeros(len(grid), dtype=np.intp), np.array([len(grid)])
+    owners, times = [], []
+    for path in (p, q):
+        where = np.full(len(path), -1)
+        where[pairs] = np.arange(len(pairs))
+        owner = where[path.point_paths()]
+        owners.append(owner[owner >= 0])
+        times.append(path.times[owner >= 0])
+    owner, grid = _distinct_points(np.concatenate(owners), np.concatenate(times))
+    splits = np.maximum(1, -(-target // (np.bincount(owner) - 1)))  # per-interval subdivisions
+    inner = owner[1:] == owner[:-1]  # intervals within one pair
+    split = splits[owner[:-1][inner]]
+    f = np.arange(1, split.max())
+    pieces = grid[:-1][inner, None] + (grid[1:] - grid[:-1])[inner, None] * (f / split[:, None])
+    owner, grid = _distinct_points(
+        np.concatenate([owner, np.repeat(owner[:-1][inner], split - 1)]),
+        np.concatenate([grid, pieces[f < split[:, None]]]),
+    )
+    return grid, owner, np.bincount(owner)
+
+
+# endpoint bound of path_product: absolute at unit scale, relative beyond
+_ENDPOINT_ABS, _ENDPOINT_REL = 1e-10, 1e-13
 
 
 def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
-    """Piecewise-exponential representative of t -> p(t) q(t).
+    """Piecewise-exponential representative of t -> p(t) q(t), pair by pair
+    for batches of the same size.
 
     Both paths must be based at the identity of the same simply connected
     model.  The pointwise product is resampled on the union of breakpoints
     refined to at least 32 sub-intervals, each step re-expressed through the
-    left logarithm; an endpoint mismatch above 1e-10 doubles the refinement,
-    at most 4 times.
+    left logarithm.  An endpoint mismatch above max(1e-10, 1e-13 times the
+    largest endpoint coordinate) doubles the refinement of that pair, at
+    most 4 times: rounding of coordinates far from unit scale alone exceeds
+    an absolute bound.
     """
     model = p.model
     if q.model != model:
         raise InputError("path_product needs paths in the same model")
+    if p.batched != q.batched or len(p) != len(q):
+        raise InputError("path_product needs two single paths or two batches of the same size")
     if not model.is_simply_connected:
         raise InputError("path_product is defined on universal-cover models")
-    zero = model.identity()
-    if not (model.equal(p.base, zero) and model.equal(q.base, zero)):
+    if model.distance_many(np.concatenate([p.bases, q.bases]), model.identity()).max() > 1e-10:
         raise InputError("path_product needs identity-based paths")
 
-    target = model.multiply(p.endpoint(), q.endpoint())
+    target = model.multiply_many(p.ends(), q.ends())
+    bound = np.maximum(_ENDPOINT_ABS, _ENDPOINT_REL * np.abs(target).max(axis=1))
+    pending = np.arange(len(p))
+    done = []  # (pairs, their products) per refinement level
     for doublings in range(5):
-        ts = _refined_grid(p, q, doublings)
-        prods = model.multiply_many(p.evaluate_many(ts), q.evaluate_many(ts))
-        out = GroupPath.from_samples(model, ts, prods)
-        if model.distance(out.endpoint(), target) <= 1e-10:
-            return out
-    raise NumericalError("path_product endpoint tolerance not met after 4 doublings")
+        ts, owner, counts = _refined_grids(p, q, pending, doublings)
+        paths = pending[owner]
+        prods = model.multiply_many(p.evaluate_many(ts, paths), q.evaluate_many(ts, paths))
+        out = GroupPath.from_samples(model, ts, prods, counts if p.batched else None)
+        ok = model.distance_many(out.ends(), target[pending]) <= bound[pending]
+        if ok.any():
+            done.append((pending[ok], out if ok.all() else out._select(np.flatnonzero(ok))))
+        pending = pending[~ok]
+        if not len(pending):
+            break
+    else:
+        raise NumericalError("path_product endpoint tolerance not met after 4 doublings")
+    if len(done) == 1:
+        return done[0][1]
+    order = np.argsort(np.concatenate([pairs for pairs, _ in done]))
+    parts = [path for _, path in done]
+    joined = GroupPath.batch(
+        model,
+        np.concatenate([b.directions for b in parts]),
+        np.concatenate([b.durations for b in parts]),
+        np.concatenate([b.counts() for b in parts]),
+        np.concatenate([b.bases for b in parts]),
+    )
+    return joined._select(order)
 
 
 def concat_paths(p: GroupPath, q: GroupPath, split: float = 0.5) -> GroupPath:
-    """First traverse p on [0, split], then q on [split, 1].
+    """First traverse p on [0, split], then q on [split, 1], pair by pair for
+    batches of the same size.
 
-    q is deck-translated so its start matches p's endpoint exactly; the inputs
+    The result starts at p's base and carries q's velocities, which is q
+    deck-translated so its start matches p's endpoint exactly; the inputs
     must already agree there up to that translation for the result to
     represent concatenation in the base group.
     """
@@ -383,10 +639,11 @@ def concat_paths(p: GroupPath, q: GroupPath, split: float = 0.5) -> GroupPath:
     model = p.model
     if q.model != model:
         raise InputError("concat_paths needs paths in the same model")
-    shift = model.multiply(p.endpoint(), model.inverse(q.base))
-    q2 = q.left_translate(shift)
+    if p.batched != q.batched or len(p) != len(q):
+        raise InputError("concat_paths needs two single paths or two batches of the same size")
     # compressing a leg into a shorter parameter window scales its velocity up
     # so each segment still covers the same arc
-    directions = np.vstack([p.directions / split, q2.directions / (1.0 - split)])
-    durations = np.concatenate([p.durations * split, q2.durations * (1.0 - split)])
-    return GroupPath._of_arrays(model, directions, durations, p.base)
+    cp, cq = p.counts(), q.counts()
+    directions = _interleave(p.directions / split, p.offsets[:-1], cp, q.directions / (1.0 - split), q.offsets[:-1], cq)
+    durations = _interleave(p.durations * split, p.offsets[:-1], cp, q.durations * (1.0 - split), q.offsets[:-1], cq)
+    return GroupPath._of_arrays(model, directions, durations, p.base, cp + cq if p.batched else None)

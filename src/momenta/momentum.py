@@ -21,7 +21,7 @@ import numpy as np
 
 from . import symplectic as _sym
 from .errors import InputError, NumericalError
-from .groups import GroupModel, GroupPath, concat_paths, path_product
+from .groups import GroupModel, GroupPath, _interleave, _ranges, concat_paths, path_product
 from .numerics import adaptive_path_quadrature
 from .symplectic import CocycleTheta, MagneticCotangent, PhasePoint
 
@@ -40,8 +40,9 @@ __all__ = [
 
 
 class PhasePath:
-    """Path in T*G: a group path plus a piecewise-linear momentum curve
-    sampled at the group path's breakpoints."""
+    """Paths in T*G: group paths plus piecewise-linear momentum curves sampled
+    at the group paths' breakpoints (``momenta`` has one row per row of
+    ``base.times``).  A batch when its base is."""
 
     __slots__ = ("base", "momenta", "slopes")
 
@@ -52,43 +53,59 @@ class PhasePath:
             raise InputError(f"momentum samples must have shape {expected}, got {momenta.shape}")
         self.base = base
         self.momenta = momenta
-        self.slopes = np.diff(momenta, axis=0) / base.durations[:, None]
+        first = base._first
+        self.slopes = (momenta[first + 1] - momenta[first]) / base.durations[:, None]
 
     @classmethod
     def with_linear_momentum(cls, base: GroupPath, mu_end, mu_start=None) -> "PhasePath":
-        n = base.model.dim
+        """Momentum growing linearly from mu_start (default 0) to mu_end; on a
+        batch either may give one row per path."""
+        n, rows = base.model.dim, (len(base), base.model.dim)
         mu0 = np.zeros(n) if mu_start is None else np.asarray(mu_start, dtype=float)
         mu1 = np.asarray(mu_end, dtype=float)
-        return cls(base, mu0 + base.times[:, None] * (mu1 - mu0))
+        owner = base.point_paths()
+        mu0, d = np.broadcast_to(mu0, rows)[owner], np.broadcast_to(mu1 - mu0, rows)[owner]
+        return cls(base, mu0 + base.times[:, None] * d)
 
     @classmethod
     def to_point(cls, model: MagneticCotangent, g, mu) -> "PhasePath":
         """Standard representative from z0 to (g, mu): one exponential segment
-        with linearly growing momentum."""
+        with linearly growing momentum; a batch when g and mu stack rows."""
+        g = np.asarray(g, dtype=float)
         cover = model.cover
-        base = GroupPath.straight(cover, cover.log(np.asarray(g, dtype=float)))
-        return cls.with_linear_momentum(base, mu)
+        xi = g.copy() if g.ndim == 2 else cover.log(g)  # the cover chart is exponential
+        return cls.with_linear_momentum(GroupPath.straight(cover, xi), mu)
 
-    def momentum_many(self, ts) -> np.ndarray:
+    def momentum_many(self, ts, paths=None) -> np.ndarray:
+        """Momenta at parameters ``ts``; ``paths`` names the path of each when
+        there are several."""
         ts = np.asarray(ts, dtype=float)
-        ks = self.base.segment_index(ts)
-        s = (ts - self.base.times[ks])[:, None]
-        return self.momenta[ks] + s * self.slopes[ks]
+        ks = self.base.segment_index(ts, paths)
+        return self._at_segments(ks, ts)
 
-    def momentum_at(self, t: float) -> np.ndarray:
-        return self.momentum_many(np.array([t]))[0]
+    def _at_segments(self, ks, ts) -> np.ndarray:
+        first = self.base._first[ks]
+        s = (ts - self.base.times[first])[:, None]
+        return self.momenta[first] + s * self.slopes[ks]
+
+    def end_momenta(self) -> np.ndarray:
+        """Final momentum of each path, shape (B, n) also for a single path."""
+        return self.momenta[self.base.offsets[1:] + np.arange(len(self.base))]
 
     def endpoint(self) -> PhasePoint:
-        return PhasePoint(self.base.endpoint(), self.momenta[-1].copy())
+        return PhasePoint(self.base.endpoint(), self.base._shaped(self.end_momenta()))
 
     def concat(self, other: "PhasePath", split: float = 0.5) -> "PhasePath":
         base = concat_paths(self.base, other.base, split)
-        momenta = np.vstack([self.momenta, other.momenta[1:]])
+        p, q = self.base, other.base
+        starts_p = p.offsets[:-1] + np.arange(len(p))
+        starts_q = q.offsets[:-1] + np.arange(len(q)) + 1
+        momenta = _interleave(self.momenta, starts_p, p.counts() + 1, other.momenta, starts_q, q.counts())
         return PhasePath(base, momenta)
 
 
 def _require_identity_based(p: GroupPath):
-    if not p.model.equal(p.base, p.model.identity(), 1e-12):
+    if np.any(p.model.distance_many(p.bases, p.model.identity()) > 1e-12):
         raise InputError("path must be based at the identity")
 
 
@@ -99,13 +116,14 @@ def _coadjoint_integrand(model: GroupModel, matrix, gs, velocities) -> np.ndarra
 
 
 def _coadjoint_integral(p: GroupPath, matrix) -> np.ndarray:
-    """Integral of Ad*_{g(t)^{-1}} (matrix @ left velocity) dt along p."""
+    """Integral of Ad*_{g(t)^{-1}} (matrix @ left velocity) dt along each
+    path of p."""
 
     def integrand(ts):
-        velocities = p.directions[p.segment_index(ts)]
-        return _coadjoint_integrand(p.model, matrix, p.evaluate_many(ts), velocities)
+        ks = p.kernel_segments(ts)
+        return _coadjoint_integrand(p.model, matrix, p.at_segments(ks, ts), p.directions[ks])
 
-    return adaptive_path_quadrature(integrand, p.times).sum(axis=0)
+    return p.sum_segments(adaptive_path_quadrature(integrand, p.times))
 
 
 def theta_integral(model: GroupModel, theta: CocycleTheta, p: GroupPath) -> np.ndarray:
@@ -128,22 +146,25 @@ def theta_closed_form_heisenberg(model: GroupModel, sigma, endpoint) -> np.ndarr
     return np.concatenate([[su], -alpha * s - 0.5 * su * iota])
 
 
-def _phase_kinematics(x: PhasePath, ts):
-    """Velocity data (g, mu, xi-dot, nu-dot) at arbitrary parameters."""
-    ks = x.base.segment_index(ts)
-    return x.base.evaluate_many(ts), x.momentum_many(ts), x.base.directions[ks], x.slopes[ks]
+def _phase_kinematics(x: PhasePath, ks, ts):
+    """Velocity data (g, mu, xi-dot, nu-dot) at parameters ``ts`` lying in
+    segments ``ks``."""
+    return x.base.at_segments(ks, ts), x._at_segments(ks, ts), x.base.directions[ks], x.slopes[ks]
 
 
 def _momentum_rows(model: MagneticCotangent, gs, mus, xid, nud) -> np.ndarray:
     """Momentum-map integrand with the canonical sign frozen at +1, row-wise
     over stacked kinematics: Ad*_{g^{-1}} (nu-dot + (C(mu) - Sigma) xi-dot)."""
-    covs = nud + np.einsum("abk,tk,tb->ta", model._structure, mus, xid) - xid @ model.sigma_matrix.T
+    covs = np.einsum("abk,tk,tb->ta", model._structure, mus, xid)
+    covs += nud
+    covs -= xid @ model.sigma_matrix.T
     return model.cover.coadjoint_inv_apply(gs, covs)
 
 
 def _derived_integrand(model: MagneticCotangent, x: PhasePath):
-    """The momentum-map integrand along x, as a function of the parameter."""
-    return lambda ts: _momentum_rows(model, *_phase_kinematics(x, ts))
+    """The momentum-map integrand along a single path x, as a function of
+    the parameter."""
+    return lambda ts: _momentum_rows(model, *_phase_kinematics(x, x.base.segment_index(ts), ts))
 
 
 def _check_phase_path(model: MagneticCotangent, x: PhasePath, at_base: bool):
@@ -151,48 +172,71 @@ def _check_phase_path(model: MagneticCotangent, x: PhasePath, at_base: bool):
         raise InputError("phase paths must live on the universal-cover model")
     if at_base:
         _require_identity_based(x.base)
-        if np.linalg.norm(x.momenta[0]) > 1e-12:
+        starts = x.momenta[x.base.offsets[:-1] + np.arange(len(x.base))]
+        if np.any(np.linalg.norm(starts, axis=1) > 1e-12):
             raise InputError("path must start at the base point (e, 0)")
 
 
 def momentum_segments(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
-    """Momentum integral over each segment of x, shape (segments, n); x may
-    start anywhere.  The integral is additive over concatenation and does not
-    depend on the parametrisation, so partial sums give it along sub-paths."""
+    """Momentum integral over each segment of x, one row per row of the
+    segment table; x may start anywhere.  The integral is additive over
+    concatenation and does not depend on the parametrisation, so partial
+    sums give it along sub-paths."""
     _check_phase_path(model, x, at_base=False)
-    return adaptive_path_quadrature(_derived_integrand(model, x), x.base.times)
+
+    def integrand(ts):
+        return _momentum_rows(model, *_phase_kinematics(x, x.base.kernel_segments(ts), ts))
+
+    return adaptive_path_quadrature(integrand, x.base.times)
 
 
 def momentum_of_path(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
-    """J of the homotopy class represented by x, normalized so the trivial
-    class maps to 0; exact quadrature of the generator contraction."""
+    """J of the homotopy class represented by x (of each path of a batch),
+    normalized so the trivial class maps to 0; exact quadrature of the
+    generator contraction."""
     _check_phase_path(model, x, at_base=True)
-    return momentum_segments(model, x).sum(axis=0)
+    return x.base.sum_segments(momentum_segments(model, x))
 
 
 def momentum_closed_form(model: MagneticCotangent, g_path: GroupPath, mu) -> np.ndarray:
-    """Ad*_{g^{-1}} mu + Theta(g_path) for g the endpoint of g_path."""
+    """Ad*_{g^{-1}} mu + Theta(g_path) for g the endpoint of g_path; on a
+    batch mu may give one row per path."""
     _require_identity_based(g_path)
-    mu = np.asarray(mu, dtype=float)
-    g = g_path.endpoint()
-    return g_path.model.coadjoint_inv(g) @ mu + theta_integral(g_path.model, model.theta, g_path)
+    coad = g_path._shaped(g_path.model.coadjoint_inv_apply(g_path.ends(), mu))
+    return coad + theta_integral(g_path.model, model.theta, g_path)
 
 
-def _simpson_sweeps(vals, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Simpson integrals of 4 m + 1 equally spaced rows h / 4
-    apart: the coarse sweep over m panels of width h reads the even-indexed
-    rows, the fine sweep over 2 m panels of width h / 2 reads them all."""
+_TRANSPORT_ROWS = 2**12  # integrand rows evaluated together, bounding memory
 
-    def simpson(v, width):
-        return (width / 6.0) * (v[0:-1:2].sum(axis=0) + 4.0 * v[1::2].sum(axis=0) + v[2::2].sum(axis=0))
 
-    return simpson(vals[::2], h), simpson(vals, 0.5 * h)
+def _simpson_sweeps(vals, h, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Simpson integrals over grids of 4 m + 1 equally spaced rows
+    h / 4 apart, stacked one after another (``rows`` per grid, default one
+    grid): the coarse sweep over m panels of width h reads the even-indexed
+    rows, the fine sweep over 2 m panels of width h / 2 reads them all.
+    Returns (coarse, fine), one row per grid.
+
+    Both weight patterns are fixed by the row index modulo 4, so one sum per
+    residue class and grid gives both sweeps: with S_r the sum of the rows
+    of residue r and E the two end rows, coarse = h/6 (2 S_0 + 4 S_2 - E) and
+    fine = h/12 (2 S_0 + 4 S_1 + 2 S_2 + 4 S_3 - E)."""
+    rows = np.array([len(vals)] if rows is None else rows, dtype=np.intp)
+    h = np.broadcast_to(np.asarray(h, dtype=float), rows.shape)[:, None]
+    starts = np.cumsum(rows) - rows
+    m = (rows - 1) // 4
+    counts = np.stack([m + 1, m, m, m], axis=1).ravel()  # rows per (grid, residue)
+    first = np.repeat(starts, 4) + np.tile(np.arange(4), len(rows))
+    order = np.repeat(first, counts) + 4 * _ranges(np.zeros(len(counts)), counts)
+    sums = np.add.reduceat(np.take(vals, order, axis=0), np.cumsum(counts) - counts)
+    s0, s1, s2, s3 = sums.reshape(len(rows), 4, -1).transpose(1, 0, 2)
+    ends = vals[starts] + vals[starts + rows - 1]
+    return (h / 6.0) * (2.0 * s0 + 4.0 * s2 - ends), (h / 12.0) * (2.0 * (s0 + s2) + 4.0 * (s1 + s3) - ends)
 
 
 def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     """Transport oracle: integrate the horizontality condition
     <mu-dot, e_i> = omega(e_i-generator, x-dot) from (z0, 0) with a classical
-    4th-order step, Richardson-checked at half the step.
+    4th-order step, Richardson-checked at half the step, along each path.
 
     The right-hand side does not involve the transported variable, so the RK4
     update collapses exactly to a composite Simpson rule per step.  On a
@@ -201,38 +245,58 @@ def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     panels, step <= 1/1024) reads the even-indexed points, the fine sweep
     (2 steps panels, step <= 1/2048) reads them all.  Each point is
     evaluated from its own segment's node, direction and momentum slope, so
-    kinks never leak into a panel.
+    kinks never leak into a panel.  The grids of all segments are evaluated
+    together, in chunks of about 2**12 points.
 
     Both sweeps are exact up to rounding on these integrands, and rounding
-    grows with the size of the data, so they must agree to 1e-10 times the
-    largest of the integrand's values, the momenta and Sigma times each
-    velocity, and never less than 1e-7.  The form enters through the
-    symplectic module's current sign, keeping this oracle independent of the
-    derived quadrature integrand.
+    grows with the size of the data, so on each path they must agree to
+    1e-10 times the largest of the integrand's values, the momenta and Sigma
+    times each velocity, and never less than 1e-7.  The form enters through
+    the symplectic module's current sign, keeping this oracle independent of
+    the derived quadrature integrand.
     """
     _check_phase_path(model, x, at_base=True)
     s = _sym._CANON_SIGN
     struct, sig = model._structure, model.sigma_matrix
     base = x.base
-    coarse, fine = np.zeros(model.n), np.zeros(model.n)
-    size = max(float(np.abs(x.momenta).max()), float(np.abs(base.directions @ sig.T).max()))
-    for k, w in enumerate(base.durations):
-        steps = max(1, int(np.ceil(w * 1024)))
-        h = w / steps
-        offsets = (0.25 * h * np.arange(4 * steps + 1))[:, None]
-        xid, nud = base.directions[k], x.slopes[k]
-        nodes = np.broadcast_to(base.nodes[k], (len(offsets), model.n))
-        # the velocity is constant on the segment, so the bracket term is
-        # one matrix applied to every momentum row
-        bracket = s * np.einsum("abk,b->ak", struct, xid)
-        covs = (x.momenta[k] + offsets * nud) @ bracket.T + (s * nud - sig @ xid)
-        vals = base.model.coadjoint_inv_apply(base.model.multiply_many(nodes, offsets * xid), covs)
-        size = max(size, float(np.abs(vals).max()))
-        c, f = _simpson_sweeps(vals, h)
-        coarse += c
-        fine += f
-    gap = float(np.max(np.abs(fine - coarse)))
-    if gap > max(1e-7, 1e-10 * size):
+    steps = np.maximum(1, np.ceil(base.durations * 1024).astype(np.intp))
+    h = base.durations / steps
+    rows = 4 * steps + 1
+    segments = len(rows)
+    coarse, fine = np.empty((segments, model.n)), np.empty((segments, model.n))
+    # per segment, grown below by its integrand values: its momenta at both
+    # ends and Sigma times its velocity
+    mu_peak = np.abs(x.momenta).max(axis=1)
+    size = np.max([mu_peak[base._first], mu_peak[base._first + 1], np.abs(base.directions @ sig.T).max(axis=1)], axis=0)
+    # a chunk holds the segments whose grids start in one window of rows
+    chunk = (np.cumsum(rows) - rows) // _TRANSPORT_ROWS
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [segments]])
+    # the velocity is constant on a segment, so the bracket term is one
+    # matrix per segment, and the covector is affine in the offset d into
+    # the segment: cov0 + d cov1
+    xid, nud, mu0 = base.directions, x.slopes, x.momenta[base._first]
+    brackets = s * np.einsum("abk,sb->sak", struct, xid)
+    cov0 = np.einsum("sak,sk->sa", brackets, mu0) + (s * nud - xid @ sig.T)
+    cov1 = np.einsum("sak,sk->sa", brackets, nud)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        r = rows[a:b]
+
+        def spread(per_segment):  # one copy per grid point of its segment
+            return np.repeat(per_segment[a:b], r, axis=0)
+
+        ds = (spread(0.25 * h) * _ranges(np.zeros(b - a), r))[:, None]  # offsets into the segments
+        covs = spread(cov0) + ds * spread(cov1)
+        gs = base.model.multiply_many(spread(base.nodes[base._first]), ds * spread(xid))
+        vals = base.model.coadjoint_inv_apply(gs, covs)
+        peaks = np.maximum.reduceat(np.abs(vals), np.cumsum(r) - r).max(axis=1)
+        size[a:b] = np.maximum(size[a:b], peaks)
+        coarse[a:b], fine[a:b] = _simpson_sweeps(vals, h[a:b], r)
+    coarse, fine = base.sum_segments(coarse), base.sum_segments(fine)
+    size = np.maximum.reduceat(size, base.offsets[:-1])
+    gaps = np.atleast_1d(np.abs(fine - coarse).max(axis=-1))
+    failed = np.flatnonzero(gaps > np.maximum(1e-7, 1e-10 * size))
+    if len(failed):
+        gap = gaps[failed[0]]
         raise NumericalError(f"transport Richardson check failed: step halving moved result by {gap:.3e}")
     return fine
 
@@ -250,7 +314,7 @@ def lifted_action_on_path(g_path: GroupPath, x: PhasePath) -> PhasePath:
     """Pointwise action t -> g(t) x(t): product base path, body momentum curve
     carried over unchanged (resampled on the product's breakpoints)."""
     product = path_product(g_path, x.base)
-    return PhasePath(product, x.momentum_many(product.times))
+    return PhasePath(product, x.momentum_many(product.times, product.point_paths()))
 
 
 def _chart_to_body(model: GroupModel, g) -> np.ndarray:

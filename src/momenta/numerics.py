@@ -23,16 +23,22 @@ def adaptive_path_quadrature(f_many, breakpoints) -> np.ndarray:
 
     ``f_many(ts) -> (len(ts), k)`` must be evaluable at arbitrary points;
     ``breakpoints`` (increasing) mark its segments, and the integrand must be
-    a polynomial of degree <= 5 on each.  Returns an array of shape
-    ``(len(breakpoints) - 1, k)`` whose row j is the integral over
-    ``[breakpoints[j], breakpoints[j + 1]]``; sum the rows for the total.
-    The integrand is evaluated once, at 3 interior nodes per segment.
+    a polynomial of degree <= 5 on each.  A batch of paths passes its
+    breakpoint lists one after another: where the values drop, a new list
+    starts, and the drop is not a segment.  Returns an array of shape
+    ``(segments, k)`` whose row j is the integral over segment j; sum the
+    rows (of each path) for the total.  The integrand is evaluated once, at
+    3 interior nodes per segment, listed segment by segment.
 
     The name predates the fixed rule; the traced benchmark run patches the
     kernel under it.
     """
     b = np.asarray(breakpoints, dtype=float)
-    lo, half = b[:-1, None], 0.5 * np.diff(b)[:, None]
-    ts = (lo + half * (_X3 + 1.0)).ravel()
+    lo, hi = b[:-1], b[1:]
+    within = hi >= lo
+    if not within.all():
+        lo, hi = lo[within], hi[within]
+    half = 0.5 * (hi - lo)
+    ts = (lo[:, None] + half[:, None] * (_X3 + 1.0)).ravel()
     vals = np.asarray(f_many(ts), dtype=float).reshape(len(lo), len(_X3), -1)
-    return np.einsum("s,j,sjk->sk", half[:, 0], _W3, vals)
+    return np.einsum("s,j,sjk->sk", half, _W3, vals)

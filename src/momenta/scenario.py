@@ -312,9 +312,14 @@ class Scenario:
 
     def loop_path(self, k) -> GroupPath:
         """Cover path from the identity to the deck translate k: projects to a
-        fundamental-group loop downstairs."""
-        ks = np.atleast_1d(np.asarray(k, dtype=float))
-        xi = ks if self.kind == "torus" else np.array([ks[0], 0.0, 0.0])
+        fundamental-group loop downstairs.  Stacked rows of k give a batch."""
+        ks = np.asarray(k, dtype=float)
+        if ks.ndim == 0:
+            ks = ks[None]
+        if self.kind == "torus":
+            return GroupPath.straight(self.cover, ks)
+        xi = np.zeros(ks.shape[:-1] + (self.n,))
+        xi[..., 0] = ks[..., 0]
         return GroupPath.straight(self.cover, xi)
 
     # -- sampling helpers --------------------------------------------------
@@ -325,18 +330,42 @@ class Scenario:
             k[0] = 1
         return k
 
-    def random_cover_path(self, rng, segments: int = 2, scale: float = 1.5) -> GroupPath:
+    # The draw_* methods take a sample's random numbers in generator order
+    # and build nothing, so that a check can draw all of its samples first
+    # and evaluate them as one batch (cover_paths, phase_paths).
+
+    def draw_cover_path(self, rng, segments: int = 2, scale: float = 1.5):
+        """(directions, durations) of a random identity-based cover path."""
         durs = rng.uniform(0.5, 1.5, segments)
         durs /= durs.sum()
-        return GroupPath(
-            self.cover, [(rng.uniform(-scale, scale, self.n), w) for w in durs]
-        )
+        return rng.uniform(-scale, scale, (segments, self.n)), durs
 
-    def random_phase_path(self, rng, segments: int = 2) -> PhasePath:
-        base = self.random_cover_path(rng, segments)
+    def draw_phase_path(self, rng, segments: int = 2):
+        """(directions, durations, momenta) of a random phase path from the
+        base point."""
+        dirs, durs = self.draw_cover_path(rng, segments)
         momenta = rng.uniform(-1.0, 1.0, (segments + 1, self.n))
         momenta[0] = 0.0
-        return PhasePath(base, momenta)
+        return dirs, durs, momenta
+
+    def cover_paths(self, draws) -> GroupPath:
+        """Batch of the cover paths drawn by ``draw_cover_path``."""
+        dirs, durs = zip(*draws)
+        return GroupPath.batch(self.cover, np.concatenate(dirs), np.concatenate(durs), [len(d) for d in durs])
+
+    def phase_paths(self, draws) -> PhasePath:
+        """Batch of the phase paths drawn by ``draw_phase_path``."""
+        dirs, durs, momenta = zip(*draws)
+        base = self.cover_paths(zip(dirs, durs))
+        return PhasePath(base, np.concatenate(momenta))
+
+    def random_cover_path(self, rng, segments: int = 2, scale: float = 1.5) -> GroupPath:
+        dirs, durs = self.draw_cover_path(rng, segments, scale)
+        return GroupPath(self.cover, zip(dirs, durs))
+
+    def random_phase_path(self, rng, segments: int = 2) -> PhasePath:
+        dirs, durs, momenta = self.draw_phase_path(rng, segments)
+        return PhasePath(GroupPath(self.cover, zip(dirs, durs)), momenta)
 
     def random_mu(self, rng) -> np.ndarray:
         return rng.uniform(-1.5, 1.5, self.n)

@@ -5,6 +5,16 @@ neither the set of checks run nor their order can change the sampled data.
 A numerical failure inside a check is reported as a failed CheckReport,
 never as a crash.
 
+Checks draw, then evaluate.  A check first takes all of its samples' random
+numbers, sample after sample in the order a per-sample loop would take
+them (``_draw``; the Scenario's ``draw_*`` methods build nothing), so the
+generator streams and where they end do not depend on how the samples are
+evaluated.  It then evaluates them as one batch, with one call per kernel
+(a batch of paths is one GroupPath or PhasePath), and reports the largest
+error over the batch.  A NumericalError on any sample fails the whole check
+with maxError infinity, as it did when the first failing sample stopped a
+loop.
+
 Stated tolerances assume the default config tolerance 1e-8; a looser or
 tighter config tolerance rescales every check proportionally.
 """
@@ -20,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from . import cylinder as cyl
-from .errors import NumericalError
-from .groups import GroupPath, path_product
+from .errors import InputError, NumericalError
+from .groups import path_product
 from .lattices import LatticeSubgroup
 from .momentum import (
     PhasePath,
@@ -90,6 +100,19 @@ def check_rng(seed: int, name: str) -> np.random.Generator:
 # -- samplers ----------------------------------------------------------------
 
 
+def _draw(rng, count, *draws):
+    """Draw ``count`` samples, each one call of every function in ``draws``
+    in turn (the generator order of a per-sample loop); returns one list per
+    function."""
+    rows = [[draw(rng) for draw in draws] for _ in range(count)]
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in draws]
+
+
+def _worst(gaps) -> float:
+    """Largest row norm of stacked gaps."""
+    return float(np.linalg.norm(gaps, axis=-1).max())
+
+
 def _random_point(sc, rng):
     g = sc.group.normalize(rng.uniform(-0.5, 0.5, sc.n))
     return sc.model.point(g, rng.uniform(-1.5, 1.5, sc.n))
@@ -134,13 +157,10 @@ def _chk_adjoint_homomorphism(sc, rng, samples):
 
 def _chk_path_product_endpoint(sc, rng, samples):
     used = min(samples, 25)
-    worst = 0.0
-    for _ in range(used):
-        p = sc.random_cover_path(rng)
-        q = sc.random_cover_path(rng)
-        want = sc.cover.multiply(p.endpoint(), q.endpoint())
-        worst = max(worst, float(np.linalg.norm(path_product(p, q).endpoint() - want)))
-    return worst, used, ""
+    p, q = _draw(rng, used, sc.draw_cover_path, sc.draw_cover_path)
+    p, q = sc.cover_paths(p), sc.cover_paths(q)
+    want = sc.cover.multiply_many(p.ends(), q.ends())
+    return _worst(path_product(p, q).ends() - want), used, ""
 
 
 def _chk_omega_antisymmetry(sc, rng, samples):
@@ -172,49 +192,44 @@ def _chk_omega_left_invariance(sc, rng, samples):
 
 
 def _chk_momentum_closed_form(sc, rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        x = sc.random_phase_path(rng)
-        got = momentum_of_path(sc.model, x)
-        want = momentum_closed_form(sc.model, x.base, x.momenta[-1])
-        worst = max(worst, float(np.linalg.norm(got - want)))
-    return worst, samples, "quadrature vs endpoint closed form"
+    (x,) = _draw(rng, samples, sc.draw_phase_path)
+    x = sc.phase_paths(x)
+    got = momentum_of_path(sc.model, x)
+    want = momentum_closed_form(sc.model, x.base, x.end_momenta())
+    return _worst(got - want), samples, "quadrature vs endpoint closed form"
 
 
 def _chk_momentum_transport(sc, rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        x = sc.random_phase_path(rng)
-        gap = momentum_of_path(sc.model, x) - horizontal_transport(sc.model, x)
-        worst = max(worst, float(np.linalg.norm(gap)))
-    return worst, samples, "quadrature vs flat-connection transport"
+    (x,) = _draw(rng, samples, sc.draw_phase_path)
+    x = sc.phase_paths(x)
+    gap = momentum_of_path(sc.model, x) - horizontal_transport(sc.model, x)
+    return _worst(gap), samples, "quadrature vs flat-connection transport"
+
+
+def _phase_and_loop(sc, rng, used):
+    """Phase paths x and, drawn after each, deck loops gamma from the base
+    point."""
+    x, ks = _draw(rng, used, sc.draw_phase_path, sc.random_loop_coefficients)
+    gamma = PhasePath.with_linear_momentum(sc.loop_path(np.array(ks)), np.zeros(sc.n))
+    return sc.phase_paths(x), gamma
 
 
 def _chk_momentum_additivity(sc, rng, samples):
     used = min(samples, 50)
-    worst = 0.0
-    for _ in range(used):
-        x = sc.random_phase_path(rng)
-        gamma = PhasePath.with_linear_momentum(
-            sc.loop_path(sc.random_loop_coefficients(rng)), np.zeros(sc.n)
-        )
-        lhs = momentum_of_path(sc.model, gamma.concat(x))
-        rhs = momentum_of_path(sc.model, gamma) + momentum_of_path(sc.model, x)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst, used, "deck-loop additivity"
+    x, gamma = _phase_and_loop(sc, rng, used)
+    lhs = momentum_of_path(sc.model, gamma.concat(x))
+    rhs = momentum_of_path(sc.model, gamma) + momentum_of_path(sc.model, x)
+    return _worst(lhs - rhs), used, "deck-loop additivity"
 
 
 def _chk_momentum_equivariance(sc, rng, samples):
     used = min(samples, 50)
-    worst = 0.0
-    for _ in range(used):
-        g_path = sc.random_cover_path(rng)
-        x = sc.random_phase_path(rng)
-        lhs = momentum_of_path(sc.model, lifted_action_on_path(g_path, x))
-        coad = sc.cover.coadjoint_inv(g_path.endpoint())
-        rhs = coad @ momentum_of_path(sc.model, x) + sigma_J(sc.model, g_path)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst, used, ""
+    g_path, x = _draw(rng, used, sc.draw_cover_path, sc.draw_phase_path)
+    g_path, x = sc.cover_paths(g_path), sc.phase_paths(x)
+    lhs = momentum_of_path(sc.model, lifted_action_on_path(g_path, x))
+    coad = sc.cover.coadjoint_inv_apply(g_path.ends(), momentum_of_path(sc.model, x))
+    rhs = coad + sigma_J(sc.model, g_path)
+    return _worst(lhs - rhs), used, ""
 
 
 def _chk_momentum_condition(sc, rng, samples):
@@ -229,32 +244,31 @@ def _chk_momentum_condition(sc, rng, samples):
 
 def _chk_cocycle_matches_theta(sc, rng, samples):
     used = min(samples, 50)
-    worst = 0.0
-    for _ in range(used):
-        p = sc.random_cover_path(rng)
-        gap = sigma_J(sc.model, p) - theta_integral(sc.cover, sc.theta, p)
-        worst = max(worst, float(np.linalg.norm(gap)))
-    return worst, used, "cotangent-lift cocycle equals the magnetic term"
+    (p,) = _draw(rng, used, sc.draw_cover_path)
+    p = sc.cover_paths(p)
+    gap = sigma_J(sc.model, p) - theta_integral(sc.cover, sc.theta, p)
+    return _worst(gap), used, "cotangent-lift cocycle equals the magnetic term"
+
+
+def _cocycle_sides(sc, rng, used):
+    """For pairs (p, q) of cover paths: the product path pq and the right
+    side sigma_J(p) + Ad*_{p^{-1}} sigma_J(q) of the cocycle identity."""
+    p, q = _draw(rng, used, sc.draw_cover_path, sc.draw_cover_path)
+    p, q = sc.cover_paths(p), sc.cover_paths(q)
+    rhs = sigma_J(sc.model, p) + sc.cover.coadjoint_inv_apply(p.ends(), sigma_J(sc.model, q))
+    return path_product(p, q), rhs
 
 
 def _chk_cocycle_identity(sc, rng, samples):
     used = min(samples, 50)
-    worst = 0.0
-    for _ in range(used):
-        p = sc.random_cover_path(rng)
-        q = sc.random_cover_path(rng)
-        lhs = sigma_J(sc.model, path_product(p, q))
-        rhs = sigma_J(sc.model, p) + sc.cover.coadjoint_inv(p.endpoint()) @ sigma_J(sc.model, q)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst, used, ""
+    pq, rhs = _cocycle_sides(sc, rng, used)
+    return _worst(sigma_J(sc.model, pq) - rhs), used, ""
 
 
 def _chk_cocycle_flat_vanishes(sc, rng, samples):
     used = min(samples, 25)
-    worst = 0.0
-    for _ in range(used):
-        worst = max(worst, float(np.linalg.norm(sigma_J(sc.model, sc.random_cover_path(rng)))))
-    return worst, used, "Sigma = 0 forces an equivariant momentum map"
+    (p,) = _draw(rng, used, sc.draw_cover_path)
+    return _worst(sigma_J(sc.model, sc.cover_paths(p))), used, "Sigma = 0 forces an equivariant momentum map"
 
 
 def _chk_cylinder_homomorphism(sc, rng, samples):
@@ -269,66 +283,40 @@ def _chk_cylinder_homomorphism(sc, rng, samples):
 
 def _chk_cylinder_K_path_independence(sc, rng, samples):
     used = min(samples, 50)
-    worst = 0.0
-    for _ in range(used):
-        x = sc.random_phase_path(rng)
-        gamma = PhasePath.with_linear_momentum(
-            sc.loop_path(sc.random_loop_coefficients(rng)), np.zeros(sc.n)
-        )
-        a = cyl.K(sc.model, sc.cylinder, x)
-        b = cyl.K(sc.model, sc.cylinder, gamma.concat(x))
-        worst = max(worst, sc.cylinder.distance(a, b))
-    return worst, used, "deck-shifted representatives agree in the cylinder"
+    x, gamma = _phase_and_loop(sc, rng, used)
+    a = cyl.K(sc.model, sc.cylinder, x)
+    b = cyl.K(sc.model, sc.cylinder, gamma.concat(x))
+    return float(sc.cylinder.distance(a, b).max()), used, "deck-shifted representatives agree in the cylinder"
 
 
 def _chk_cylinder_equivariance(sc, rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        g_path = sc.random_cover_path(rng)
-        x = sc.random_phase_path(rng)
-        lhs = cyl.K(sc.model, sc.cylinder, lifted_action_on_path(g_path, x))
-        rhs = cyl.affine_cylinder_action(
-            sc.model,
-            sc.cylinder,
-            g_path.endpoint(),
-            cyl.K(sc.model, sc.cylinder, x),
-            lift_path=g_path,
-        )
-        worst = max(worst, sc.cylinder.distance(lhs, rhs))
-    return worst, samples, ""
+    g_path, x = _draw(rng, samples, sc.draw_cover_path, sc.draw_phase_path)
+    g_path, x = sc.cover_paths(g_path), sc.phase_paths(x)
+    lhs = cyl.K(sc.model, sc.cylinder, lifted_action_on_path(g_path, x))
+    rhs = cyl.affine_cylinder_action(
+        sc.model, sc.cylinder, g_path.ends(), cyl.K(sc.model, sc.cylinder, x), lift_path=g_path
+    )
+    return float(sc.cylinder.distance(lhs, rhs).max()), samples, ""
 
 
 def _chk_cylinder_cocycle(sc, rng, samples):
     used = min(samples, 50)
-    worst = 0.0
-    for _ in range(used):
-        p = sc.random_cover_path(rng)
-        q = sc.random_cover_path(rng)
-        pq = path_product(p, q)
-        lhs = cyl.sigma_K(sc.model, sc.cylinder, pq.endpoint(), pq)
-        coad = sc.cover.coadjoint_inv(p.endpoint())
-        rhs = sc.cylinder.project(sigma_J(sc.model, p) + coad @ sigma_J(sc.model, q))
-        worst = max(worst, sc.cylinder.distance(lhs, rhs))
-    return worst, used, ""
+    pq, rhs = _cocycle_sides(sc, rng, used)
+    lhs = cyl.sigma_K(sc.model, sc.cylinder, pq.ends(), pq)
+    return float(sc.cylinder.distance(lhs, sc.cylinder.project(rhs)).max()), used, ""
 
 
 def _chk_cylinder_infinitesimal(sc, rng, samples):
     used = min(samples, 50)
     h, hm = 1e-4, 1e-6
     psi0 = sc.model.chu_at_base()
-    worst = 0.0
-    for _ in range(used):
-        mu = sc.random_mu(rng)
-        xi = rng.uniform(-1.0, 1.0, sc.n)
-        plus = cyl.affine_action(sc.model, GroupPath.straight(sc.cover, h * xi), mu)
-        minus = cyl.affine_action(sc.model, GroupPath.straight(sc.cover, -h * xi), mu)
-        fd = (plus - minus) / (2.0 * h)
-        coad_rate = (
-            sc.cover.coadjoint_inv(sc.cover.exp(xi, hm))
-            - sc.cover.coadjoint_inv(sc.cover.exp(xi, -hm))
-        ) / (2.0 * hm)
-        worst = max(worst, float(np.linalg.norm(fd - (coad_rate @ mu + psi0 @ xi))))
-    return worst, used, "affine-action generator vs base Chu contraction"
+    mu, xi = (np.array(d) for d in _draw(rng, used, sc.random_mu, lambda r: r.uniform(-1.0, 1.0, sc.n)))
+    plus = cyl.affine_action_straight(sc.model, h * xi, mu)
+    minus = cyl.affine_action_straight(sc.model, -h * xi, mu)
+    fd = (plus - minus) / (2.0 * h)
+    coad_rate = (sc.cover.coadjoint_inv_many(hm * xi) - sc.cover.coadjoint_inv_many(-hm * xi)) / (2.0 * hm)
+    rate = np.einsum("bij,bj->bi", coad_rate, mu) + xi @ psi0.T
+    return _worst(fd - rate), used, "affine-action generator vs base Chu contraction"
 
 
 def _chk_casimir_invariance(sc, rng, samples):
@@ -336,19 +324,16 @@ def _chk_casimir_invariance(sc, rng, samples):
     worst = 0.0
     for mu in sc.mu_list:
         f0 = cyl.heisenberg_casimir(sigma, mu[0], mu[1:])
-        for _ in range(samples):
-            moved = cyl.affine_action(sc.model, sc.random_cover_path(rng), mu)
-            worst = max(worst, abs(cyl.heisenberg_casimir(sigma, moved[0], moved[1:]) - f0))
+        (paths,) = _draw(rng, samples, sc.draw_cover_path)
+        moved = cyl.affine_action(sc.model, sc.cover_paths(paths), mu)
+        worst = max(worst, float(np.abs(cyl.heisenberg_casimir(sigma, moved[:, 0], moved[:, 1:]) - f0).max()))
     return worst, samples * len(sc.mu_list), ""
 
 
 def _chk_noether_drift(sc, rng, samples):
-    worst = 0.0
-    for mu in sc.mu_list:
-        g0 = rng.uniform(-0.4, 0.4, sc.n)
-        x = PhasePath.to_point(sc.model, g0, mu)
-        worst = max(worst, cyl.noether_check(sc.model, sc.cylinder, x, 1.0))
-    return worst, len(sc.mu_list), "kinetic flow over T=1"
+    g0 = np.array([rng.uniform(-0.4, 0.4, sc.n) for _ in sc.mu_list])
+    x = PhasePath.to_point(sc.model, g0, np.array(sc.mu_list))
+    return float(cyl.noether_check(sc.model, sc.cylinder, x, 1.0).max()), len(sc.mu_list), "kinetic flow over T=1"
 
 
 def _chk_reduction_fiber(sc, rng, samples):
@@ -378,7 +363,8 @@ def _chk_orbit_descriptor(sc, rng, samples):
     worst = 0.0
     for mu in sc.mu_list:
         desc = cyl.orbit_descriptor(sc, mu, rng=rng, samples=samples)
-        moved = [cyl.affine_action(sc.model, sc.random_cover_path(rng), mu) for _ in range(samples)]
+        (paths,) = _draw(rng, samples, sc.draw_cover_path)
+        moved = cyl.affine_action(sc.model, sc.cover_paths(paths), mu)
         worst = max(worst, float(desc.residuals(moved).max()))
     return worst, 2 * samples * len(sc.mu_list), ""
 
@@ -444,6 +430,8 @@ def run_checks(sc, seed=None, samples=None, names=None) -> list[CheckReport]:
     cfg = sc.config.verify
     seed = cfg.seed if seed is None else seed
     samples = cfg.sample_count if samples is None else samples
+    if samples < 1:
+        raise InputError(f"checks need at least one sample, got {samples}")
     tol_scale = cfg.tolerance / _BASE_TOL
     specs = [
         s for s in registry() if s.applies(sc) and (names is None or s.name in names)

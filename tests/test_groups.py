@@ -271,11 +271,12 @@ class TestGroupPath:
         with pytest.raises(InputError):
             GroupPath.from_samples(GroupModel("torus", 2), ts, np.zeros((5, 2)))
 
-    def test_left_translate_keeps_velocity(self):
+    def test_base_left_translates_path(self):
         H = GroupModel("heisenberg")
-        p = GroupPath(H, [([0.0, 1.0, 0.0], 0.5), ([1.0, 0.0, 1.0], 0.5)])
+        segments = [([0.0, 1.0, 0.0], 0.5), ([1.0, 0.0, 1.0], 0.5)]
+        p = GroupPath(H, segments)
         g = np.array([0.5, -1.0, 2.0])
-        q = p.left_translate(g)
+        q = GroupPath(H, segments, base=g)
         for t in [0.1, 0.6, 0.9]:
             assert np.array_equal(q.left_velocity(t), p.left_velocity(t))
             assert H.equal(q.evaluate(t), H.multiply(g, p.evaluate(t)), 1e-12)
