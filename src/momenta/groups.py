@@ -42,7 +42,7 @@ def _omega2(u, v) -> float:
 class GroupModel:
     """One of the supported groups, with chart arithmetic and algebra data."""
 
-    __slots__ = ("kind", "dim")
+    __slots__ = ("kind", "dim", "_circle")
 
     def __init__(self, kind: str, dim: int | None = None):
         if kind not in _ABELIAN + _HEISENBERG:
@@ -56,6 +56,12 @@ class GroupModel:
                 raise InputError(f"{kind} needs a positive dimension, got {dim}")
         self.kind = kind
         self.dim = int(dim)
+        mask = np.zeros(self.dim, dtype=bool)
+        if kind == "torus":
+            mask[:] = True
+        elif kind == "central_extension":
+            mask[0] = True
+        self._circle = mask if mask.any() else None  # None: nothing to wrap
 
     def __repr__(self):
         return f"GroupModel({self.kind!r}, {self.dim})"
@@ -78,12 +84,7 @@ class GroupModel:
 
     def circle_mask(self) -> np.ndarray:
         """Boolean mask of the chart coordinates that live on a circle."""
-        mask = np.zeros(self.dim, dtype=bool)
-        if self.kind == "torus":
-            mask[:] = True
-        elif self.kind == "central_extension":
-            mask[0] = True
-        return mask
+        return np.zeros(self.dim, dtype=bool) if self._circle is None else self._circle.copy()
 
     def cover(self) -> "GroupModel":
         """The universal cover, sharing this model's chart coordinates."""
@@ -105,16 +106,16 @@ class GroupModel:
     def normalize(self, g) -> np.ndarray:
         """Canonical chart representative; idempotent."""
         g = self._check(g).copy()
-        mask = self.circle_mask()
-        if mask.any():
+        mask = self._circle
+        if mask is not None:
             g[mask] = np.mod(g[mask], 1.0)
         return g
 
     def normalize_many(self, gs) -> np.ndarray:
         """Row-wise ``normalize`` of stacked elements."""
         gs = np.array(gs, dtype=float)
-        mask = self.circle_mask()
-        if mask.any():
+        mask = self._circle
+        if mask is not None:
             gs[:, mask] = np.mod(gs[:, mask], 1.0)
         return gs
 
@@ -134,8 +135,8 @@ class GroupModel:
         out = gs + hs
         if self.kind in _HEISENBERG:
             out[:, 0] += 0.5 * (gs[:, 1] * hs[:, 2] - gs[:, 2] * hs[:, 1])
-        mask = self.circle_mask()
-        if mask.any():
+        mask = self._circle
+        if mask is not None:
             out[:, mask] = np.mod(out[:, mask], 1.0)
         return out
 
@@ -156,16 +157,16 @@ class GroupModel:
 
     def distance(self, g, h) -> float:
         d = self._check(g) - self._check(h)
-        mask = self.circle_mask()
-        if mask.any():
+        mask = self._circle
+        if mask is not None:
             d[mask] = np.mod(d[mask] + 0.5, 1.0) - 0.5
         return float(np.linalg.norm(d))
 
     def distance_many(self, gs, hs) -> np.ndarray:
         """Row-wise ``distance`` of stacked (or broadcast) elements."""
         d = np.atleast_2d(np.asarray(gs, dtype=float) - np.asarray(hs, dtype=float))
-        mask = self.circle_mask()
-        if mask.any():
+        mask = self._circle
+        if mask is not None:
             d[:, mask] = np.mod(d[:, mask] + 0.5, 1.0) - 0.5
         return np.sqrt((d * d).sum(axis=1))
 
@@ -262,7 +263,7 @@ class GroupPath:
     are treated as immutable after construction.
     """
 
-    __slots__ = ("model", "directions", "durations", "offsets", "bases", "batched", "times", "nodes", "_first")
+    __slots__ = ("model", "directions", "durations", "offsets", "bases", "batched", "times", "nodes", "_first", "_points")
 
     def __init__(self, model: GroupModel, segments, base=None):
         segments = list(segments)
@@ -274,19 +275,14 @@ class GroupPath:
         self._setup(model, directions, durations, base, None)
 
     @classmethod
-    def _of_arrays(cls, model: GroupModel, directions, durations, base=None, counts=None) -> "GroupPath":
-        """Path from stacked ``(segments, dim)`` directions and durations; a
-        batch when ``counts`` (segments per path) is given."""
+    def from_table(cls, model: GroupModel, directions, durations, base=None, counts=None) -> "GroupPath":
+        """Path from a segment table of stacked ``(segments, dim)`` directions
+        and durations.  With ``counts`` the result is a batch of len(counts)
+        paths: path b takes the next counts[b] rows and starts at base[b]
+        (default the identity)."""
         path = cls.__new__(cls)
         path._setup(model, np.asarray(directions, dtype=float), np.asarray(durations, dtype=float), base, counts)
         return path
-
-    @classmethod
-    def batch(cls, model: GroupModel, directions, durations, counts, bases=None) -> "GroupPath":
-        """Batch of len(counts) paths from one segment table: path b takes the
-        next counts[b] rows of ``directions`` and ``durations`` and starts at
-        bases[b] (default the identity)."""
-        return cls._of_arrays(model, directions, durations, bases, counts)
 
     def _setup(self, model: GroupModel, directions, durations, base, counts):
         self.batched = counts is not None
@@ -301,6 +297,7 @@ class GroupPath:
         counts.cumsum(out=offsets[1:])
         owner = np.arange(nb).repeat(counts)  # path of each segment
         self._first = np.arange(segments) + owner  # breakpoint starting each segment
+        self._points = np.arange(nb).repeat(counts + 1)  # path of each breakpoint
         # the running sums run per path on a (paths, segments) layout, zero
         # padded behind shorter paths: cumsum is sequential, so the padding
         # leaves them exact
@@ -315,10 +312,9 @@ class GroupPath:
             padded[owner, local] = durations
             steps[owner, local] = durations[:, None] * directions
         cum = padded.cumsum(axis=1)
-        totals = cum[np.arange(nb), counts - 1]
-        bad = np.abs(totals - 1.0) > 1e-12
-        if bad.any():
-            raise InputError(f"durations sum to {totals[bad][0]}, expected 1")
+        totals = np.add.reduceat(durations, offsets[:-1])  # each path's cum[-1]
+        if np.abs(totals - 1.0).max() > 1e-12:
+            raise InputError(f"durations sum to {totals[np.abs(totals - 1.0) > 1e-12][0]}, expected 1")
         self.model = model
         self.directions = directions
         self.durations = durations
@@ -344,8 +340,8 @@ class GroupPath:
             self.times, nodes = times.ravel(), nodes.reshape(-1, n)
         else:
             self.times, nodes = times[valid], nodes[valid]
-        mask = model.circle_mask()
-        if mask.any():
+        mask = model._circle
+        if mask is not None:
             nodes[:, mask] = np.mod(nodes[:, mask], 1.0)
         self.nodes = nodes
 
@@ -361,7 +357,7 @@ class GroupPath:
         stacks several directions (rows)."""
         xi = np.asarray(xi, dtype=float)
         if xi.ndim == 2:
-            return cls.batch(model, xi, np.ones(len(xi)), np.ones(len(xi), dtype=np.intp), base)
+            return cls.from_table(model, xi, np.ones(len(xi)), base, np.ones(len(xi), dtype=np.intp))
         return cls(model, [(xi, 1.0)], base)
 
     @classmethod
@@ -377,26 +373,19 @@ class GroupPath:
             raise InputError(f"expected samples of shape ({len(ts)}, {model.dim}), got {gs.shape}")
         if not model.is_simply_connected:
             raise InputError(f"no global logarithm on {model.kind}")
-        if counts is None:
-            sizes, firsts, lasts = len(ts), 0, len(ts) - 1
-        else:
-            sizes = np.asarray(counts, dtype=np.intp)
-            lasts = sizes.cumsum() - 1
-            firsts = lasts - sizes + 1
-        if np.size(sizes) == 0 or np.min(sizes) < 2 or np.sum(sizes) != len(ts):
+        sizes = np.array([len(ts)] if counts is None else counts, dtype=np.intp)
+        if len(sizes) == 0 or sizes.min() < 2 or sizes.sum() != len(ts):
             raise InputError("sample times must increase from 0 to 1")
+        lasts = sizes.cumsum() - 1
+        firsts = lasts - sizes + 1
         # g_i^{-1} g_{i+1}, whose logarithm is itself in the exponential chart;
         # a step from one path's last sample to the next path's first is dropped
-        dts, steps = ts[1:] - ts[:-1], model.multiply_many(-gs[:-1], gs[1:])
-        if np.size(sizes) > 1:  # a batch
-            inner = np.ones(len(dts), dtype=bool)
-            inner[lasts[:-1]] = False
-            dts, steps = dts[inner], steps[inner]
+        inner = np.ones(len(ts) - 1, dtype=bool)
+        inner[lasts[:-1]] = False
+        dts, steps = (ts[1:] - ts[:-1])[inner], model.multiply_many(-gs[:-1], gs[1:])[inner]
         if abs(ts[firsts]).max() > 1e-12 or abs(ts[lasts] - 1.0).max() > 1e-12 or dts.min() <= 0:
             raise InputError("sample times must increase from 0 to 1")
-        if counts is None:
-            return cls._of_arrays(model, steps / dts[:, None], dts, gs[0])
-        return cls._of_arrays(model, steps / dts[:, None], dts, gs[firsts], sizes - 1)
+        return cls.from_table(model, steps / dts[:, None], dts, gs[firsts], None if counts is None else sizes - 1)
 
     # -- batch structure ---------------------------------------------------
 
@@ -418,31 +407,23 @@ class GroupPath:
 
     def point_paths(self) -> np.ndarray:
         """Path of each breakpoint (row of ``times`` and ``nodes``)."""
-        return np.repeat(np.arange(len(self)), self.counts() + 1)
+        return self._points
 
     def ends(self) -> np.ndarray:
         """Endpoint of each path, shape (B, n) also for a single path."""
         return self.nodes[self.offsets[1:] + np.arange(len(self))]
 
     def sum_segments(self, rows) -> np.ndarray:
-        """Per-path sums of per-segment rows (a kernel's output).  Paths with
-        the same segment count are summed together as one (paths, segments)
-        block, so a path's sum does not depend on the batch around it."""
-        rows = np.asarray(rows)
-        if not self.batched:
-            return rows.sum(axis=0)
-        counts = self.counts()
-        out = np.empty((len(counts),) + rows.shape[1:])
-        for m in np.flatnonzero(np.bincount(counts)):
-            sel = np.flatnonzero(counts == m)
-            out[sel] = rows[self.offsets[sel][:, None] + np.arange(m)].sum(axis=1)
-        return out
+        """Per-path sums of per-segment rows (a kernel's output), each added
+        up in segment order, so a path's sum does not depend on the batch
+        around it."""
+        return self._shaped(np.add.reduceat(rows, self.offsets[:-1], axis=0))
 
     def _select(self, index) -> "GroupPath":
         """The batch of paths ``index`` (in that order)."""
         counts = self.counts()[index]
         seg = _ranges(self.offsets[index], counts)
-        return GroupPath.batch(self.model, self.directions[seg], self.durations[seg], counts, self.bases[index])
+        return GroupPath.from_table(self.model, self.directions[seg], self.durations[seg], self.bases[index], counts)
 
     # -- evaluation --------------------------------------------------------
 
@@ -451,31 +432,22 @@ class GroupPath:
         path's range; ``paths`` names the path of each parameter and is
         needed only when there are several."""
         ts = np.minimum(np.maximum(ts, 0.0), 1.0)
-        if len(self) == 1:
-            ks = np.searchsorted(self.times, ts, side="right") - 1
-            return np.minimum(np.maximum(ks, 0), len(self.durations) - 1)
         if paths is None:
-            raise InputError("parameters on a batch of paths need the path of each")
+            if len(self) > 1:
+                raise InputError("parameters on a batch of paths need the path of each")
+            paths = np.zeros(len(ts), dtype=np.intp)
         paths = np.asarray(paths, dtype=np.intp)
-        # merge breakpoints and parameters ordered by (path, value), with a
-        # breakpoint before an equal parameter (searchsorted's right side);
-        # the breakpoints counted before a parameter are all of the earlier
-        # paths' plus its own path's up to it
+        # merge breakpoints and parameters ordered by (path, value); lexsort is
+        # stable, so a breakpoint comes before an equal parameter (searchsorted's
+        # right side).  A parameter with i parameters before it at merged
+        # position r has r - i breakpoints before it: all of the earlier
+        # paths' and, up to it, from 1 to all of its own path's
         npts = len(self.times)
-        kind = np.concatenate([np.zeros(npts, dtype=np.intp), np.ones(len(ts), dtype=np.intp)])
-        order = np.lexsort((kind, np.concatenate([self.times, ts]), np.concatenate([self.point_paths(), paths])))
-        is_point = order < npts
+        order = np.lexsort((np.concatenate([self.times, ts]), np.concatenate([self.point_paths(), paths])))
+        is_param = order >= npts
         below = np.empty(len(ts), dtype=np.intp)
-        below[order[~is_point] - npts] = np.cumsum(is_point)[~is_point]
-        local = below - (self.offsets[paths] + paths) - 1
-        return self.offsets[paths] + np.minimum(np.maximum(local, 0), self.counts()[paths] - 1)
-
-    def kernel_segments(self, ts) -> np.ndarray:
-        """Segment of each node of one kernel call over ``times``: the kernel
-        lists the same number of nodes for every segment, segment by
-        segment."""
-        segments = len(self.durations)
-        return np.repeat(np.arange(segments), len(ts) // segments)
+        below[order[is_param] - npts] = np.flatnonzero(is_param) - np.arange(len(ts))
+        return np.minimum(below - paths - 1, self.offsets[1:][paths] - 1)
 
     def at_segments(self, ks, ts) -> np.ndarray:
         """Path points at parameters ``ts`` known to lie in segments ``ks``."""
@@ -511,20 +483,12 @@ class GroupPath:
     # -- derived paths -----------------------------------------------------
 
     def reversed(self) -> "GroupPath":
-        return GroupPath._of_arrays(
-            self.model, -self.directions[::-1], self.durations[::-1], self.endpoint()
-        )
+        return GroupPath.from_table(self.model, -self.directions[::-1], self.durations[::-1], self.endpoint())
 
     def __repr__(self):
         if self.batched:
             return f"GroupPath({self.model!r}, {len(self)} paths, {len(self.durations)} segments)"
         return f"GroupPath({self.model!r}, {len(self.durations)} segments)"
-
-
-def _distinct(ts) -> np.ndarray:
-    """Sorted distinct values."""
-    ts = np.sort(ts)
-    return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
 
 
 def _distinct_points(paths, ts):
@@ -536,35 +500,20 @@ def _distinct_points(paths, ts):
     return paths[keep], ts[keep]
 
 
-def _refined_grids(p: GroupPath, q: GroupPath, pairs, doublings: int):
-    """Sample times for the pairs ``pairs`` of p and q: per pair the union of
-    both paths' breakpoints, each interval split into equal parts so that
-    there are at least 32 * 2**doublings intervals.  Returns the times, the
-    position in ``pairs`` of each, and the number per pair."""
-    target = 32 * 2**doublings
-    if len(p) == 1:  # one pair: a plain sorted grid
-        grid = _distinct(np.concatenate([p.times, q.times]))
-        split = max(1, -(-target // (len(grid) - 1)))
-        pieces = grid[:-1, None] + (grid[1:] - grid[:-1])[:, None] * (np.arange(1, split) / split)
-        grid = _distinct(np.concatenate([grid, pieces.ravel()]))
-        return grid, np.zeros(len(grid), dtype=np.intp), np.array([len(grid)])
-    owners, times = [], []
-    for path in (p, q):
-        where = np.full(len(path), -1)
-        where[pairs] = np.arange(len(pairs))
-        owner = where[path.point_paths()]
-        owners.append(owner[owner >= 0])
-        times.append(path.times[owner >= 0])
-    owner, grid = _distinct_points(np.concatenate(owners), np.concatenate(times))
-    splits = np.maximum(1, -(-target // (np.bincount(owner) - 1)))  # per-interval subdivisions
-    inner = owner[1:] == owner[:-1]  # intervals within one pair
-    split = splits[owner[:-1][inner]]
-    f = np.arange(1, split.max())
-    pieces = grid[:-1][inner, None] + (grid[1:] - grid[:-1])[inner, None] * (f / split[:, None])
-    owner, grid = _distinct_points(
-        np.concatenate([owner, np.repeat(owner[:-1][inner], split - 1)]),
-        np.concatenate([grid, pieces[f < split[:, None]]]),
-    )
+def _refined_grids(p: GroupPath, q: GroupPath, doublings: int):
+    """Sample times for each pair of paths of p and q: the union of both
+    paths' breakpoints, each interval split into equal parts so that there
+    are at least 32 * 2**doublings intervals.  Returns the times, the pair
+    of each, and the number per pair."""
+    owner, grid = _distinct_points(np.concatenate([p.point_paths(), q.point_paths()]), np.concatenate([p.times, q.times]))
+    inner = np.flatnonzero(owner[1:] == owner[:-1])  # intervals within one pair
+    split = np.maximum(1, -(-(32 * 2**doublings) // (np.bincount(owner) - 1)))[owner[inner]]
+    sub = np.repeat(inner, split - 1)  # interval of each added time
+    if len(sub):
+        f = _ranges(np.ones(len(inner)), split - 1) / np.repeat(split, split - 1)
+        owner, grid = _distinct_points(
+            np.concatenate([owner, owner[sub]]), np.concatenate([grid, grid[sub] + (grid[sub + 1] - grid[sub]) * f])
+        )
     return grid, owner, np.bincount(owner)
 
 
@@ -596,31 +545,33 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
 
     target = model.multiply_many(p.ends(), q.ends())
     bound = np.maximum(_ENDPOINT_ABS, _ENDPOINT_REL * np.abs(target).max(axis=1))
-    pending = np.arange(len(p))
+    pending = np.arange(len(p))  # position in the input of each pair left in p and q
     done = []  # (pairs, their products) per refinement level
+    batched = p.batched
     for doublings in range(5):
-        ts, owner, counts = _refined_grids(p, q, pending, doublings)
-        paths = pending[owner]
-        prods = model.multiply_many(p.evaluate_many(ts, paths), q.evaluate_many(ts, paths))
-        out = GroupPath.from_samples(model, ts, prods, counts if p.batched else None)
+        ts, owner, counts = _refined_grids(p, q, doublings)
+        prods = model.multiply_many(p.evaluate_many(ts, owner), q.evaluate_many(ts, owner))
+        out = GroupPath.from_samples(model, ts, prods, counts if batched else None)
         ok = model.distance_many(out.ends(), target[pending]) <= bound[pending]
-        if ok.any():
-            done.append((pending[ok], out if ok.all() else out._select(np.flatnonzero(ok))))
-        pending = pending[~ok]
-        if not len(pending):
+        if ok.all():
+            done.append((pending, out))
             break
+        if ok.any():
+            done.append((pending[ok], out._select(np.flatnonzero(ok))))
+        miss = np.flatnonzero(~ok)
+        pending, p, q = pending[miss], p._select(miss), q._select(miss)
     else:
         raise NumericalError("path_product endpoint tolerance not met after 4 doublings")
     if len(done) == 1:
         return done[0][1]
     order = np.argsort(np.concatenate([pairs for pairs, _ in done]))
     parts = [path for _, path in done]
-    joined = GroupPath.batch(
+    joined = GroupPath.from_table(
         model,
         np.concatenate([b.directions for b in parts]),
         np.concatenate([b.durations for b in parts]),
-        np.concatenate([b.counts() for b in parts]),
         np.concatenate([b.bases for b in parts]),
+        np.concatenate([b.counts() for b in parts]),
     )
     return joined._select(order)
 
@@ -646,4 +597,4 @@ def concat_paths(p: GroupPath, q: GroupPath, split: float = 0.5) -> GroupPath:
     cp, cq = p.counts(), q.counts()
     directions = _interleave(p.directions / split, p.offsets[:-1], cp, q.directions / (1.0 - split), q.offsets[:-1], cq)
     durations = _interleave(p.durations * split, p.offsets[:-1], cp, q.durations * (1.0 - split), q.offsets[:-1], cq)
-    return GroupPath._of_arrays(model, directions, durations, p.base, cp + cq if p.batched else None)
+    return GroupPath.from_table(model, directions, durations, p.base, cp + cq if p.batched else None)

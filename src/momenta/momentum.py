@@ -22,7 +22,7 @@ import numpy as np
 from . import symplectic as _sym
 from .errors import InputError, NumericalError
 from .groups import GroupModel, GroupPath, _interleave, _ranges, concat_paths, path_product
-from .numerics import adaptive_path_quadrature
+from .numerics import adaptive_path_quadrature, kernel_segments
 from .symplectic import CocycleTheta, MagneticCotangent, PhasePoint
 
 __all__ = [
@@ -120,7 +120,7 @@ def _coadjoint_integral(p: GroupPath, matrix) -> np.ndarray:
     path of p."""
 
     def integrand(ts):
-        ks = p.kernel_segments(ts)
+        ks = kernel_segments(ts)
         return _coadjoint_integrand(p.model, matrix, p.at_segments(ks, ts), p.directions[ks])
 
     return p.sum_segments(adaptive_path_quadrature(integrand, p.times))
@@ -185,7 +185,7 @@ def momentum_segments(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     _check_phase_path(model, x, at_base=False)
 
     def integrand(ts):
-        return _momentum_rows(model, *_phase_kinematics(x, x.base.kernel_segments(ts), ts))
+        return _momentum_rows(model, *_phase_kinematics(x, kernel_segments(ts), ts))
 
     return adaptive_path_quadrature(integrand, x.base.times)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["adaptive_path_quadrature"]
+__all__ = ["adaptive_path_quadrature", "kernel_segments"]
 
 _X3, _W3 = np.polynomial.legendre.leggauss(3)
 
@@ -42,3 +42,11 @@ def adaptive_path_quadrature(f_many, breakpoints) -> np.ndarray:
     ts = (lo[:, None] + half[:, None] * (_X3 + 1.0)).ravel()
     vals = np.asarray(f_many(ts), dtype=float).reshape(len(lo), len(_X3), -1)
     return np.einsum("s,j,sjk->sk", half, _W3, vals)
+
+
+def kernel_segments(ts) -> np.ndarray:
+    """Segment of each node ``ts`` of one ``adaptive_path_quadrature`` call,
+    counted over the segments it integrates (a drop between two paths'
+    breakpoint lists is not one): the nodes come segment by segment, 3 each,
+    so this is the row of a path batch's segment table."""
+    return np.arange(len(ts)) // len(_X3)

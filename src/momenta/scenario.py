@@ -351,7 +351,7 @@ class Scenario:
     def cover_paths(self, draws) -> GroupPath:
         """Batch of the cover paths drawn by ``draw_cover_path``."""
         dirs, durs = zip(*draws)
-        return GroupPath.batch(self.cover, np.concatenate(dirs), np.concatenate(durs), [len(d) for d in durs])
+        return GroupPath.from_table(self.cover, np.concatenate(dirs), np.concatenate(durs), counts=[len(d) for d in durs])
 
     def phase_paths(self, draws) -> PhasePath:
         """Batch of the phase paths drawn by ``draw_phase_path``."""

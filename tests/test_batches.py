@@ -21,6 +21,7 @@ from momenta.momentum import (
     sigma_J,
     theta_integral,
 )
+from momenta.numerics import adaptive_path_quadrature, kernel_segments
 from momenta.scenario import build_scenario, parse_config
 from momenta.verification import check_rng, registry, run_checks
 
@@ -70,6 +71,15 @@ class TestBatchMatchesPathByPath:
         got = p.evaluate_many(ts, owners)
         for t, b, row in zip(ts, owners, got):
             assert np.array_equal(row, singles[b].base.evaluate_many([t])[0])
+
+    def test_kernel_nodes_map_to_their_segments(self, name):
+        # one kernel call over a batch skips the drops between paths
+        p = mixed_phase_paths(scenario(name), np.random.default_rng(7))[0].base
+        seen = []
+        adaptive_path_quadrature(lambda ts: seen.append(ts) or np.ones((len(ts), 1)), p.times)
+        (ts,) = seen
+        paths = np.repeat(np.arange(len(p)), 3 * p.counts())  # 3 nodes per segment
+        assert np.array_equal(kernel_segments(ts), p.segment_index(ts, paths))
 
     def test_momentum_kernels(self, name):
         sc = scenario(name)
