@@ -82,10 +82,6 @@ class GroupModel:
     def is_simply_connected(self) -> bool:
         return self.kind in _SIMPLY_CONNECTED
 
-    def circle_mask(self) -> np.ndarray:
-        """Boolean mask of the chart coordinates that live on a circle."""
-        return np.zeros(self.dim, dtype=bool) if self._circle is None else self._circle.copy()
-
     def cover(self) -> "GroupModel":
         """The universal cover, sharing this model's chart coordinates."""
         if self.kind == "torus":
@@ -419,12 +415,6 @@ class GroupPath:
         around it."""
         return self._shaped(np.add.reduceat(rows, self.offsets[:-1], axis=0))
 
-    def _select(self, index) -> "GroupPath":
-        """The batch of paths ``index`` (in that order)."""
-        counts = self.counts()[index]
-        seg = _ranges(self.offsets[index], counts)
-        return GroupPath.from_table(self.model, self.directions[seg], self.durations[seg], self.bases[index], counts)
-
     # -- evaluation --------------------------------------------------------
 
     def segment_index(self, ts, paths=None) -> np.ndarray:
@@ -491,30 +481,39 @@ class GroupPath:
         return f"GroupPath({self.model!r}, {len(self.durations)} segments)"
 
 
-def _distinct_points(paths, ts):
-    """Sorted distinct (path, parameter) pairs."""
-    order = np.lexsort((ts, paths))
-    paths, ts = paths[order], ts[order]
-    keep = np.ones(len(ts), dtype=bool)
-    keep[1:] = (paths[1:] != paths[:-1]) | (ts[1:] != ts[:-1])
-    return paths[keep], ts[keep]
-
-
-def _refined_grids(p: GroupPath, q: GroupPath, doublings: int):
+def _refined_grids(p: GroupPath, q: GroupPath):
     """Sample times for each pair of paths of p and q: the union of both
     paths' breakpoints, each interval split into equal parts so that there
-    are at least 32 * 2**doublings intervals.  Returns the times, the pair
-    of each, and the number per pair."""
-    owner, grid = _distinct_points(np.concatenate([p.point_paths(), q.point_paths()]), np.concatenate([p.times, q.times]))
-    inner = np.flatnonzero(owner[1:] == owner[:-1])  # intervals within one pair
-    split = np.maximum(1, -(-(32 * 2**doublings) // (np.bincount(owner) - 1)))[owner[inner]]
-    sub = np.repeat(inner, split - 1)  # interval of each added time
-    if len(sub):
-        f = _ranges(np.ones(len(inner)), split - 1) / np.repeat(split, split - 1)
-        owner, grid = _distinct_points(
-            np.concatenate([owner, owner[sub]]), np.concatenate([grid, grid[sub] + (grid[sub + 1] - grid[sub]) * f])
-        )
-    return grid, owner, np.bincount(owner)
+    are at least 32 intervals.  Returns the times, the segment rows of p and
+    of q holding each, and the number of times per pair."""
+    grid = np.concatenate([p.times, q.times])
+    owner = np.concatenate([p.point_paths(), q.point_paths()])
+    # one stable merge by (pair, time), p before q on ties.  The last of a run
+    # of equal times has passed every breakpoint at or before it, both t = 0
+    # starts included; a pair ends at 1 and the next starts at 0, so a run
+    # stays in its pair
+    order = np.lexsort((grid, owner))
+    grid, owner = grid[order], owner[order]
+    at_p = np.cumsum(order < len(p.times)) - 1  # last breakpoint of p passed
+    kp = np.minimum(at_p - owner, p.offsets[1:][owner] - 1)
+    kq = np.minimum(np.arange(len(grid)) - at_p - 1 - owner, q.offsets[1:][owner] - 1)
+    last = np.append(grid[1:] != grid[:-1], True)
+    # each distinct time is followed in place by the times added inside the
+    # interval it starts, which lie on the same segments
+    split = np.maximum(1, -(-32 // (np.bincount(owner[last]) - 1)))
+    starts = last & np.append(owner[1:] == owner[:-1], False)
+    reps = last.astype(np.intp)
+    reps[starts] = split[owner[starts]]
+    src = np.repeat(np.arange(len(grid)), reps)
+    part = _ranges(np.zeros(len(reps)), reps)
+    ts, sub = grid[src], part > 0
+    added = src[sub]
+    ts[sub] += (grid[added + 1] - grid[added]) * (part[sub] / split[owner[added]])
+    # an interval a few ulps wide repeats its ends: the later copy lies on the
+    # segments that start there
+    keep = np.append(ts[1:] != ts[:-1], True)
+    src = src[keep]
+    return ts[keep], kp[src], kq[src], np.bincount(owner[src])
 
 
 # endpoint bound of path_product: absolute at unit scale, relative beyond
@@ -526,12 +525,13 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
     for batches of the same size.
 
     Both paths must be based at the identity of the same simply connected
-    model.  The pointwise product is resampled on the union of breakpoints
-    refined to at least 32 sub-intervals, each step re-expressed through the
-    left logarithm.  An endpoint mismatch above max(1e-10, 1e-13 times the
-    largest endpoint coordinate) doubles the refinement of that pair, at
-    most 4 times: rounding of coordinates far from unit scale alone exceeds
-    an absolute bound.
+    model.  The pointwise product is sampled on the union of breakpoints
+    refined to at least 32 sub-intervals, and each step is re-expressed
+    through the left logarithm.  The representative hits every sample, so
+    its endpoint differs from p(1) q(1) by rounding only.  A gap above
+    max(1e-10, 1e-13 times the largest endpoint coordinate) raises
+    NumericalError: the relative part covers coordinates far from unit scale,
+    whose rounding alone exceeds an absolute bound.
     """
     model = p.model
     if q.model != model:
@@ -543,37 +543,14 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
     if model.distance_many(np.concatenate([p.bases, q.bases]), model.identity()).max() > 1e-10:
         raise InputError("path_product needs identity-based paths")
 
+    ts, kp, kq, counts = _refined_grids(p, q)
+    prods = model.multiply_many(p.at_segments(kp, ts), q.at_segments(kq, ts))
+    out = GroupPath.from_samples(model, ts, prods, counts if p.batched else None)
     target = model.multiply_many(p.ends(), q.ends())
     bound = np.maximum(_ENDPOINT_ABS, _ENDPOINT_REL * np.abs(target).max(axis=1))
-    pending = np.arange(len(p))  # position in the input of each pair left in p and q
-    done = []  # (pairs, their products) per refinement level
-    batched = p.batched
-    for doublings in range(5):
-        ts, owner, counts = _refined_grids(p, q, doublings)
-        prods = model.multiply_many(p.evaluate_many(ts, owner), q.evaluate_many(ts, owner))
-        out = GroupPath.from_samples(model, ts, prods, counts if batched else None)
-        ok = model.distance_many(out.ends(), target[pending]) <= bound[pending]
-        if ok.all():
-            done.append((pending, out))
-            break
-        if ok.any():
-            done.append((pending[ok], out._select(np.flatnonzero(ok))))
-        miss = np.flatnonzero(~ok)
-        pending, p, q = pending[miss], p._select(miss), q._select(miss)
-    else:
-        raise NumericalError("path_product endpoint tolerance not met after 4 doublings")
-    if len(done) == 1:
-        return done[0][1]
-    order = np.argsort(np.concatenate([pairs for pairs, _ in done]))
-    parts = [path for _, path in done]
-    joined = GroupPath.from_table(
-        model,
-        np.concatenate([b.directions for b in parts]),
-        np.concatenate([b.durations for b in parts]),
-        np.concatenate([b.bases for b in parts]),
-        np.concatenate([b.counts() for b in parts]),
-    )
-    return joined._select(order)
+    if not (model.distance_many(out.ends(), target) <= bound).all():
+        raise NumericalError("path_product endpoint tolerance not met")
+    return out
 
 
 def concat_paths(p: GroupPath, q: GroupPath, split: float = 0.5) -> GroupPath:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import ExactScalar, QuadraticField, nullspace, rank
+from .exact import ExactScalar, QuadraticField, nullspace, rank, solve_linear
 
 __all__ = [
     "xgcd",
@@ -394,17 +394,13 @@ class ClosedSubgroupDecomp:
         if not self.lattice_basis:
             return False
         rows = [[lam[i] for lam in self.lattice_basis] for i in range(self.ambient_dim)]
-        coeffs = None
         sol = _field_solve(rows, vec, self.field)
         if sol is None:
             return False
-        coeffs = sol
-        return all(c.is_rational() and c.a.denominator == 1 for c in coeffs)
+        return all(c.is_rational() and c.a.denominator == 1 for c in sol)
 
 
 def _field_solve(rows, rhs, field):
-    from .exact import solve_linear
-
     # solve over the field, then verify (solve_linear returns one solution of a
     # consistent system; lattice basis columns are independent so it is unique)
     sol = solve_linear(rows, rhs)

@@ -51,6 +51,19 @@ def mixed_phase_paths(sc, rng, counts=SEGMENTS * 2):
     return sc.phase_paths(draws), singles
 
 
+def sharing_breakpoints(sc, rng, draw, k, ulps):
+    """A cover path whose first k breakpoints after 0 are those of the drawn
+    path ``draw``, the k-th moved by ``ulps`` (-1, 0 or 1) ulp; three more
+    segments fill the rest."""
+    durs = draw[1][:k].copy()
+    if ulps:
+        times = np.cumsum(durs)
+        durs[-1] = np.nextafter(times[-1], ulps * np.inf) - (times[-2] if k > 1 else 0.0)
+    rest = rng.uniform(0.5, 1.5, 3)
+    durs = np.concatenate([durs, rest / rest.sum() * (1.0 - durs.sum())])
+    return rng.uniform(-1.5, 1.5, (len(durs), sc.n)), durs
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 class TestBatchMatchesPathByPath:
     def test_path_layout(self, name):
@@ -112,9 +125,14 @@ class TestBatchMatchesPathByPath:
         rng = np.random.default_rng(5)
         p = [sc.draw_cover_path(rng, segments=m) for m in SEGMENTS]
         q = [sc.draw_cover_path(rng, segments=m) for m in reversed(SEGMENTS)]
-        # a pair with coincident breakpoints gives a shorter grid
+        # a pair with coincident breakpoints gives a shorter grid, and so does
+        # one with breakpoints 0.5 and the next double: the times added inside
+        # that interval one ulp wide repeat its ends and are dropped
         p.append((rng.uniform(-1.5, 1.5, (2, sc.n)), np.array([0.25, 0.75])))
         q.append((rng.uniform(-1.5, 1.5, (3, sc.n)), np.array([0.25, 0.5, 0.25])))
+        mid = np.nextafter(0.5, 1.0)
+        p.append((rng.uniform(-1.5, 1.5, (2, sc.n)), np.array([0.5, 0.5])))
+        q.append((rng.uniform(-1.5, 1.5, (2, sc.n)), np.array([mid, 1.0 - mid])))
         got = path_product(sc.cover_paths(p), sc.cover_paths(q))
         for b, (pb, qb) in enumerate(zip(p, q)):
             want = path_product(GroupPath(sc.cover, zip(*pb)), GroupPath(sc.cover, zip(*qb)))
@@ -123,7 +141,26 @@ class TestBatchMatchesPathByPath:
             assert_rows_close(got.directions[lo:hi], want.directions)
             assert_rows_close(got.ends()[b], want.endpoint())
         # 3 distinct intervals split 11 times against 4 split 8 times elsewhere
-        assert got.counts()[-1] == 33 and 32 in got.counts()
+        assert list(got.counts()[-2:]) == [33, 11 + 1 + 11] and 32 in got.counts()
+
+    def test_merge_rows_match_segment_index(self, name):
+        # the one merge in path_product gives each grid time its segment of p
+        # and of q; evaluate_many finds them with segment_index
+        sc = scenario(name)
+        rng = np.random.default_rng(8)
+        p = [sc.draw_cover_path(rng, segments=m) for m in SEGMENTS * 2]
+        q = [sc.draw_cover_path(rng, segments=m) for m in SEGMENTS[::-1] * 2]
+        cases = ((1, 1, 0), (2, 4, 0), (3, 20, 0), (5, 1, 1), (6, 3, -1), (7, 20, 1))
+        for b, k, ulps in cases:
+            q[b] = sharing_breakpoints(sc, rng, p[b], k, ulps)
+        p, q = sc.cover_paths(p), sc.cover_paths(q)
+        for b, k, ulps in cases:
+            pt, qt = p.times[p.offsets[b] + b + k], q.times[q.offsets[b] + b + k]
+            assert qt == (np.nextafter(pt, ulps * np.inf) if ulps else pt)
+        ts, kp, kq, counts = groups._refined_grids(p, q)
+        pairs = np.repeat(np.arange(len(p)), counts)
+        assert np.array_equal(p.at_segments(kp, ts), p.evaluate_many(ts, pairs))
+        assert np.array_equal(q.at_segments(kq, ts), q.evaluate_many(ts, pairs))
 
     def test_noether_flows_stack(self, name):
         sc = scenario(name)
@@ -135,38 +172,26 @@ class TestBatchMatchesPathByPath:
         assert np.abs(got - want).max() <= 1e-14
 
 
-def test_path_product_retries_only_the_pairs_that_missed(monkeypatch):
-    # with the absolute bound alone, Heisenberg products at scale 1500 miss it
-    # on some pairs and meet it after a doubling or more
+def test_path_product_raises_on_a_miss(monkeypatch):
+    # the representative hits every sample, so its endpoint gap is rounding
+    # only and refining cannot shrink it: a miss raises after one from_samples
     sc = scenario("heis")
+    monkeypatch.setattr(groups, "_ENDPOINT_ABS", 0.0)
     monkeypatch.setattr(groups, "_ENDPOINT_REL", 0.0)
-    levels = []
+    calls = []
     from_samples = GroupPath.from_samples.__func__
 
-    def counted(cls, model, ts, gs, counts=None):
-        levels.append(1 if counts is None else len(counts))
-        return from_samples(cls, model, ts, gs, counts)
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return from_samples(cls, *args, **kwargs)
 
     monkeypatch.setattr(GroupPath, "from_samples", classmethod(counted))
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        p = [sc.draw_cover_path(rng, scale=1500.0) for _ in range(12)]
-        q = [sc.draw_cover_path(rng, scale=1500.0) for _ in range(12)]
-        levels.clear()
-        try:
-            got = path_product(sc.cover_paths(p), sc.cover_paths(q))
-        except NumericalError:
-            continue
-        if len(levels) > 1:
-            break
-    else:
-        pytest.fail("no seed gave a batch that needed a doubling and met the bound")
-    assert levels[0] == 12 and levels[1] < 12  # only the pairs that missed
-    for b, (pb, qb) in enumerate(zip(p, q)):
-        want = path_product(GroupPath(sc.cover, zip(*pb)), GroupPath(sc.cover, zip(*qb)))
-        lo, hi = got.offsets[b], got.offsets[b + 1]
-        assert np.array_equal(got.durations[lo:hi], want.durations)
-        assert np.array_equal(got.directions[lo:hi], want.directions)
+    rng = np.random.default_rng(10)
+    p = sc.cover_paths([sc.draw_cover_path(rng, segments=7) for _ in range(4)])
+    q = sc.cover_paths([sc.draw_cover_path(rng, segments=5) for _ in range(4)])
+    with pytest.raises(NumericalError, match="endpoint tolerance"):
+        path_product(p, q)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("scale", [1e5, 1e6])
