@@ -17,8 +17,9 @@ import logging
 import os
 import sys
 
-from .cylinder import affine_action_straight, heisenberg_casimir, orbit_descriptor
+from .cylinder import affine_action, heisenberg_casimir, orbit_descriptor
 from .errors import CapabilityError, ConfigError, MomentaError
+from .groups import GroupPath
 from .report import build_analysis
 from .scenario import Scenario, build_scenario, parse_config
 from .verification import check_rng, run_checks
@@ -109,7 +110,7 @@ def _cmd_orbit(args) -> int:
     writer.writerow(header)
     # one block of directions, the same numbers as drawing them row by row
     us = rng.uniform(-2.0, 2.0, (args.samples, sc.n))
-    moved = affine_action_straight(sc.model, us, mu)
+    moved = affine_action(sc.model, GroupPath.straight(sc.cover, us), mu)
     if with_casimir:
         casimir = heisenberg_casimir(sc.theta.sigma, moved[:, 0], moved[:, 1:])
     for i, (u, m) in enumerate(zip(us, moved)):

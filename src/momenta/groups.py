@@ -31,10 +31,6 @@ _ABELIAN = ("torus", "universal_torus")
 _HEISENBERG = ("heisenberg", "central_extension")
 _SIMPLY_CONNECTED = ("universal_torus", "heisenberg")
 
-# the standard symplectic form on R^2 used in the Heisenberg multiplication
-OMEGA_R2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 def _omega2(u, v) -> float:
     return u[0] * v[1] - u[1] * v[0]
 

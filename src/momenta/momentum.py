@@ -109,19 +109,13 @@ def _require_identity_based(p: GroupPath):
         raise InputError("path must be based at the identity")
 
 
-def _coadjoint_integrand(model: GroupModel, matrix, gs, velocities) -> np.ndarray:
-    """Row-wise Ad*_{g^{-1}} (matrix @ left velocity): the integrand of Theta
-    and sigma_J."""
-    return model.coadjoint_inv_apply(gs, velocities @ matrix.T)
-
-
 def _coadjoint_integral(p: GroupPath, matrix) -> np.ndarray:
     """Integral of Ad*_{g(t)^{-1}} (matrix @ left velocity) dt along each
-    path of p."""
+    path of p: the integrand of Theta and sigma_J."""
 
     def integrand(ts):
         ks = kernel_segments(ts)
-        return _coadjoint_integrand(p.model, matrix, p.at_segments(ks, ts), p.directions[ks])
+        return p.model.coadjoint_inv_apply(p.at_segments(ks, ts), p.directions[ks] @ matrix.T)
 
     return p.sum_segments(adaptive_path_quadrature(integrand, p.times))
 
@@ -327,56 +321,43 @@ def _chart_to_body(model: GroupModel, g) -> np.ndarray:
     return T
 
 
-def _straight_tails(model: MagneticCotangent, g, mu, g_targets, mu_targets) -> np.ndarray:
-    """Momentum integrals along straight tails from (g, mu), one per row of
-    the targets, shape (tails, n).  Tail j is t -> g exp(t zeta_j) with
-    zeta_j = log(g^{-1} g_j) and momentum mu + t (mu_j - mu); one quadrature
-    call integrates them all."""
-    cover, n = model.cover, model.n
-    zetas = cover.multiply_many(np.broadcast_to(-g, g_targets.shape), g_targets)
-    nuds = mu_targets - mu
-    tails = len(zetas)
-
-    def integrand(ts):
-        offsets = (ts[:, None, None] * zetas).reshape(-1, n)
-        gs = cover.multiply_many(np.broadcast_to(g, offsets.shape), offsets)
-        mus = (mu + ts[:, None, None] * nuds).reshape(-1, n)
-        xid, nud = np.tile(zetas, (len(ts), 1)), np.tile(nuds, (len(ts), 1))
-        return _momentum_rows(model, gs, mus, xid, nud).reshape(len(ts), tails * n)
-
-    return adaptive_path_quadrature(integrand, [0.0, 1.0])[0].reshape(tails, n)
-
-
-def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi, step: float = 1e-4) -> float:
+def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi, step: float = 1e-4):
     """Max relative error of the momentum condition at z: central finite
     differences of the momentum integral along the 2n chart directions against
-    the symplectic pairing with the generator of xi.
+    the symplectic pairing with the generator of xi.  z may stack points
+    (rows of z.g and z.mu, one row of xi each): one error per point, and a
+    float for a single point.
 
     Displaced evaluations share the whole path up to z, so only the short
     tail from z contributes to each difference and trunk quadrature cancels
-    identically; the 4n straight tails are integrated together.
+    identically.  Tail j is the straight phase path t -> g exp(t zeta_j),
+    zeta_j = log(g^{-1} g_j), with momentum growing linearly from mu to mu_j;
+    the 4n tails of every point are integrated as one batch.
     """
-    cover = model.cover
-    n = model.n
-    xi = np.asarray(xi, dtype=float)
-    g = np.asarray(z.g, dtype=float)
-    mu = np.asarray(z.mu, dtype=float)
+    cover, n = model.cover, model.n
+    g, mu, xi = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (z.g, z.mu, xi))
+    points = len(g)
 
     # displaced targets in the order (+g, -g) for each chart direction, then
     # (+mu, -mu) likewise, so consecutive rows form the central differences
     shifts = np.repeat(step * np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None]
     zero = np.zeros_like(shifts)
-    g_targets, mu_targets = g + np.vstack([shifts, zero]), mu + np.vstack([zero, shifts])
-    integrals = _straight_tails(model, g, mu, g_targets, mu_targets)
-    fd = (integrals[0::2] - integrals[1::2]) @ xi / (2.0 * step)
+    starts_g, starts_mu = np.repeat(g, 4 * n, axis=0), np.repeat(mu, 4 * n, axis=0)
+    g_targets = starts_g + np.tile(np.vstack([shifts, zero]), (points, 1))
+    mu_targets = starts_mu + np.tile(np.vstack([zero, shifts]), (points, 1))
+    zetas = cover.multiply_many(-starts_g, g_targets)
+    tails = PhasePath.with_linear_momentum(GroupPath.straight(cover, zetas, base=starts_g), mu_targets, starts_mu)
+    integrals = momentum_segments(model, tails).reshape(points, 4 * n, n)
+    fd = np.matmul(integrals[:, 0::2] - integrals[:, 1::2], xi[:, :, None])[..., 0] / (2.0 * step)
 
-    rhs = np.empty(2 * n)
-    gen = model.generator(xi, z)
-    body = _chart_to_body(cover, g)
-    for a in range(n):
-        e = np.eye(n)[a]
-        rhs[a] = model.omega(z, gen, model.tangent(body @ e, np.zeros(n)))
-        rhs[n + a] = model.omega(z, gen, model.tangent(np.zeros(n), e))
-
-    denom = max(float(np.linalg.norm(rhs)), 1e-8)
-    return float(np.linalg.norm(fd - rhs)) / denom
+    errors, eye, still = np.empty(points), np.eye(n), np.zeros(n)
+    for i in range(points):
+        zi = PhasePoint(g[i], mu[i])
+        gen = model.generator(xi[i], zi)
+        body = _chart_to_body(cover, g[i])
+        rhs = np.empty(2 * n)
+        for a, e in enumerate(eye):
+            rhs[a] = model.omega(zi, gen, model.tangent(body @ e, still))
+            rhs[n + a] = model.omega(zi, gen, model.tangent(still, e))
+        errors[i] = float(np.linalg.norm(fd[i] - rhs)) / max(float(np.linalg.norm(rhs)), 1e-8)
+    return float(errors[0]) if np.ndim(z.g) == 1 else errors

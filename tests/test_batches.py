@@ -7,9 +7,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momenta import groups
+from momenta import cylinder, groups
 from momenta.cli import main as cli_main
-from momenta.cylinder import K, affine_action, heisenberg_casimir, noether_check
+from momenta.cylinder import K, affine_action, heisenberg_casimir, noether_check, reduction_fiber_check
 from momenta.errors import InputError, NumericalError
 from momenta.groups import GroupPath, path_product
 from momenta.momentum import (
@@ -20,9 +20,11 @@ from momenta.momentum import (
     momentum_of_path,
     sigma_J,
     theta_integral,
+    verify_momentum_condition,
 )
 from momenta.numerics import adaptive_path_quadrature, kernel_segments
 from momenta.scenario import build_scenario, parse_config
+from momenta.symplectic import PhasePoint
 from momenta.verification import check_rng, registry, run_checks
 
 CONFIGS = {
@@ -170,6 +172,38 @@ class TestBatchMatchesPathByPath:
         want = [noether_check(sc.model, sc.cylinder, PhasePath.to_point(sc.model, g, m), 1.0) for g, m in zip(g0, mus)]
         assert got.shape == (2,)
         assert np.abs(got - want).max() <= 1e-14
+
+
+    def test_momentum_condition_points(self, name):
+        # stacked points against one call per point; a single point is a float
+        sc = scenario(name)
+        rng = np.random.default_rng(9)
+        g, mu, xi = (rng.uniform(-1.0, 1.0, (12, sc.n)) for _ in range(3))
+        got = verify_momentum_condition(sc.model, PhasePoint(g, mu), xi)
+        singles = [verify_momentum_condition(sc.model, PhasePoint(*row[:2]), row[2]) for row in zip(g, mu, xi)]
+        assert all(type(e) is float for e in singles)
+        assert got.shape == (12,) and np.array_equal(got, singles)
+
+    def test_reduction_fiber_matches_sample_loop(self, name):
+        # reference: one sample at a time, each path built and integrated alone
+        sc = scenario(name)
+        model, cover = sc.model, sc.cover
+        mu = np.random.default_rng(11).uniform(-1.0, 1.0, sc.n)
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        worst = 0.0
+        for _ in range(8):
+            durs = ref.uniform(0.3, 1.0, 2)
+            durs /= durs.sum()
+            base = GroupPath(cover, [(ref.uniform(-1.5, 1.5, sc.n), w) for w in durs])
+            mu_end = cover.adjoint(base.endpoint()).T @ (mu - theta_integral(cover, sc.theta, base))
+            x = PhasePath.with_linear_momentum(base, mu_end)
+            k = sc.random_loop_coefficients(ref)
+            gamma = PhasePath.with_linear_momentum(sc.loop_path(k), np.zeros(sc.n))
+            shifted = momentum_of_path(model, gamma.concat(x))
+            h = np.array([float(v) for v in sc.holonomy_of(k)])
+            worst = max(worst, float(np.linalg.norm(shifted - mu - h)))
+        assert reduction_fiber_check(sc, mu, samples=8, rng=rng) == (worst, "")
+        assert rng.random() == ref.random()  # the draws keep their order and number
 
 
 def test_path_product_raises_on_a_miss(monkeypatch):
@@ -321,3 +355,19 @@ def test_checks_need_a_sample():
     sc = build_scenario(parse_config(STREAM_TEXTS["torus2"]))
     with pytest.raises(InputError, match="at least one sample"):
         run_checks(sc, samples=0, names={"momentum_closed_form"})
+
+
+def test_reduction_fiber_gate_follows_the_tolerance(monkeypatch):
+    # deck-shifted paths (three segments or more) gain 5e-8 per component: a
+    # shift of 7.1e-8 must be judged by the gate 1e-6 that the config
+    # tolerance 1e-6 gives, like every other check, not by a fixed 1e-8
+    sc = build_scenario(parse_config(CONFIGS["torus2"][:-1] + ',"verify":{"tolerance":1e-6}}'))
+    exact = cylinder.momentum_of_path
+
+    def bumped(model, x):
+        return exact(model, x) + np.where(x.base.counts() >= 3, 5e-8, 0.0)[:, None]
+
+    monkeypatch.setattr(cylinder, "momentum_of_path", bumped)
+    (report,) = run_checks(sc, names={"reduction_fiber"})
+    assert report.tolerance == 1e-6 and report.passed and report.notes == ""
+    assert 7e-8 <= report.max_error <= 7.2e-8

@@ -10,7 +10,6 @@ from momenta.groups import GroupModel, GroupPath, path_product
 from momenta.momentum import (
     PhasePath,
     _simpson_sweeps,
-    _straight_tails,
     horizontal_transport,
     lifted_action_on_path,
     momentum_closed_form,
@@ -390,17 +389,20 @@ class TestMomentumCondition:
         ids=["torus2", "torus3", "heis"],
     )
     def test_batched_tails_match_segments(self, make):
-        # every tail, integrated alone as a straight phase path from (g, mu)
+        # the finite differences integrate straight tails from several
+        # starts (g, mu) as one batch with a base and a start momentum per
+        # tail; every tail must get the integral it gets alone
         model = make()
         cover, n = model.cover, model.n
         for scale in (1e-4, 1.0):
-            g, mu = RNG.uniform(-1.0, 1.0, n), RNG.uniform(-1.0, 1.0, n)
+            g, mu = RNG.uniform(-1.0, 1.0, (7, n)), RNG.uniform(-1.0, 1.0, (7, n))
             g_targets = g + scale * RNG.uniform(-1.0, 1.0, (7, n))
             mu_targets = mu + scale * RNG.uniform(-1.0, 1.0, (7, n))
-            got = _straight_tails(model, g, mu, g_targets, mu_targets)
+            zetas = cover.multiply_many(-g, g_targets)
+            tails = PhasePath.with_linear_momentum(GroupPath.straight(cover, zetas, base=g), mu_targets, mu)
+            got = momentum_segments(model, tails)
             assert got.shape == (7, n)
-            for row, gt, mt in zip(got, g_targets, mu_targets):
-                zeta = cover.log(cover.multiply(cover.inverse(g), gt))
-                tail = PhasePath.with_linear_momentum(GroupPath.straight(cover, zeta, base=g), mt, mu_start=mu)
-                want = momentum_segments(model, tail).sum(axis=0)
-                assert np.abs(row - want).max() <= 1e-14
+            for row, *single in zip(got, zetas, g, mu_targets, mu):
+                zeta, g0, mt, mu0 = single
+                tail = PhasePath.with_linear_momentum(GroupPath.straight(cover, zeta, base=g0), mt, mu_start=mu0)
+                assert np.array_equal(row, momentum_segments(model, tail)[0])
