@@ -209,9 +209,11 @@ class GroupModel:
     def coadjoint_inv_apply(self, gs, mus) -> np.ndarray:
         """Row-wise Ad*_{g^{-1}} mu for stacked elements and covectors (a
         single covector is applied to every element)."""
-        gs = np.atleast_2d(np.asarray(gs, dtype=float))
-        shape = np.broadcast_shapes(gs.shape, np.shape(mus))
-        gs, out = np.broadcast_to(gs, shape), np.array(np.broadcast_to(mus, shape), dtype=float)
+        gs, mus = np.atleast_2d(np.asarray(gs, dtype=float)), np.asarray(mus, dtype=float)
+        if mus.shape != gs.shape:
+            shape = np.broadcast_shapes(gs.shape, mus.shape)
+            gs, mus = np.broadcast_to(gs, shape), np.broadcast_to(mus, shape)
+        out = mus.copy()
         if self.kind in _ABELIAN:
             return out
         psi = out[:, 0]
@@ -289,7 +291,7 @@ class GroupPath:
         counts.cumsum(out=offsets[1:])
         owner = np.arange(nb).repeat(counts)  # path of each segment
         self._first = np.arange(segments) + owner  # breakpoint starting each segment
-        self._points = np.arange(nb).repeat(counts + 1)  # path of each breakpoint
+        self._points = None  # path of each breakpoint, made by point_paths()
         # the running sums run per path on a (paths, segments) layout, zero
         # padded behind shorter paths: cumsum is sequential, so the padding
         # leaves them exact
@@ -323,11 +325,18 @@ class GroupPath:
         times[np.arange(nb), counts] = 1.0
         # node_{k+1} = node_k * exp(duration_k direction_k): in the exponential
         # chart the product is a running sum, plus for Heisenberg the central
-        # term w(u_k, step_k)/2 with u_k the plane part of node_k
-        nodes = np.concatenate([self.bases[:, None], steps], axis=1).cumsum(axis=1)
+        # term w(u_k, step_k)/2 with u_k the plane part of node_k.  A cumsum
+        # costs per row it runs along, so a batch of one-segment paths (lifts,
+        # tails) adds its single step instead: the same sum
+        nodes = np.concatenate([self.bases[:, None], steps], axis=1)
+        if width == 1:
+            nodes[:, 1] += nodes[:, 0]
+        else:
+            nodes = nodes.cumsum(axis=1)
         if model.kind in _HEISENBERG:
             u = nodes[:, :-1, 1:]
-            nodes[:, 1:, 0] += (0.5 * (u[..., 0] * steps[..., 2] - u[..., 1] * steps[..., 1])).cumsum(axis=1)
+            central = 0.5 * (u[..., 0] * steps[..., 2] - u[..., 1] * steps[..., 1])
+            nodes[:, 1:, 0] += central if width == 1 else central.cumsum(axis=1)
         if valid is None:
             self.times, nodes = times.ravel(), nodes.reshape(-1, n)
         else:
@@ -399,6 +408,8 @@ class GroupPath:
 
     def point_paths(self) -> np.ndarray:
         """Path of each breakpoint (row of ``times`` and ``nodes``)."""
+        if self._points is None:
+            self._points = np.arange(len(self)).repeat(self.counts() + 1)
         return self._points
 
     def ends(self) -> np.ndarray:
@@ -409,6 +420,8 @@ class GroupPath:
         """Per-path sums of per-segment rows (a kernel's output), each added
         up in segment order, so a path's sum does not depend on the batch
         around it."""
+        if len(rows) == len(self):  # one segment per path: the rows are the sums
+            return self._shaped(rows)
         return self._shaped(np.add.reduceat(rows, self.offsets[:-1], axis=0))
 
     # -- evaluation --------------------------------------------------------

@@ -105,7 +105,7 @@ class PhasePath:
 
 
 def _require_identity_based(p: GroupPath):
-    if np.any(p.model.distance_many(p.bases, p.model.identity()) > 1e-12):
+    if p.bases.any() and np.any(p.model.distance_many(p.bases, p.model.identity()) > 1e-12):
         raise InputError("path must be based at the identity")
 
 
@@ -336,6 +336,8 @@ def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi, step:
     """
     cover, n = model.cover, model.n
     g, mu, xi = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (z.g, z.mu, xi))
+    if not g.shape == mu.shape == xi.shape == (len(g), n):
+        raise InputError(f"z.g, z.mu and xi need one row of {n} each, got {g.shape}, {mu.shape}, {xi.shape}")
     points = len(g)
 
     # displaced targets in the order (+g, -g) for each chart direction, then

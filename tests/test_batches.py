@@ -87,6 +87,23 @@ class TestBatchMatchesPathByPath:
         for t, b, row in zip(ts, owners, got):
             assert np.array_equal(row, singles[b].base.evaluate_many([t])[0])
 
+    def test_one_segment_batches(self, name):
+        # a batch of one-segment paths adds each step to its base instead of
+        # running a cumsum, and its kernel rows are its per-path sums: the
+        # same numbers as the general layout, which one two-segment path forces
+        sc = scenario(name)
+        rng = np.random.default_rng(13)
+        X, bases = rng.uniform(-1.5, 1.5, (2, 9, sc.n))
+        table = np.vstack([X, rng.uniform(-1.5, 1.5, (2, sc.n))]), np.r_[np.ones(9), 0.5, 0.5]
+        counts = np.r_[np.ones(9, dtype=np.intp), 2]
+        lifts = GroupPath.straight(sc.cover, X, base=bases)
+        general = GroupPath.from_table(sc.cover, *table, np.vstack([bases, bases[:1]]), counts)
+        assert np.array_equal(lifts.times, general.times[:18])
+        assert np.array_equal(lifts.nodes, general.nodes[:18])
+        assert np.array_equal(lifts.point_paths(), general.point_paths()[:18])
+        got = sigma_J(sc.model, GroupPath.straight(sc.cover, X))
+        assert np.array_equal(got, sigma_J(sc.model, GroupPath.from_table(sc.cover, *table, counts=counts))[:9])
+
     def test_kernel_nodes_map_to_their_segments(self, name):
         # one kernel call over a batch skips the drops between paths
         p = mixed_phase_paths(scenario(name), np.random.default_rng(7))[0].base
@@ -183,6 +200,10 @@ class TestBatchMatchesPathByPath:
         singles = [verify_momentum_condition(sc.model, PhasePoint(*row[:2]), row[2]) for row in zip(g, mu, xi)]
         assert all(type(e) is float for e in singles)
         assert got.shape == (12,) and np.array_equal(got, singles)
+        # rows that do not line up: one xi for all points, one momentum, short rows
+        for bad_g, bad_mu, bad_xi in ((g, mu, xi[0]), (g, mu[:1], xi), (g[:, 1:], mu[:, 1:], xi[:, 1:])):
+            with pytest.raises(InputError, match="one row of"):
+                verify_momentum_condition(sc.model, PhasePoint(bad_g, bad_mu), bad_xi)
 
     def test_reduction_fiber_matches_sample_loop(self, name):
         # reference: one sample at a time, each path built and integrated alone
