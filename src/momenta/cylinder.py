@@ -134,8 +134,7 @@ def affine_action(model: MagneticCotangent, g_path: GroupPath, mu) -> np.ndarray
 
 def _check_lift(model: MagneticCotangent, g, lift_path: GroupPath):
     group = model.group
-    proj = group.normalize_many(lift_path.ends())
-    if np.any(group.distance_many(proj, group.normalize_many(np.atleast_2d(g))) > 1e-10):
+    if np.any(group.distance(group.normalize(lift_path.ends()), group.normalize(g)) > 1e-10):
         raise InputError("lift path does not end over the given group element")
 
 
@@ -148,9 +147,7 @@ def sigma_K(model: MagneticCotangent, cylinder: Cylinder, g, lift_path: GroupPat
 
 
 def _canonical_lift(model: MagneticCotangent, g) -> GroupPath:
-    g = np.asarray(g, dtype=float)
-    cover = model.cover
-    return GroupPath.straight(cover, cover.log(g))
+    return GroupPath.straight(model.cover, model.cover.log(g))
 
 
 def affine_cylinder_action(
@@ -316,13 +313,11 @@ def _kinetic_flow(model: MagneticCotangent, y0, T: float, h: float) -> np.ndarra
     return ys
 
 
-def noether_check(
-    model: MagneticCotangent,
-    cylinder: Cylinder,
-    x: PhasePath,
-    T: float,
-    step: float = 1e-3,
-):
+# RK4 step of the kinetic flow; the step-halving check reruns it at twice this
+_FLOW_STEP = 1e-3
+
+
+def noether_check(model: MagneticCotangent, cylinder: Cylinder, x: PhasePath, T: float):
     """Max drift of K along the kinetic-Hamiltonian flow started at the
     endpoint of x, checked at time checkpoints spaced 0.1 apart; one drift
     per path of a batch, whose flows are integrated as one stacked state.
@@ -341,8 +336,8 @@ def noether_check(
     n = model.n
     y0 = np.concatenate([x.base.ends(), x.end_momenta()], axis=1)
 
-    ys = _kinetic_flow(model, y0, T, step)
-    check = _kinetic_flow(model, y0, T, 2.0 * step)
+    ys = _kinetic_flow(model, y0, T, _FLOW_STEP)
+    check = _kinetic_flow(model, y0, T, 2.0 * _FLOW_STEP)
     scale = np.maximum(1.0, np.abs(ys).max(axis=(0, 2)))
     if np.any(np.abs(check[-1] - ys[-1]).max(axis=1) > 1e-8 * scale):
         raise NumericalError("kinetic flow integration failed its step-halving check")
@@ -392,8 +387,8 @@ def reduction_fiber_check(scenario, mu, samples: int = 5, rng=None) -> tuple[flo
     combined = gamma.concat(x)
     shifted = momentum_of_path(model, combined)
     group = model.group
-    ends = [group.normalize_many(p.ends()) for p in (combined.base, base)]
-    same_base = group.distance_many(*ends) <= 1e-10
+    ends = [group.normalize(p.ends()) for p in (combined.base, base)]
+    same_base = group.distance(*ends) <= 1e-10
     same_fiber = np.linalg.norm(combined.end_momenta() - x.end_momenta(), axis=1) <= 1e-9
     worst_shift = 0.0
     for k, moved, fixed in zip(ks, shifted, same_base & same_fiber):

@@ -5,7 +5,8 @@ Heisenberg group H = R x R^2 with multiplication
 (a,u)(b,v) = (a + b + w(u,v)/2, u + v) for the standard symplectic form w on
 R^2, and the compact quotient S^1 x R^2 (same rule, first coordinate mod 1).
 Group elements are flat coordinate arrays in a fixed chart; circle-valued
-coordinates are normalized to [0, 1).
+coordinates are normalized to [0, 1).  Elements may be stacked in rows: every
+GroupModel operation serves one element or many through one body.
 
 Paths carry a constant left-trivialized velocity on each segment, so the left
 logarithm of the velocity is exact and every path integrand downstream is
@@ -31,12 +32,14 @@ _ABELIAN = ("torus", "universal_torus")
 _HEISENBERG = ("heisenberg", "central_extension")
 _SIMPLY_CONNECTED = ("universal_torus", "heisenberg")
 
-def _omega2(u, v) -> float:
-    return u[0] * v[1] - u[1] * v[0]
-
 
 class GroupModel:
-    """One of the supported groups, with chart arithmetic and algebra data."""
+    """One of the supported groups, with chart arithmetic and algebra data.
+
+    Every operation takes one element of shape (n,) or stacked ones of shape
+    (rows, n) (more leading axes broadcast alike), and a single element
+    broadcasts against rows: the result has one row, matrix or distance per
+    row, each computed with the arithmetic of a single element."""
 
     __slots__ = ("kind", "dim", "_circle")
 
@@ -91,25 +94,34 @@ class GroupModel:
 
     def _check(self, g) -> np.ndarray:
         g = np.asarray(g, dtype=float)
-        if g.shape != (self.dim,):
-            raise InputError(f"expected element of shape ({self.dim},), got {g.shape}")
+        if not g.ndim or g.shape[-1] != self.dim:
+            raise InputError(f"expected element of shape ({self.dim},) or (..., {self.dim}), got {g.shape}")
         return g
+
+    def _wrap(self, g) -> np.ndarray:
+        """Reduce the circle coordinates of a fresh array in place."""
+        mask = self._circle
+        if mask is not None:
+            g[..., mask] = np.mod(g[..., mask], 1.0)
+        return g
+
+    def _unit_matrices(self, g) -> np.ndarray:
+        """An identity matrix per element of g, to be filled in."""
+        return np.tile(np.eye(self.dim), g.shape[:-1] + (1, 1))
 
     def normalize(self, g) -> np.ndarray:
         """Canonical chart representative; idempotent."""
-        g = self._check(g).copy()
-        mask = self._circle
-        if mask is not None:
-            g[mask] = np.mod(g[mask], 1.0)
-        return g
+        return self._wrap(self._check(g).copy())
 
-    def normalize_many(self, gs) -> np.ndarray:
-        """Row-wise ``normalize`` of stacked elements."""
-        gs = np.array(gs, dtype=float)
-        mask = self._circle
-        if mask is not None:
-            gs[:, mask] = np.mod(gs[:, mask], 1.0)
-        return gs
+    def chart_to_body(self, g) -> np.ndarray:
+        """Matrix taking chart-coordinate displacements at g to body-frame
+        velocities; the identity on abelian charts."""
+        g = self._check(g)
+        T = self._unit_matrices(g)
+        if self.kind in _HEISENBERG:
+            T[..., 0, 1] = 0.5 * g[..., 2]
+            T[..., 0, 2] = -0.5 * g[..., 1]
+        return T
 
     # -- group operations --------------------------------------------------
 
@@ -117,61 +129,44 @@ class GroupModel:
         g, h = self._check(g), self._check(h)
         out = g + h
         if self.kind in _HEISENBERG:
-            out[0] += 0.5 * _omega2(g[1:], h[1:])
-        return self.normalize(out)
-
-    def multiply_many(self, gs, hs) -> np.ndarray:
-        """Row-wise products of stacked elements, normalized; the same
-        arithmetic as ``multiply``."""
-        gs, hs = np.asarray(gs, dtype=float), np.asarray(hs, dtype=float)
-        out = gs + hs
-        if self.kind in _HEISENBERG:
-            out[:, 0] += 0.5 * (gs[:, 1] * hs[:, 2] - gs[:, 2] * hs[:, 1])
-        mask = self._circle
-        if mask is not None:
-            out[:, mask] = np.mod(out[:, mask], 1.0)
-        return out
+            out[..., 0] += 0.5 * (g[..., 1] * h[..., 2] - g[..., 2] * h[..., 1])
+        return self._wrap(out)
 
     def inverse(self, g) -> np.ndarray:
         # (a,u)^{-1} = (-a,-u) also for Heisenberg, since w(u,-u) = 0
-        return self.normalize(-self._check(g))
+        return self._wrap(-self._check(g))
 
     def exp(self, xi, t: float = 1.0) -> np.ndarray:
         """exp(t xi); the chart is exponential, so this is scaling plus
         normalization (for Heisenberg the BCH series stops at the first term
         along a single direction)."""
-        return self.normalize(t * self._check(xi))
+        return self._wrap(t * self._check(xi))
 
     def log(self, g) -> np.ndarray:
         if not self.is_simply_connected:
             raise InputError(f"no global logarithm on {self.kind}")
         return self._check(g).copy()
 
-    def distance(self, g, h) -> float:
+    def distance(self, g, h):
+        """Chart distance, the circle coordinates taken the short way round:
+        a float for two elements, one per row for stacked ones."""
         d = self._check(g) - self._check(h)
         mask = self._circle
         if mask is not None:
-            d[mask] = np.mod(d[mask] + 0.5, 1.0) - 0.5
-        return float(np.linalg.norm(d))
+            d[..., mask] = np.mod(d[..., mask] + 0.5, 1.0) - 0.5
+        dist = np.sqrt((d * d).sum(axis=-1))
+        return float(dist) if dist.ndim == 0 else dist
 
-    def distance_many(self, gs, hs) -> np.ndarray:
-        """Row-wise ``distance`` of stacked (or broadcast) elements."""
-        d = np.atleast_2d(np.asarray(gs, dtype=float) - np.asarray(hs, dtype=float))
-        mask = self._circle
-        if mask is not None:
-            d[:, mask] = np.mod(d[:, mask] + 0.5, 1.0) - 0.5
-        return np.sqrt((d * d).sum(axis=1))
-
-    def equal(self, g, h, tol: float = 1e-10) -> bool:
+    def equal(self, g, h, tol: float = 1e-10):
         return self.distance(g, h) <= tol
 
     # -- algebra structure -------------------------------------------------
 
     def bracket(self, xi, eta) -> np.ndarray:
         xi, eta = self._check(xi), self._check(eta)
-        out = np.zeros(self.dim)
+        out = np.zeros(np.broadcast_shapes(xi.shape, eta.shape))
         if self.kind in _HEISENBERG:
-            out[0] = _omega2(xi[1:], eta[1:])
+            out[..., 0] = xi[..., 1] * eta[..., 2] - xi[..., 2] * eta[..., 1]
         return out
 
     def structure_constants(self):
@@ -185,30 +180,22 @@ class GroupModel:
 
     def adjoint(self, g) -> np.ndarray:
         g = self._check(g)
-        ad = np.eye(self.dim)
+        ad = self._unit_matrices(g)
         if self.kind in _HEISENBERG:
             # Ad_{(a,u)}(b, z) = (b + w(u,z), z)
-            ad[0, 1] = -g[2]
-            ad[0, 2] = g[1]
+            ad[..., 0, 1] = -g[..., 2]
+            ad[..., 0, 2] = g[..., 1]
         return ad
 
     def coadjoint_inv(self, g) -> np.ndarray:
         """Matrix of mu -> Ad*_{g^{-1}} mu,
         defined by <Ad*_{g^{-1}} mu, xi> = <mu, Ad_{g^{-1}} xi>."""
-        return self.adjoint(self.inverse(g)).T
-
-    def coadjoint_inv_many(self, gs) -> np.ndarray:
-        """Stacked ``coadjoint_inv`` matrices, shape (rows, dim, dim)."""
-        gs = np.atleast_2d(np.asarray(gs, dtype=float))
-        out = np.tile(np.eye(self.dim), (len(gs), 1, 1))
-        if self.kind in _HEISENBERG:
-            out[:, 1, 0] = gs[:, 2]
-            out[:, 2, 0] = -gs[:, 1]
-        return out
+        return np.swapaxes(self.adjoint(self.inverse(g)), -1, -2)
 
     def coadjoint_inv_apply(self, gs, mus) -> np.ndarray:
         """Row-wise Ad*_{g^{-1}} mu for stacked elements and covectors (a
-        single covector is applied to every element)."""
+        single covector is applied to every element), without building the
+        matrices."""
         gs, mus = np.atleast_2d(np.asarray(gs, dtype=float)), np.asarray(mus, dtype=float)
         if mus.shape != gs.shape:
             shape = np.broadcast_shapes(gs.shape, mus.shape)
@@ -285,8 +272,9 @@ class GroupPath:
         nb = len(counts)
         if nb == 0 or counts.min() < 1 or counts.sum() != segments:
             raise InputError("a path needs at least one segment")
-        if durations.min() <= 0:
-            raise InputError(f"segment duration {durations[durations <= 0][0]} is not positive")
+        # each check is written to fail on NaN, which max and min propagate
+        if not durations.min() > 0:
+            raise InputError(f"segment duration {durations[~(durations > 0)][0]} is not positive")
         offsets = np.zeros(nb + 1, dtype=np.intp)
         counts.cumsum(out=offsets[1:])
         owner = np.arange(nb).repeat(counts)  # path of each segment
@@ -307,8 +295,9 @@ class GroupPath:
             steps[owner, local] = durations[:, None] * directions
         cum = padded.cumsum(axis=1)
         totals = np.add.reduceat(durations, offsets[:-1])  # each path's cum[-1]
-        if np.abs(totals - 1.0).max() > 1e-12:
-            raise InputError(f"durations sum to {totals[np.abs(totals - 1.0) > 1e-12][0]}, expected 1")
+        gaps = np.abs(totals - 1.0)
+        if not gaps.max() <= 1e-12:
+            raise InputError(f"durations sum to {totals[~(gaps <= 1e-12)][0]}, expected 1")
         self.model = model
         self.directions = directions
         self.durations = durations
@@ -316,7 +305,7 @@ class GroupPath:
         if base is None:
             self.bases = np.zeros((nb, n))
         elif np.shape(base) in ((n,), (nb, n)):
-            self.bases = model.normalize_many(np.broadcast_to(base, (nb, n)))
+            self.bases = model.normalize(np.broadcast_to(base, (nb, n)))
         else:
             raise InputError(f"expected base of shape ({n},), got {np.shape(base)}")
 
@@ -383,8 +372,8 @@ class GroupPath:
         # a step from one path's last sample to the next path's first is dropped
         inner = np.ones(len(ts) - 1, dtype=bool)
         inner[lasts[:-1]] = False
-        dts, steps = (ts[1:] - ts[:-1])[inner], model.multiply_many(-gs[:-1], gs[1:])[inner]
-        if abs(ts[firsts]).max() > 1e-12 or abs(ts[lasts] - 1.0).max() > 1e-12 or dts.min() <= 0:
+        dts, steps = (ts[1:] - ts[:-1])[inner], model.multiply(-gs[:-1], gs[1:])[inner]
+        if not (abs(ts[firsts]).max() <= 1e-12 and abs(ts[lasts] - 1.0).max() <= 1e-12 and dts.min() > 0):
             raise InputError("sample times must increase from 0 to 1")
         return cls.from_table(model, steps / dts[:, None], dts, gs[firsts], None if counts is None else sizes - 1)
 
@@ -452,7 +441,7 @@ class GroupPath:
         """Path points at parameters ``ts`` known to lie in segments ``ks``."""
         first = self._first[ks]
         s = (ts - self.times[first])[:, None]
-        return self.model.multiply_many(self.nodes[first], s * self.directions[ks])
+        return self.model.multiply(self.nodes[first], s * self.directions[ks])
 
     def _segment_of(self, t: float) -> int:
         if t < -1e-12 or t > 1.0 + 1e-12:
@@ -549,15 +538,15 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
         raise InputError("path_product needs two single paths or two batches of the same size")
     if not model.is_simply_connected:
         raise InputError("path_product is defined on universal-cover models")
-    if model.distance_many(np.concatenate([p.bases, q.bases]), model.identity()).max() > 1e-10:
+    if model.distance(np.concatenate([p.bases, q.bases]), model.identity()).max() > 1e-10:
         raise InputError("path_product needs identity-based paths")
 
     ts, kp, kq, counts = _refined_grids(p, q)
-    prods = model.multiply_many(p.at_segments(kp, ts), q.at_segments(kq, ts))
+    prods = model.multiply(p.at_segments(kp, ts), q.at_segments(kq, ts))
     out = GroupPath.from_samples(model, ts, prods, counts if p.batched else None)
-    target = model.multiply_many(p.ends(), q.ends())
+    target = model.multiply(p.ends(), q.ends())
     bound = np.maximum(_ENDPOINT_ABS, _ENDPOINT_REL * np.abs(target).max(axis=1))
-    if not (model.distance_many(out.ends(), target) <= bound).all():
+    if not (model.distance(out.ends(), target) <= bound).all():
         raise NumericalError("path_product endpoint tolerance not met")
     return out
 

@@ -71,10 +71,8 @@ class PhasePath:
     def to_point(cls, model: MagneticCotangent, g, mu) -> "PhasePath":
         """Standard representative from z0 to (g, mu): one exponential segment
         with linearly growing momentum; a batch when g and mu stack rows."""
-        g = np.asarray(g, dtype=float)
-        cover = model.cover
-        xi = g.copy() if g.ndim == 2 else cover.log(g)  # the cover chart is exponential
-        return cls.with_linear_momentum(GroupPath.straight(cover, xi), mu)
+        cover = model.cover  # its chart is exponential
+        return cls.with_linear_momentum(GroupPath.straight(cover, cover.log(g)), mu)
 
     def momentum_many(self, ts, paths=None) -> np.ndarray:
         """Momenta at parameters ``ts``; ``paths`` names the path of each when
@@ -105,7 +103,7 @@ class PhasePath:
 
 
 def _require_identity_based(p: GroupPath):
-    if p.bases.any() and np.any(p.model.distance_many(p.bases, p.model.identity()) > 1e-12):
+    if p.bases.any() and np.any(p.model.distance(p.bases, p.model.identity()) > 1e-12):
         raise InputError("path must be based at the identity")
 
 
@@ -280,7 +278,7 @@ def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
 
         ds = (spread(0.25 * h) * _ranges(np.zeros(b - a), r))[:, None]  # offsets into the segments
         covs = spread(cov0) + ds * spread(cov1)
-        gs = base.model.multiply_many(spread(base.nodes[base._first]), ds * spread(xid))
+        gs = base.model.multiply(spread(base.nodes[base._first]), ds * spread(xid))
         vals = base.model.coadjoint_inv_apply(gs, covs)
         peaks = np.maximum.reduceat(np.abs(vals), np.cumsum(r) - r).max(axis=1)
         size[a:b] = np.maximum(size[a:b], peaks)
@@ -311,17 +309,11 @@ def lifted_action_on_path(g_path: GroupPath, x: PhasePath) -> PhasePath:
     return PhasePath(product, x.momentum_many(product.times, product.point_paths()))
 
 
-def _chart_to_body(model: GroupModel, g) -> np.ndarray:
-    """Matrix taking chart-coordinate displacements at g to body-frame
-    velocities; identity for abelian charts."""
-    T = np.eye(model.dim)
-    if model.kind in ("heisenberg", "central_extension"):
-        T[0, 1] = 0.5 * g[2]
-        T[0, 2] = -0.5 * g[1]
-    return T
+# central-difference step of the momentum-condition validator
+_FD_STEP = 1e-4
 
 
-def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi, step: float = 1e-4):
+def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi):
     """Max relative error of the momentum condition at z: central finite
     differences of the momentum integral along the 2n chart directions against
     the symplectic pairing with the generator of xi.  z may stack points
@@ -332,9 +324,11 @@ def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi, step:
     tail from z contributes to each difference and trunk quadrature cancels
     identically.  Tail j is the straight phase path t -> g exp(t zeta_j),
     zeta_j = log(g^{-1} g_j), with momentum growing linearly from mu to mu_j;
-    the 4n tails of every point are integrated as one batch.
+    the 4n tails of every point are integrated as one batch.  The right-hand
+    side pairs the generator of xi with the body images of the 2n chart
+    directions through ``model.omega``, one stacked call over every point.
     """
-    cover, n = model.cover, model.n
+    cover, n, step = model.cover, model.n, _FD_STEP
     g, mu, xi = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (z.g, z.mu, xi))
     if not g.shape == mu.shape == xi.shape == (len(g), n):
         raise InputError(f"z.g, z.mu and xi need one row of {n} each, got {g.shape}, {mu.shape}, {xi.shape}")
@@ -347,19 +341,16 @@ def verify_momentum_condition(model: MagneticCotangent, z: PhasePoint, xi, step:
     starts_g, starts_mu = np.repeat(g, 4 * n, axis=0), np.repeat(mu, 4 * n, axis=0)
     g_targets = starts_g + np.tile(np.vstack([shifts, zero]), (points, 1))
     mu_targets = starts_mu + np.tile(np.vstack([zero, shifts]), (points, 1))
-    zetas = cover.multiply_many(-starts_g, g_targets)
+    zetas = cover.multiply(-starts_g, g_targets)
     tails = PhasePath.with_linear_momentum(GroupPath.straight(cover, zetas, base=starts_g), mu_targets, starts_mu)
     integrals = momentum_segments(model, tails).reshape(points, 4 * n, n)
     fd = np.matmul(integrals[:, 0::2] - integrals[:, 1::2], xi[:, :, None])[..., 0] / (2.0 * step)
 
-    errors, eye, still = np.empty(points), np.eye(n), np.zeros(n)
-    for i in range(points):
-        zi = PhasePoint(g[i], mu[i])
-        gen = model.generator(xi[i], zi)
-        body = _chart_to_body(cover, g[i])
-        rhs = np.empty(2 * n)
-        for a, e in enumerate(eye):
-            rhs[a] = model.omega(zi, gen, model.tangent(body @ e, still))
-            rhs[n + a] = model.omega(zi, gen, model.tangent(still, e))
-        errors[i] = float(np.linalg.norm(fd[i] - rhs)) / max(float(np.linalg.norm(rhs)), 1e-8)
+    # probe a of each point is (body e_a, 0) for a < n and (0, e_{a-n}) after
+    body = np.swapaxes(cover.chart_to_body(g), 1, 2)  # row a: body image of e_a
+    still, eye = np.zeros_like(body), np.broadcast_to(np.eye(n), body.shape)
+    probes = model.tangent(np.concatenate([body, still], axis=1), np.concatenate([still, eye], axis=1))
+    at = model.point(g[:, None], mu[:, None])
+    rhs = model.omega(at, model.generator(xi[:, None], at), probes)
+    errors = np.linalg.norm(fd - rhs, axis=1) / np.maximum(np.linalg.norm(rhs, axis=1), 1e-8)
     return float(errors[0]) if np.ndim(z.g) == 1 else errors

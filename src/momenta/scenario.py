@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,6 +90,12 @@ class ScenarioConfig:
         return out
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number in the float range: not the Infinity and NaN tokens that
+    Python's JSON reader accepts, nor an integer too large for a float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _config_int(value, field_name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(field_name, f"expected an integer, got {value!r}")
@@ -125,9 +132,8 @@ def _parse_mu_list(raw, n: int) -> tuple:
     out = []
     for i, entry in enumerate(raw):
         good = isinstance(entry, list) and len(entry) == n
-        good = good and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        if not good:
-            raise ConfigError(f"muList[{i}]", f"expected {n} numbers")
+        if not (good and all(_is_finite_number(x) for x in entry)):
+            raise ConfigError(f"muList[{i}]", f"expected {n} finite numbers")
         out.append(np.array(entry, dtype=float))
     return tuple(out)
 
@@ -156,8 +162,8 @@ def _parse_verify(raw) -> VerifySettings:
     if unknown:
         raise ConfigError(f"verify.{sorted(unknown)[0]}", "unknown field")
     tol = raw.get("tolerance", 1e-8)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or tol <= 0:
-        raise ConfigError("verify.tolerance", "must be a positive number")
+    if not (_is_finite_number(tol) and tol > 0):
+        raise ConfigError("verify.tolerance", "must be a finite positive number")
     count = _config_int(raw.get("sampleCount", 100), "verify.sampleCount", 1)
     seed = _config_int(raw.get("seed", 42), "verify.seed", 0)
     return VerifySettings(tolerance=float(tol), sample_count=count, seed=seed)

@@ -31,6 +31,11 @@ __all__ = [
 _CANON_SIGN = 1.0
 
 
+def _dot(a, b) -> np.ndarray:
+    """Pairing over the last axis, row by row of stacked operands."""
+    return (a * b).sum(axis=-1)
+
+
 class CocycleTheta:
     """Skew matrix theta: g -> g* with exact entries, defining Sigma.
 
@@ -134,61 +139,71 @@ class MagneticCotangent:
         self._structure = np.array(
             [[[float(c[a][b][k]) for k in range(self.n)] for b in range(self.n)] for a in range(self.n)]
         )
+        self._chu_base = self.chu_map(self.base_point())
+        self._chu_base.flags.writeable = False  # shared by every sigma_J
 
     # -- small validators --------------------------------------------------
 
+    def _pair(self, a, b, what: str):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.shape != b.shape or a.shape[-1:] != (self.n,):
+            raise InputError(f"{what} components must have equal shape (..., {self.n}), got {a.shape} and {b.shape}")
+        return a, b
+
     def point(self, g, mu) -> PhasePoint:
-        g = np.asarray(g, dtype=float)
-        mu = np.asarray(mu, dtype=float)
-        if g.shape != (self.n,) or mu.shape != (self.n,):
-            raise InputError(f"phase point components must have shape ({self.n},)")
-        return PhasePoint(g, mu)
+        """A phase point, or stacked ones when g and mu hold rows."""
+        return PhasePoint(*self._pair(g, mu, "phase point"))
 
     def tangent(self, xi, nu) -> PhaseTangent:
-        xi = np.asarray(xi, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        if xi.shape != (self.n,) or nu.shape != (self.n,):
-            raise InputError(f"phase tangent components must have shape ({self.n},)")
-        return PhaseTangent(xi, nu)
+        """A phase tangent, or stacked ones when xi and nu hold rows."""
+        return PhaseTangent(*self._pair(xi, nu, "phase tangent"))
 
     def base_point(self) -> PhasePoint:
         return PhasePoint(self.group.identity(), np.zeros(self.n))
 
     # -- the form ----------------------------------------------------------
+    # Points and tangents may stack rows along broadcasting leading axes; each
+    # pairing sums elementwise products over the last axis, so every row gets
+    # what a call on it alone gets.  The sign is read at call time.
 
     def bracket_form(self, mu) -> np.ndarray:
         """C(mu) with C_ab = <mu, [e_a, e_b]>."""
-        return np.einsum("abk,k->ab", self._structure, np.asarray(mu, dtype=float))
+        return _dot(self._structure, np.asarray(mu, dtype=float)[..., None, None, :])
 
     def omega_matrix(self, z: PhasePoint) -> np.ndarray:
         """2n x 2n matrix of the form in the stacked (xi, nu) basis."""
         n, s = self.n, _CANON_SIGN
         top = s * self.bracket_form(z.mu) - self.sigma_matrix
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = top
-        out[:n, n:] = s * np.eye(n)
-        out[n:, :n] = -s * np.eye(n)
+        out = np.zeros(top.shape[:-2] + (2 * n, 2 * n))
+        out[..., :n, :n] = top
+        out[..., :n, n:] = s * np.eye(n)
+        out[..., n:, :n] = -s * np.eye(n)
         return out
 
-    def omega(self, z: PhasePoint, v1: PhaseTangent, v2: PhaseTangent) -> float:
+    def omega(self, z: PhasePoint, v1: PhaseTangent, v2: PhaseTangent):
+        """The form on a pair of tangents: a float for one point, one value
+        per row for stacked ones."""
         s = _CANON_SIGN
         xi1, nu1, xi2, nu2 = v1.xi, v1.nu, v2.xi, v2.nu
-        canon = nu2 @ xi1 - nu1 @ xi2 + z.mu @ self.group.bracket(xi1, xi2)
-        return float(s * canon - xi1 @ self.sigma_matrix @ xi2)
+        canon = _dot(nu2, xi1) - _dot(nu1, xi2) + _dot(z.mu, self.group.bracket(xi1, xi2))
+        out = s * canon - _dot(xi1, _dot(self.sigma_matrix, xi2[..., None, :]))
+        return float(out) if out.ndim == 0 else out
 
     # -- generators and the Chu map ----------------------------------------
 
     def generator(self, xi, z: PhasePoint) -> PhaseTangent:
         """Infinitesimal generator of lifted left translation: (Ad_{g^-1} xi, 0)."""
-        xi = np.asarray(xi, dtype=float)
         adj = self.group.adjoint(self.group.inverse(z.g))
-        return PhaseTangent(adj @ xi, np.zeros(self.n))
+        body = _dot(adj, np.asarray(xi, dtype=float)[..., None, :])
+        return PhaseTangent(body, np.zeros(body.shape))
 
     def chu_map(self, z: PhasePoint) -> np.ndarray:
         """Psi(z)_ij = omega(z)(e_i-generator, e_j-generator)."""
         adj = self.group.adjoint(self.group.inverse(z.g))
         top = _CANON_SIGN * self.bracket_form(z.mu) - self.sigma_matrix
-        return adj.T @ top @ adj
+        return np.swapaxes(adj, -1, -2) @ top @ adj
 
     def chu_at_base(self) -> np.ndarray:
-        return self.chu_map(self.base_point())
+        """The Chu map at the base point, computed once per model (read-only).
+        It is -Sigma whatever the canonical sign, since C(0) = 0."""
+        return self._chu_base

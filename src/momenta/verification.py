@@ -15,14 +15,14 @@ error over the batch.  A NumericalError on any sample fails the whole check
 with maxError infinity, as it did when the first failing sample stopped a
 loop.
 
-A few loops stay, on purpose.  The scalar group and form checks
-(``group_*``, ``adjoint_homomorphism``, ``omega_*``) and
-``cylinder_homomorphism`` test the scalar API itself (``multiply``,
-``omega``, ``project`` on one element), so they call it once per sample.
-For the same reason the right-hand side of ``momentum_condition`` goes
-through ``model.omega`` point by point, and the exact holonomy tests of
-``reduction_fiber`` run per sample.  Loops over ``muList`` entries loop over
-settings, not samples.
+No check loops over its samples.  The group and form checks (``group_*``,
+``adjoint_homomorphism``, ``omega_*``) and ``cylinder_homomorphism`` call
+the same ``multiply``, ``omega`` and ``project`` that serve one element, on
+all samples stacked in rows; where every draw of a check is ``uniform``,
+one block (``_uniform``) takes the same numbers in the same generator order.
+Loops stay only over settings: ``muList`` entries and the two group models
+(compact chart and universal cover).  The exact holonomy tests of
+``reduction_fiber`` run per sample, in exact arithmetic.
 
 Stated tolerances assume the default config tolerance 1e-8; a looser or
 tighter config tolerance rescales every check proportionally.
@@ -52,7 +52,6 @@ from .momentum import (
     theta_integral,
     verify_momentum_condition,
 )
-from .symplectic import PhasePoint
 
 __all__ = ["CheckReport", "CheckSpec", "registry", "run_checks", "check_rng"]
 
@@ -123,13 +122,21 @@ def _worst(gaps) -> float:
     return float(np.linalg.norm(gaps, axis=-1).max())
 
 
-def _random_point(sc, rng):
-    g = sc.group.normalize(rng.uniform(-0.5, 0.5, sc.n))
-    return sc.model.point(g, rng.uniform(-1.5, 1.5, sc.n))
+def _uniform(rng, samples, n, *ranges) -> np.ndarray:
+    """``samples`` draws of one n-vector from each (low, high) of ``ranges``
+    in turn, as one block: the numbers a per-sample loop of ``uniform``
+    calls takes, in its generator order.  One (samples, n) block per range."""
+    lows, highs = np.array(ranges, dtype=float).T[:, :, None]
+    return rng.uniform(lows, highs, (samples, len(ranges), n)).transpose(1, 0, 2)
 
 
-def _random_tangent(sc, rng):
-    return sc.model.tangent(rng.uniform(-1.0, 1.0, sc.n), rng.uniform(-1.0, 1.0, sc.n))
+# ranges of a random phase point (g, mu) and of a random tangent (xi, nu)
+_POINT = ((-0.5, 0.5), (-1.5, 1.5))
+_TANGENT = ((-1.0, 1.0), (-1.0, 1.0))
+
+
+def _phase_points(sc, g, mu):
+    return sc.model.point(sc.group.normalize(g), mu)
 
 
 # -- check runners: (scenario, rng, samples) -> (max_error, used, notes) -----
@@ -138,30 +145,24 @@ def _random_tangent(sc, rng):
 def _chk_group_associativity(sc, rng, samples):
     worst = 0.0
     for model in (sc.group, sc.cover):
-        for _ in range(samples):
-            a, b, c = (rng.uniform(-3.0, 3.0, sc.n) for _ in range(3))
-            lhs = model.multiply(model.multiply(a, b), c)
-            rhs = model.multiply(a, model.multiply(b, c))
-            worst = max(worst, model.distance(lhs, rhs))
+        a, b, c = _uniform(rng, samples, sc.n, *[(-3.0, 3.0)] * 3)
+        lhs = model.multiply(model.multiply(a, b), c)
+        rhs = model.multiply(a, model.multiply(b, c))
+        worst = max(worst, float(model.distance(lhs, rhs).max()))
     return worst, 2 * samples, "compact chart and universal cover"
 
 
 def _chk_group_exp_log(sc, rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        xi = rng.uniform(-3.0, 3.0, sc.n)
-        worst = max(worst, float(np.linalg.norm(sc.cover.log(sc.cover.exp(xi)) - xi)))
-    return worst, samples, ""
+    xi = rng.uniform(-3.0, 3.0, (samples, sc.n))
+    return _worst(sc.cover.log(sc.cover.exp(xi)) - xi), samples, ""
 
 
 def _chk_adjoint_homomorphism(sc, rng, samples):
     worst = 0.0
     for model in (sc.group, sc.cover):
-        for _ in range(samples):
-            g = model.normalize(rng.uniform(-2.0, 2.0, sc.n))
-            h = model.normalize(rng.uniform(-2.0, 2.0, sc.n))
-            gap = model.adjoint(model.multiply(g, h)) - model.adjoint(g) @ model.adjoint(h)
-            worst = max(worst, float(np.abs(gap).max()))
+        g, h = (model.normalize(x) for x in _uniform(rng, samples, sc.n, *[(-2.0, 2.0)] * 2))
+        gap = model.adjoint(model.multiply(g, h)) - model.adjoint(g) @ model.adjoint(h)
+        worst = max(worst, float(np.abs(gap).max()))
     return worst, 2 * samples, ""
 
 
@@ -169,36 +170,29 @@ def _chk_path_product_endpoint(sc, rng, samples):
     used = min(samples, 25)
     p, q = _draw(rng, used, sc.draw_cover_path, sc.draw_cover_path)
     p, q = sc.cover_paths(p), sc.cover_paths(q)
-    want = sc.cover.multiply_many(p.ends(), q.ends())
+    want = sc.cover.multiply(p.ends(), q.ends())
     return _worst(path_product(p, q).ends() - want), used, ""
 
 
 def _chk_omega_antisymmetry(sc, rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        z = _random_point(sc, rng)
-        v1, v2 = _random_tangent(sc, rng), _random_tangent(sc, rng)
-        worst = max(worst, abs(sc.model.omega(z, v1, v2) + sc.model.omega(z, v2, v1)))
-    return worst, samples, ""
+    g, mu, xi1, nu1, xi2, nu2 = _uniform(rng, samples, sc.n, *_POINT, *_TANGENT, *_TANGENT)
+    z, v1, v2 = _phase_points(sc, g, mu), sc.model.tangent(xi1, nu1), sc.model.tangent(xi2, nu2)
+    return float(np.abs(sc.model.omega(z, v1, v2) + sc.model.omega(z, v2, v1)).max()), samples, ""
 
 
 def _chk_omega_nondegenerate(sc, rng, samples):
-    min_det = np.inf
-    for _ in range(samples):
-        z = _random_point(sc, rng)
-        min_det = min(min_det, abs(float(np.linalg.det(sc.model.omega_matrix(z)))))
+    z = _phase_points(sc, *_uniform(rng, samples, sc.n, *_POINT))
+    min_det = float(np.abs(np.linalg.det(sc.model.omega_matrix(z))).min())
     return max(0.0, 1e-8 - min_det), samples, f"min |det Omega| = {min_det:.3e}"
 
 
 def _chk_omega_left_invariance(sc, rng, samples):
-    worst = 0.0
-    for _ in range(samples):
-        z = _random_point(sc, rng)
-        h = sc.group.normalize(rng.uniform(-2.0, 2.0, sc.n))
-        moved = sc.model.point(sc.group.multiply(h, z.g), z.mu)
-        v1, v2 = _random_tangent(sc, rng), _random_tangent(sc, rng)
-        worst = max(worst, abs(sc.model.omega(z, v1, v2) - sc.model.omega(moved, v1, v2)))
-    return worst, samples, "body-frame form is base-point independent"
+    g, mu, h, xi1, nu1, xi2, nu2 = _uniform(rng, samples, sc.n, *_POINT, (-2.0, 2.0), *_TANGENT, *_TANGENT)
+    z, h = _phase_points(sc, g, mu), sc.group.normalize(h)
+    moved = sc.model.point(sc.group.multiply(h, z.g), z.mu)
+    v1, v2 = sc.model.tangent(xi1, nu1), sc.model.tangent(xi2, nu2)
+    gap = sc.model.omega(z, v1, v2) - sc.model.omega(moved, v1, v2)
+    return float(np.abs(gap).max()), samples, "body-frame form is base-point independent"
 
 
 def _chk_momentum_closed_form(sc, rng, samples):
@@ -244,9 +238,8 @@ def _chk_momentum_equivariance(sc, rng, samples):
 
 def _chk_momentum_condition(sc, rng, samples):
     used = min(samples, 50)
-    zs, xi = _draw(rng, used, lambda r: _random_point(sc, r), lambda r: r.uniform(-1.0, 1.0, sc.n))
-    z = PhasePoint(np.array([p.g for p in zs]), np.array([p.mu for p in zs]))
-    errors = verify_momentum_condition(sc.model, z, np.array(xi))
+    g, mu, xi = _uniform(rng, used, sc.n, *_POINT, (-1.0, 1.0))
+    errors = verify_momentum_condition(sc.model, _phase_points(sc, g, mu), xi)
     return float(errors.max()), used, "finite-difference momentum condition"
 
 
@@ -281,12 +274,8 @@ def _chk_cocycle_flat_vanishes(sc, rng, samples):
 
 def _chk_cylinder_homomorphism(sc, rng, samples):
     c = sc.cylinder
-    worst = 0.0
-    for _ in range(samples):
-        a = rng.uniform(-5.0, 5.0, sc.n)
-        b = rng.uniform(-5.0, 5.0, sc.n)
-        worst = max(worst, c.distance(c.project(a + b), c.project(a).translate(b)))
-    return worst, samples, ""
+    a, b = _uniform(rng, samples, sc.n, *[(-5.0, 5.0)] * 2)
+    return float(c.distance(c.project(a + b), c.project(a).translate(b)).max()), samples, ""
 
 
 def _chk_cylinder_K_path_independence(sc, rng, samples):
@@ -322,7 +311,7 @@ def _chk_cylinder_infinitesimal(sc, rng, samples):
     plus = cyl.affine_action(sc.model, GroupPath.straight(sc.cover, h * xi), mu)
     minus = cyl.affine_action(sc.model, GroupPath.straight(sc.cover, -h * xi), mu)
     fd = (plus - minus) / (2.0 * h)
-    coad_rate = (sc.cover.coadjoint_inv_many(hm * xi) - sc.cover.coadjoint_inv_many(-hm * xi)) / (2.0 * hm)
+    coad_rate = (sc.cover.coadjoint_inv(hm * xi) - sc.cover.coadjoint_inv(-hm * xi)) / (2.0 * hm)
     rate = np.einsum("bij,bj->bi", coad_rate, mu) + xi @ psi0.T
     return _worst(fd - rate), used, "affine-action generator vs base Chu contraction"
 
@@ -339,7 +328,7 @@ def _chk_casimir_invariance(sc, rng, samples):
 
 
 def _chk_noether_drift(sc, rng, samples):
-    g0 = np.array([rng.uniform(-0.4, 0.4, sc.n) for _ in sc.mu_list])
+    g0 = rng.uniform(-0.4, 0.4, (len(sc.mu_list), sc.n))
     x = PhasePath.to_point(sc.model, g0, np.array(sc.mu_list))
     return float(cyl.noether_check(sc.model, sc.cylinder, x, 1.0).max()), len(sc.mu_list), "kinetic flow over T=1"
 

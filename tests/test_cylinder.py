@@ -23,7 +23,6 @@ from momenta.groups import GroupPath, concat_paths, path_product
 from momenta.lattices import LatticeSubgroup
 from momenta.momentum import (
     PhasePath,
-    _chart_to_body,
     lifted_action_on_path,
     momentum_of_path,
     sigma_J,
@@ -401,7 +400,7 @@ class TestNoether:
                 z = PhasePoint(RNG.uniform(-1.0, 1.0, n), RNG.uniform(-2.0, 2.0, n))
                 want = np.linalg.solve(sc.model.omega_matrix(z).T, np.concatenate([np.zeros(n), z.mu]))
                 dy = field(np.concatenate([z.g, z.mu]))
-                got = np.concatenate([_chart_to_body(sc.cover, z.g) @ dy[:n], dy[n:]])
+                got = np.concatenate([sc.cover.chart_to_body(z.g) @ dy[:n], dy[n:]])
                 assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
     def test_torus_flow_is_a_rotation(self):

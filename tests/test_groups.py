@@ -57,11 +57,29 @@ class TestGroupOps:
             assert model.equal(model.multiply(g, model.inverse(g)), model.identity(), 1e-12)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
-    def test_multiply_many_matches_multiply(self, model):
-        gs, hs = random_elements(model, 200), random_elements(model, 200)
-        rows = model.multiply_many(gs, hs)
-        for g, h, row in zip(gs, hs, rows):
-            assert np.array_equal(row, model.multiply(g, h))
+    def test_stacked_rows_match_each_row(self, model):
+        # one body serves a single element and stacked rows: every row of a
+        # stacked result is the single-element result bit for bit, also when
+        # a single element broadcasts against the rows
+        gs, hs = random_elements(model, 50), random_elements(model, 50)
+        g0 = gs[0]
+        unary = [model.normalize, model.inverse, model.exp, model.adjoint, model.coadjoint_inv, model.chart_to_body]
+        if model.is_simply_connected:
+            unary.append(model.log)
+        for op in unary:
+            rows = op(gs)
+            assert len(rows) == len(gs), op.__name__
+            for g, row in zip(gs, rows):
+                assert np.array_equal(row, op(g)), op.__name__
+        for op in (model.multiply, model.distance, model.equal, model.bracket):
+            rows, left, right = op(gs, hs), op(g0, hs), op(gs, g0)
+            assert len(rows) == len(left) == len(right) == len(gs), op.__name__
+            for g, h, row, lrow, rrow in zip(gs, hs, rows, left, right):
+                assert np.array_equal(row, op(g, h)), op.__name__
+                assert np.array_equal(lrow, op(g0, h)) and np.array_equal(rrow, op(g, g0)), op.__name__
+        assert isinstance(model.distance(g0, hs[0]), float)
+        with pytest.raises(InputError):
+            model.multiply(gs[:, :-1], hs)
 
     def test_normalization_idempotent(self):
         for model in ALL_MODELS:
@@ -193,6 +211,15 @@ class TestGroupPath:
         R2 = GroupModel("universal_torus", 2)
         with pytest.raises(InputError):
             GroupPath(R2, [([1.0, 0.0], 0.4), ([0.0, 1.0], 0.4)])
+
+    def test_nan_durations_and_times_rejected(self):
+        R2, d = GroupModel("universal_torus", 2), [1.0, 0.0]
+        for durations in ([np.nan], [0.5, np.nan], [np.nan, 1.0]):
+            with pytest.raises(InputError):
+                GroupPath(R2, [(d, w) for w in durations])
+        for ts in ([np.nan, 0.5, 1.0], [0.0, np.nan, 1.0], [0.0, 0.5, np.nan]):
+            with pytest.raises(InputError):
+                GroupPath.from_samples(R2, ts, np.zeros((3, 2)))
 
     def test_parameter_range_validated(self):
         R2 = GroupModel("universal_torus", 2)

@@ -398,7 +398,7 @@ class TestMomentumCondition:
             g, mu = RNG.uniform(-1.0, 1.0, (7, n)), RNG.uniform(-1.0, 1.0, (7, n))
             g_targets = g + scale * RNG.uniform(-1.0, 1.0, (7, n))
             mu_targets = mu + scale * RNG.uniform(-1.0, 1.0, (7, n))
-            zetas = cover.multiply_many(-g, g_targets)
+            zetas = cover.multiply(-g, g_targets)
             tails = PhasePath.with_linear_momentum(GroupPath.straight(cover, zetas, base=g), mu_targets, mu)
             got = momentum_segments(model, tails)
             assert got.shape == (7, n)

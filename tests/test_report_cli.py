@@ -348,6 +348,23 @@ class TestCLI:
         assert cli.main(["analyze", "--config", cfg]) == 2
         assert "theta not antisymmetric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize(
+        "old,new,field",
+        [
+            ('"seed": 7', '"seed": 7, "tolerance": Infinity', "verify.tolerance"),
+            ('"seed": 7', '"seed": 7, "tolerance": NaN', "verify.tolerance"),
+            ("[0.3, -0.2]", "[NaN, -0.2]", "muList[0]"),
+            ("[0.3, -0.2]", "[0.3, -Infinity]", "muList[0]"),
+        ],
+    )
+    def test_non_finite_config_exit_2(self, tmp_path, capsys, command, old, new, field):
+        # Python's JSON reader accepts Infinity and NaN; the config does not
+        cfg = write_config(tmp_path, TORUS_TEXT.replace(old, new))
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config error: {field}" in captured.err
+
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert cli.main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err

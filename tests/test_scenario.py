@@ -113,6 +113,10 @@ class TestParseConfig:
         assert err.value.field == "muList[0]"
         with pytest.raises(ConfigError):
             parse('{"group":"torus","dim":1,"theta":[["0"]],"muList":[]}')
+        for entry in ["1e400", "-Infinity", "NaN", "1" + "0" * 400]:
+            with pytest.raises(ConfigError) as err:
+                parse('{"group":"torus","dim":1,"theta":[["0"]],"muList":[[%s]]}' % entry)
+            assert err.value.field == "muList[0]"
 
     def test_bad_gamma_n(self):
         with pytest.raises(ConfigError) as err:
@@ -121,7 +125,8 @@ class TestParseConfig:
 
     def test_bad_verify_values(self):
         base = '{"group":"torus","dim":1,"theta":[["0"]],"verify":%s}'
-        for block in ['{"tolerance":0}', '{"sampleCount":0}', '{"seed":-1}', '[1]']:
+        for block in ['{"tolerance":0}', '{"tolerance":Infinity}', '{"tolerance":NaN}', '{"tolerance":1e400}',
+                      '{"sampleCount":0}', '{"seed":-1}', '[1]']:
             with pytest.raises(ConfigError):
                 parse(base % block)
 

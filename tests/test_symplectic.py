@@ -257,6 +257,36 @@ class TestOmega:
             assert abs(model.omega(moved, v1, v2) - model.omega(z, v1, v2)) <= 1e-10
 
 
+class TestStackedPoints:
+    @pytest.mark.parametrize(
+        "make", [lambda: torus_model(THETA_2D), heisenberg_model], ids=["torus", "heis"]
+    )
+    def test_stacked_calls_match_per_point_calls(self, make):
+        # points and tangents stacked in rows give each row what a call on
+        # that row alone gives, bit for bit; a single tangent broadcasts
+        model = make()
+        g, mu, xi1, nu1, xi2, nu2, xi = RNG.uniform(-2, 2, (7, 30, model.n))
+        z, v1, v2 = model.point(g, mu), model.tangent(xi1, nu1), model.tangent(xi2, nu2)
+        forms, matrices, gens = model.omega(z, v1, v2), model.omega_matrix(z), model.generator(xi, z)
+        first = model.tangent(xi1[0], nu1[0])
+        against_first = model.omega(z, first, v2)
+        for i in range(30):
+            zi, w1, w2 = model.point(g[i], mu[i]), model.tangent(xi1[i], nu1[i]), model.tangent(xi2[i], nu2[i])
+            single = model.omega(zi, w1, w2)
+            assert isinstance(single, float) and forms[i] == single
+            assert against_first[i] == model.omega(zi, first, w2)
+            assert np.array_equal(matrices[i], model.omega_matrix(zi))
+            gen = model.generator(xi[i], zi)
+            assert np.array_equal(gens.xi[i], gen.xi) and np.array_equal(gens.nu[i], gen.nu)
+
+    def test_components_must_match(self):
+        model = heisenberg_model()
+        with pytest.raises(InputError):
+            model.point(np.zeros((4, 3)), np.zeros(3))
+        with pytest.raises(InputError):
+            model.tangent(np.zeros(2), np.zeros(2))
+
+
 class TestGenerator:
     def test_at_identity(self):
         model = heisenberg_model()
