@@ -380,7 +380,8 @@ def reduction_fiber_check(scenario, mu, samples: int = 5, rng=None) -> tuple[flo
     theta_val = theta_integral(cover, model.theta, base)
     # mu_end = Ad_g^T (mu - Theta): coadjoint_inv_apply(h, .) is Ad_{h^{-1}}^T, and g^{-1} = -g
     x = PhasePath.with_linear_momentum(base, cover.coadjoint_inv_apply(-base.ends(), mu - theta_val))
-    if np.any(np.linalg.norm(momentum_of_path(model, x) - mu, axis=1) > 1e-8):
+    scale = max(1.0, float(np.linalg.norm(mu)))
+    if np.any(np.linalg.norm(momentum_of_path(model, x) - mu, axis=1) > 1e-8 * scale):
         raise NumericalError("failed to construct a path with the requested momentum")
 
     gamma = PhasePath.with_linear_momentum(scenario.loop_path(np.array(ks)), np.zeros(n))

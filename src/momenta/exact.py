@@ -3,6 +3,14 @@
 Both components are `fractions.Fraction`, so all field operations are exact.
 The descriptor r must not be a rational square: irrationality of sqrt(r) is
 what makes equality and sign decidable from the components alone.
+
+Row reduction (`rref`, and through it `rank`, `nullspace`, `solve_linear`)
+does not use that arithmetic: it eliminates fraction-free on integer pairs
+(A, B) standing for A + B*sqrt(R), removing each row's gcd as it goes (see
+Bareiss 1968 and Cohen, A Course in Computational Algebraic Number Theory,
+2.2), and builds Fractions only for the rows it returns.  Those equal the
+rows of Gauss-Jordan over Q(sqrt(r)), because the reduced row echelon form of
+a matrix is unique.
 """
 
 from __future__ import annotations
@@ -252,33 +260,95 @@ class ExactScalar:
 
 
 # ---------------------------------------------------------------------------
-# Exact Gaussian elimination.  Entries may be Fraction or ExactScalar (anything
-# with exact +, -, *, / and truthiness); rows are lists.
+# Exact Gauss-Jordan elimination on integers.  Entries are int, Fraction or
+# ExactScalar; rows are lists.  Over Q(sqrt(r)) with r = p/q, put R = p*q, so
+# that b*sqrt(r) = (b/q)*sqrt(R); each row is scaled once by a common
+# denominator to the integers [A_0..A_{n-1}, B_0..B_{n-1}] of its entries
+# A_j + B_j*sqrt(R) (just [A_0..A_{n-1}] when no entry has a sqrt part).
+
+
+def _field_of(rows):
+    """The field of the ExactScalar entries, or None when all are rational."""
+    fields = {x.field for row in rows for x in row if isinstance(x, ExactScalar)}
+    if len(fields) > 1:
+        raise ValueError("scalars from different fields")
+    return fields.pop() if fields else None
+
+
+def _integer_row(row, q, split):
+    parts = [(x.a, x.b) if isinstance(x, ExactScalar) else (x, 0) for x in row]
+    fracs = [(a.numerator, a.denominator) for a, _ in parts]
+    if split:
+        fracs += [(b.numerator, b.denominator * q) for _, b in parts]
+    den = math.lcm(*(d for _, d in fracs))
+    return [num * (den // d) for num, d in fracs]
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    out = [list(row) for row in rows]
-    if not out:
-        return out, []
-    ncols = len(out[0])
+    """Reduced row echelon form; returns (new_rows, pivot_columns).
+
+    Fraction rows give Fraction rows, ExactScalar rows give ExactScalar rows,
+    and rows beyond the rank come back zero.  On the integer rows above, a
+    pivot row is multiplied by its pivot's conjugate, which makes the pivot a
+    rational integer P; every other row is cleared by row <- P*row - f*pivot_row
+    in Z[sqrt(R)] and divided by the gcd of its integers; Fractions are built
+    only for the returned entries x/P.  Rows are only scaled by nonzero
+    scalars or changed by multiples of each other, and the reduced row echelon
+    form of a matrix is unique, so the result is exactly that of Gauss-Jordan
+    over Q(sqrt(r)).
+    """
+    rows = [list(row) for row in rows]
+    if not rows:
+        return rows, []
+    ncols, m = len(rows[0]), len(rows)
+    field = _field_of(rows)
+    split = any(x.b for row in rows for x in row if isinstance(x, ExactScalar))
+    q = field.r.denominator if split else 1
+    R = field.r.numerator * q if split else 0
+
+    def times_sqrt(row):
+        return [R * b for b in row[ncols:]] + row[:ncols]
+
+    ints = [_integer_row(row, q, split) for row in rows]
     pivots = []
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(out)) if out[i][c]), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if any(ints[i][c::ncols])), None)
         if piv is None:
             continue
-        out[r], out[piv] = out[piv], out[r]
-        inv = out[r][c]
-        out[r] = [x / inv for x in out[r]]
-        for i in range(len(out)):
-            if i != r and out[i][c]:
-                f = out[i][c]
-                out[i] = [x - f * y for x, y in zip(out[i], out[r])]
+        prow, ints[piv] = ints[piv], ints[r]
+        if split and prow[ncols + c]:
+            pa, pb = prow[c], prow[ncols + c]
+            prow = _primitive([pa * x - pb * y for x, y in zip(prow, times_sqrt(prow))])
+        ints[r], P = prow, prow[c]
+        psqrt = times_sqrt(prow) if split else None
+        for i, row in enumerate(ints):
+            if i == r or not any(row[c::ncols]):
+                continue
+            fa, fb = row[c], row[ncols + c] if split else 0
+            if fb:
+                row = [P * x - fa * y - fb * z for x, y, z in zip(row, prow, psqrt)]
+            else:
+                row = [P * x - fa * y for x, y in zip(row, prow)]
+            ints[i] = _primitive(row)
         pivots.append(c)
-        r += 1
-        if r == len(out):
+        if r + 1 == m:
             break
+
+    out = []
+    for row, c in zip(ints, pivots):
+        a = [Fraction(x, row[c]) for x in row[:ncols]]
+        if field is not None:
+            b = [Fraction(x * q, row[c]) for x in row[ncols:]] if split else [Fraction(0)] * ncols
+            a = [ExactScalar(x, y, field) for x, y in zip(a, b)]
+        out.append(a)
+    zero = Fraction(0) if field is None else field.zero
+    out.extend([zero] * ncols for _ in range(m - len(pivots)))
     return out, pivots
 
 
@@ -286,11 +356,13 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows, one=Fraction(1)):
-    """Basis of {x : A x = 0} for A given by rows; `one` fixes the scalar type."""
+def nullspace(rows):
+    """Basis of {x : A x = 0} for A given by rows, in the rows' scalar type."""
     if not rows:
         return []
     ncols = len(rows[0])
+    field = _field_of(rows)
+    one = Fraction(1) if field is None else field.one
     red, pivots = rref(rows)
     zero = one - one
     free = [c for c in range(ncols) if c not in pivots]

@@ -199,9 +199,9 @@ def _as_int(x) -> int:
     raise TypeError(f"not an integer coordinate: {x!r}")
 
 
-def _as_fraction(x) -> Fraction:
+def _rational(x):
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return x
     raise TypeError(f"not an exact rational coordinate: {x!r}")
 
 
@@ -241,16 +241,19 @@ class LatticeSubgroup:
 
     def coordinates_of(self, vector):
         """Integer coordinates of `vector` in the basis columns, or None."""
-        v = [_as_fraction(x) for x in vector]
+        v = [_rational(x) for x in vector]
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
+        if any(x.denominator != 1 for x in v):
+            return None  # the lattice lies in Z^n
+        v = [x.numerator for x in v]
         coords = []
         for col in self.columns:
             p = next(i for i, x in enumerate(col) if x)
-            c = v[p] / col[p]
-            if c.denominator != 1:
+            c, rest = divmod(v[p], col[p])
+            if rest:
                 return None
-            coords.append(int(c))
+            coords.append(c)
             v = [x - c * y for x, y in zip(v, col)]
         return coords if not any(v) else None
 
@@ -332,7 +335,7 @@ def integer_kernel(rational_rows, ncols: int) -> LatticeSubgroup:
     """{x in Z^ncols : A x = 0} for A with Fraction entries (saturated lattice)."""
     int_rows = []
     for row in rational_rows:
-        fr = [_as_fraction(x) for x in row]
+        fr = [_rational(x) for x in row]
         den = 1
         for x in fr:
             den = lcm(den, x.denominator)
@@ -473,7 +476,7 @@ def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
             lattice = _discrete_lattice_basis(field, images, n)
             break
         u = None
-        for c in nullspace(cols_matrix, one=field.one):
+        for c in nullspace(cols_matrix):
             cand = [field.zero] * n
             for ci, v in zip(c, images):
                 if ci.b:

@@ -1,0 +1,53 @@
+"""The classify benchmark's byte-identity gate, in Tier-1: the exact sections
+of one generator seed's inputs against the references recorded in
+``benchmarks/refs/classify_exact.json``.  Where the recorded outcome is an
+error, the same error must still be raised.  ``benchmarks/workloads.py`` is
+loaded read-only for its input generator and digests."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from momenta.report import build_analysis
+from momenta.scenario import build_scenario, parse_config
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+# Generator seed 5 holds every recorded crash kind: torus d=7 and d=9 over
+# Q(sqrt2) and Q(sqrt3).
+SEED = 5
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("momenta_bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WL = load_workloads()
+REFS = WL.load_ref("classify_exact.json")
+CONFIGS = WL.classify_configs(SEED)
+
+
+def exact_digest(text: str) -> str:
+    sc = build_scenario(parse_config(text))
+    return WL.digest(WL.exact_text(build_analysis(sc, checks=[]).data))
+
+
+def test_seed_covers_every_crash_kind():
+    crashed = {label for label, text in CONFIGS if REFS[WL.digest(text)].startswith("error: ")}
+    assert crashed == {f"torus d={d} {f} #0" for d in (7, 9) for f in ("Q(sqrt2)", "Q(sqrt3)")}
+
+
+@pytest.mark.parametrize("label, text", CONFIGS, ids=[label for label, _ in CONFIGS])
+def test_exact_section_matches_reference(label, text):
+    ref = REFS[WL.digest(text)]
+    if ref.startswith("error: "):
+        with pytest.raises(Exception) as info:
+            exact_digest(text)
+        assert f"error: {type(info.value).__name__}: {info.value}" == ref
+    else:
+        assert exact_digest(text) == ref

@@ -425,3 +425,12 @@ class TestReductionFiber:
         shift, detail = reduction_fiber_check(SC_HEIS, [0.5, 0.1, -0.4], samples=5, rng=np.random.default_rng(22))
         assert detail == ""
         assert shift <= 1e-8
+
+    def test_construction_bound_scales_with_mu(self):
+        # far from unit scale the check measures the shift instead of
+        # failing to construct its test paths
+        mu = [1e8, -3e7]
+        sc = scenario('{"group":"torus","dim":2,"theta":[["0","1"],["-1","0"]],"muList":[[1e8,-3e7]]}')
+        shift, detail = reduction_fiber_check(sc, mu, samples=5, rng=np.random.default_rng(0))
+        assert detail == ""
+        assert np.isfinite(shift) and shift <= 1e-14 * np.linalg.norm(mu)

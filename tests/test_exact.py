@@ -160,9 +160,11 @@ class TestLinearAlgebra:
     def test_nullspace_field(self):
         # matrix with columns c1 = (1, al), c2 = (al, 2): kernel spanned by (al, -1)
         rows = [[s(1), s(0, 1)], [s(0, 1), s(2)]]
-        basis = nullspace(rows, one=F2.one)
+        basis = nullspace(rows)
         assert len(basis) == 1
         c = basis[0]
+        assert all(isinstance(x, ExactScalar) for x in c)  # the rows' scalar type
+        assert all(type(x) is Fraction for x in nullspace([[Fraction(1), Fraction(2)]])[0])
         for row in rows:
             assert row[0] * c[0] + row[1] * c[1] == s(0)
 
@@ -171,3 +173,79 @@ class TestLinearAlgebra:
         x = solve_linear(rows, [Fraction(3), Fraction(4)])
         assert x == [Fraction(1), Fraction(2)]
         assert solve_linear([[Fraction(1)], [Fraction(1)]], [Fraction(1), Fraction(2)]) is None
+
+
+def reference_rref(rows):
+    """Gauss-Jordan with Fraction / ExactScalar arithmetic: the oracle that
+    the integer elimination of `rref` must reproduce entry for entry."""
+    out = [list(row) for row in rows]
+    if not out:
+        return out, []
+    pivots = []
+    r = 0
+    for c in range(len(out[0])):
+        piv = next((i for i in range(r, len(out)) if out[i][c]), None)
+        if piv is None:
+            continue
+        out[r], out[piv] = out[piv], out[r]
+        inv = out[r][c]
+        out[r] = [x / inv for x in out[r]]
+        for i in range(len(out)):
+            if i != r and out[i][c]:
+                f = out[i][c]
+                out[i] = [x - f * y for x, y in zip(out[i], out[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(out):
+            break
+    return out, pivots
+
+
+ORACLE_FIELDS = (None, F2, QuadraticField("8/3"), QuadraticField("1/2"))
+small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+sparse = st.one_of(st.just(Fraction(0)), small)
+
+
+@st.composite
+def matrices(draw):
+    """Rows over Q (Fractions) or over Q(sqrt r) (ExactScalars), with zero
+    rows, zero columns and rows dependent over the field but not over Q."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = sparse if field is None else st.builds(field.scalar, sparse, sparse)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    zero = Fraction(0) if field is None else field.zero
+    if n and draw(st.booleans()):
+        c = draw(st.integers(0, n - 1))
+        rows = [row[:c] + [zero] + row[c + 1 :] for row in rows]
+    if rows and field is not None and draw(st.booleans()):
+        # (a + sqrt(r)) * row: dependent over the field, but its split
+        # rational form is independent of the row's
+        f = field.scalar(draw(small), 1)
+        rows.insert(draw(st.integers(0, len(rows))), [f * x for x in rows[0]])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [zero] * n)
+    return rows
+
+
+class TestRrefOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(matrices())
+    def test_matches_fraction_elimination(self, rows):
+        red, pivots = rref(rows)
+        want, want_pivots = reference_rref(rows)
+        assert pivots == want_pivots
+        assert red == want
+        assert [[type(x) for x in row] for row in red] == [[type(x) for x in row] for row in want]
+        for row in red:
+            for x in row:
+                if isinstance(x, ExactScalar):
+                    assert x.field == rows[0][0].field
+                    assert type(x.a) is Fraction and type(x.b) is Fraction
+
+    def test_field_dependence_is_not_rational_dependence(self):
+        F = QuadraticField("8/3")
+        rows = [[F.scalar(1), F.scalar(0, 1)], [F.scalar(0, 1), F.scalar("8/3")]]
+        red, pivots = rref(rows)
+        assert pivots == [0] and red == reference_rref(rows)[0]
+        assert rank([[x.a for x in row] + [x.b for x in row] for row in rows]) == 2

@@ -104,6 +104,18 @@ class TestHermite:
         assert not L.contains((1, 0))   # odd first coordinate with even second
         assert L.contains((0, 2))       # 2*(1,1) - (2,0)
 
+    def test_coordinates_of_fraction_vectors(self):
+        L = LatticeSubgroup(2, [(2, 0), (1, 1)])
+        coords = L.coordinates_of((Fraction(3), Fraction(1)))
+        assert coords == L.coordinates_of((3, 1)) and all(type(c) is int for c in coords)
+        assert [sum(c * col[i] for c, col in zip(coords, L.columns)) for i in range(2)] == [3, 1]
+        assert L.coordinates_of((Fraction(-4), Fraction(-2))) is not None
+        assert L.coordinates_of((Fraction(3, 2), Fraction(1, 2))) is None  # not integral
+        assert L.coordinates_of((Fraction(1), Fraction(0))) is None  # integral, outside the lattice
+        assert LatticeSubgroup(3, [(1, 0, 0)]).coordinates_of((Fraction(2), 0, Fraction(1))) is None
+        with pytest.raises(TypeError):
+            L.coordinates_of((0.5, 0))
+
 
 class TestSmith:
     def test_textbook_2_3(self):
