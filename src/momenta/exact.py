@@ -86,9 +86,6 @@ class QuadraticField:
             return self.scalar(Fraction(text))
         raise ValueError(f"malformed exact scalar: {text!r} (expected 'a/b' or 'a/b+c/d*al')")
 
-    def parse_vector(self, entries) -> tuple[ExactScalar, ...]:
-        return tuple(self.parse(e) if isinstance(e, str) else self.coerce(e) for e in entries)
-
     def coerce(self, x) -> ExactScalar:
         if isinstance(x, ExactScalar):
             if x.field != self:

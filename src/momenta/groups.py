@@ -1,12 +1,23 @@
 """Concrete Lie group models and piecewise-exponential paths.
 
-Four groups are supported: the torus T^d, its universal cover R^d, the
-Heisenberg group H = R x R^2 with multiplication
-(a,u)(b,v) = (a + b + w(u,v)/2, u + v) for the standard symplectic form w on
-R^2, and the compact quotient S^1 x R^2 (same rule, first coordinate mod 1).
-Group elements are flat coordinate arrays in a fixed chart; circle-valued
-coordinates are normalized to [0, 1).  Elements may be stacked in rows: every
-GroupModel operation serves one element or many through one body.
+Every supported group is 2-step nilpotent in exponential coordinates, and a
+model keeps two data: its bracket pairs (a, b, k), meaning [e_a, e_b] = e_k
+(the nonzero structure constants up to antisymmetry), and which coordinates
+are circles.  The torus T^d has no pairs and only circles; its universal
+cover R^d has neither.  The Heisenberg group H = R x R^2 has the one pair
+(1, 2, 0), and its compact quotient S^1 x R^2 the same pair with the central
+coordinate a circle.  A universal cover keeps the pairs and drops the circles.
+
+Every bracket lands in the centre, so the BCH series stops after one term and
+each operation is one closed form, written once as a loop over the pairs
+(none on a torus).  With ad_g the matrix of xi -> [g, xi]:
+
+    g h = g + h + [g, h] / 2,          Ad_g = I + ad_g,
+    chart_to_body(g) = I - ad_g / 2,   Ad*_{g^{-1}} = (I - ad_g)^T.
+
+Group elements are flat coordinate arrays in this chart; circle coordinates
+are normalized to [0, 1).  Elements may be stacked in rows: every GroupModel
+operation serves one element or many through one body.
 
 Paths carry a constant left-trivialized velocity on each segment, so the left
 logarithm of the velocity is exact and every path integrand downstream is
@@ -28,66 +39,77 @@ __all__ = [
     "concat_paths",
 ]
 
-_ABELIAN = ("torus", "universal_torus")
-_HEISENBERG = ("heisenberg", "central_extension")
-_SIMPLY_CONNECTED = ("universal_torus", "heisenberg")
+# kind -> (fixed dimension or None, bracket pairs, how many leading
+# coordinates are circles, None for all of them)
+_FAMILIES = {
+    "torus": (None, (), None),
+    "universal_torus": (None, (), 0),
+    "heisenberg": (3, ((1, 2, 0),), 0),
+    "central_extension": (3, ((1, 2, 0),), 1),
+}
 
 
 class GroupModel:
     """One of the supported groups, with chart arithmetic and algebra data.
 
-    Every operation takes one element of shape (n,) or stacked ones of shape
-    (rows, n) (more leading axes broadcast alike), and a single element
-    broadcasts against rows: the result has one row, matrix or distance per
-    row, each computed with the arithmetic of a single element."""
+    The model is its bracket pairs and its circle coordinates; ``kind`` only
+    labels it.  Every operation takes one element of shape (n,) or stacked
+    ones of shape (rows, n) (more leading axes broadcast alike), and a single
+    element broadcasts against rows: the result has one row, matrix or
+    distance per row, each computed with the arithmetic of a single
+    element."""
 
-    __slots__ = ("kind", "dim", "_circle")
+    __slots__ = ("kind", "dim", "pairs", "circles", "structure", "_circle")
 
     def __init__(self, kind: str, dim: int | None = None):
-        if kind not in _ABELIAN + _HEISENBERG:
+        if kind not in _FAMILIES:
             raise InputError(f"unknown group kind {kind!r}")
-        if kind in _HEISENBERG:
-            if dim not in (None, 3):
-                raise InputError(f"{kind} has dimension 3, got {dim}")
-            dim = 3
-        else:
-            if dim is None or dim < 1:
-                raise InputError(f"{kind} needs a positive dimension, got {dim}")
-        self.kind = kind
-        self.dim = int(dim)
-        mask = np.zeros(self.dim, dtype=bool)
-        if kind == "torus":
-            mask[:] = True
-        elif kind == "central_extension":
-            mask[0] = True
-        self._circle = mask if mask.any() else None  # None: nothing to wrap
+        fixed, pairs, circles = _FAMILIES[kind]
+        if fixed is not None:
+            if dim not in (None, fixed):
+                raise InputError(f"{kind} has dimension {fixed}, got {dim}")
+            dim = fixed
+        elif dim is None or dim < 1:
+            raise InputError(f"{kind} needs a positive dimension, got {dim}")
+        dim = int(dim)
+        self.kind = kind  # a label for repr and messages; no operation branches on it
+        self.dim = dim
+        self.pairs = pairs
+        self.circles = tuple(range(dim if circles is None else circles))
+        # the dense structure tensor c[a, b, k] of [e_a, e_b] = sum_k c[a, b, k] e_k
+        self.structure = np.zeros((dim, dim, dim))
+        for a, b, k in pairs:
+            self.structure[a, b, k], self.structure[b, a, k] = 1.0, -1.0
+        self.structure.flags.writeable = False
+        mask = np.zeros(dim, dtype=bool)
+        mask[list(self.circles)] = True
+        self._circle = mask if self.circles else None  # None: nothing to wrap
 
     def __repr__(self):
         return f"GroupModel({self.kind!r}, {self.dim})"
 
+    def _data(self):
+        return self.dim, self.pairs, self.circles
+
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupModel)
-            and self.kind == other.kind
-            and self.dim == other.dim
-        )
+        return isinstance(other, GroupModel) and self._data() == other._data()
 
     def __hash__(self):
-        return hash((self.kind, self.dim))
+        return hash(self._data())
 
     # -- chart structure ---------------------------------------------------
 
     @property
     def is_simply_connected(self) -> bool:
-        return self.kind in _SIMPLY_CONNECTED
+        return not self.circles
 
     def cover(self) -> "GroupModel":
-        """The universal cover, sharing this model's chart coordinates."""
-        if self.kind == "torus":
-            return GroupModel("universal_torus", self.dim)
-        if self.kind == "central_extension":
-            return GroupModel("heisenberg")
-        return self
+        """The universal cover: the same brackets on the same chart, no
+        circles."""
+        if not self.circles:
+            return self
+        family = next(k for k, (_, pairs, circles) in _FAMILIES.items() if pairs == self.pairs and circles == 0)
+        return GroupModel(family, self.dim)
 
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -105,9 +127,15 @@ class GroupModel:
             g[..., mask] = np.mod(g[..., mask], 1.0)
         return g
 
-    def _unit_matrices(self, g) -> np.ndarray:
-        """An identity matrix per element of g, to be filled in."""
-        return np.tile(np.eye(self.dim), g.shape[:-1] + (1, 1))
+    def _unit_plus_ad(self, g, scale: float) -> np.ndarray:
+        """I + scale ad_g for each element of g: pair (a, b, k) puts g_a at
+        (k, b) and -g_b at (k, a)."""
+        g = self._check(g)
+        m = np.tile(np.eye(self.dim), g.shape[:-1] + (1, 1))
+        for a, b, k in self.pairs:
+            m[..., k, b] += scale * g[..., a]
+            m[..., k, a] -= scale * g[..., b]
+        return m
 
     def normalize(self, g) -> np.ndarray:
         """Canonical chart representative; idempotent."""
@@ -115,31 +143,25 @@ class GroupModel:
 
     def chart_to_body(self, g) -> np.ndarray:
         """Matrix taking chart-coordinate displacements at g to body-frame
-        velocities; the identity on abelian charts."""
-        g = self._check(g)
-        T = self._unit_matrices(g)
-        if self.kind in _HEISENBERG:
-            T[..., 0, 1] = 0.5 * g[..., 2]
-            T[..., 0, 2] = -0.5 * g[..., 1]
-        return T
+        velocities, I - ad_g / 2; the identity on abelian charts."""
+        return self._unit_plus_ad(g, -0.5)
 
     # -- group operations --------------------------------------------------
 
     def multiply(self, g, h) -> np.ndarray:
         g, h = self._check(g), self._check(h)
         out = g + h
-        if self.kind in _HEISENBERG:
-            out[..., 0] += 0.5 * (g[..., 1] * h[..., 2] - g[..., 2] * h[..., 1])
+        for a, b, k in self.pairs:
+            out[..., k] += 0.5 * (g[..., a] * h[..., b] - g[..., b] * h[..., a])
         return self._wrap(out)
 
     def inverse(self, g) -> np.ndarray:
-        # (a,u)^{-1} = (-a,-u) also for Heisenberg, since w(u,-u) = 0
+        # g^{-1} = -g, since [g, -g] = 0
         return self._wrap(-self._check(g))
 
     def exp(self, xi, t: float = 1.0) -> np.ndarray:
         """exp(t xi); the chart is exponential, so this is scaling plus
-        normalization (for Heisenberg the BCH series stops at the first term
-        along a single direction)."""
+        normalization."""
         return self._wrap(t * self._check(xi))
 
     def log(self, g) -> np.ndarray:
@@ -165,47 +187,40 @@ class GroupModel:
     def bracket(self, xi, eta) -> np.ndarray:
         xi, eta = self._check(xi), self._check(eta)
         out = np.zeros(np.broadcast_shapes(xi.shape, eta.shape))
-        if self.kind in _HEISENBERG:
-            out[..., 0] = xi[..., 1] * eta[..., 2] - xi[..., 2] * eta[..., 1]
+        for a, b, k in self.pairs:
+            out[..., k] += xi[..., a] * eta[..., b] - xi[..., b] * eta[..., a]
         return out
 
     def structure_constants(self):
         """c[a][b][k] with [e_a, e_b] = sum_k c[a][b][k] e_k, exact rationals."""
         n = self.dim
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        if self.kind in _HEISENBERG:
-            c[1][2][0] = Fraction(1)
-            c[2][1][0] = Fraction(-1)
+        for a, b, k in self.pairs:
+            c[a][b][k], c[b][a][k] = Fraction(1), Fraction(-1)
         return c
 
     def adjoint(self, g) -> np.ndarray:
-        g = self._check(g)
-        ad = self._unit_matrices(g)
-        if self.kind in _HEISENBERG:
-            # Ad_{(a,u)}(b, z) = (b + w(u,z), z)
-            ad[..., 0, 1] = -g[..., 2]
-            ad[..., 0, 2] = g[..., 1]
-        return ad
+        """Ad_g = I + ad_g."""
+        return self._unit_plus_ad(g, 1.0)
 
     def coadjoint_inv(self, g) -> np.ndarray:
-        """Matrix of mu -> Ad*_{g^{-1}} mu,
-        defined by <Ad*_{g^{-1}} mu, xi> = <mu, Ad_{g^{-1}} xi>."""
-        return np.swapaxes(self.adjoint(self.inverse(g)), -1, -2)
+        """Matrix of mu -> Ad*_{g^{-1}} mu, defined by
+        <Ad*_{g^{-1}} mu, xi> = <mu, Ad_{g^{-1}} xi>; it is (I - ad_g)^T."""
+        return np.swapaxes(self._unit_plus_ad(g, -1.0), -1, -2)
 
     def coadjoint_inv_apply(self, gs, mus) -> np.ndarray:
-        """Row-wise Ad*_{g^{-1}} mu for stacked elements and covectors (a
-        single covector is applied to every element), without building the
-        matrices."""
+        """Row-wise Ad*_{g^{-1}} mu = mu - ad_g^T mu for stacked elements and
+        covectors (a single covector is applied to every element), without
+        building the matrices."""
         gs, mus = np.atleast_2d(np.asarray(gs, dtype=float)), np.asarray(mus, dtype=float)
         if mus.shape != gs.shape:
             shape = np.broadcast_shapes(gs.shape, mus.shape)
             gs, mus = np.broadcast_to(gs, shape), np.broadcast_to(mus, shape)
         out = mus.copy()
-        if self.kind in _ABELIAN:
-            return out
-        psi = out[:, 0]
-        out[:, 1] += psi * gs[:, 2]
-        out[:, 2] -= psi * gs[:, 1]
+        for a, b, k in self.pairs:
+            psi = mus[:, k]
+            out[:, a] += psi * gs[:, b]
+            out[:, b] -= psi * gs[:, a]
         return out
 
 
@@ -313,8 +328,8 @@ class GroupPath:
         times[:, 1:] = cum
         times[np.arange(nb), counts] = 1.0
         # node_{k+1} = node_k * exp(duration_k direction_k): in the exponential
-        # chart the product is a running sum, plus for Heisenberg the central
-        # term w(u_k, step_k)/2 with u_k the plane part of node_k.  A cumsum
+        # chart the product is a running sum, plus the central terms
+        # [node_k, step_k]/2, which read only non-central coordinates.  A cumsum
         # costs per row it runs along, so a batch of one-segment paths (lifts,
         # tails) adds its single step instead: the same sum
         nodes = np.concatenate([self.bases[:, None], steps], axis=1)
@@ -322,10 +337,9 @@ class GroupPath:
             nodes[:, 1] += nodes[:, 0]
         else:
             nodes = nodes.cumsum(axis=1)
-        if model.kind in _HEISENBERG:
-            u = nodes[:, :-1, 1:]
-            central = 0.5 * (u[..., 0] * steps[..., 2] - u[..., 1] * steps[..., 1])
-            nodes[:, 1:, 0] += central if width == 1 else central.cumsum(axis=1)
+        for a, b, k in model.pairs:
+            central = 0.5 * (nodes[:, :-1, a] * steps[..., b] - nodes[:, :-1, b] * steps[..., a])
+            nodes[:, 1:, k] += central if width == 1 else central.cumsum(axis=1)
         if valid is None:
             self.times, nodes = times.ravel(), nodes.reshape(-1, n)
         else:
@@ -443,11 +457,6 @@ class GroupPath:
         s = (ts - self.times[first])[:, None]
         return self.model.multiply(self.nodes[first], s * self.directions[ks])
 
-    def _segment_of(self, t: float) -> int:
-        if t < -1e-12 or t > 1.0 + 1e-12:
-            raise InputError(f"path parameter {t} outside [0, 1]")
-        return int(self.segment_index(np.array([t]))[0])
-
     def evaluate(self, t: float) -> np.ndarray:
         return self.evaluate_many(np.array([t], dtype=float))[0]
 
@@ -459,14 +468,8 @@ class GroupPath:
             raise InputError("path parameters outside [0, 1]")
         return self.at_segments(self.segment_index(ts, paths), ts)
 
-    def left_velocity(self, t: float) -> np.ndarray:
-        return self.directions[self._segment_of(t)].copy()
-
     def endpoint(self) -> np.ndarray:
         return self._shaped(self.ends())
-
-    def is_loop(self, tol: float = 1e-10) -> bool:
-        return self.model.equal(self.endpoint(), self.base, tol)
 
     # -- derived paths -----------------------------------------------------
 

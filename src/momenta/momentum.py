@@ -147,16 +147,10 @@ def _phase_kinematics(x: PhasePath, ks, ts):
 def _momentum_rows(model: MagneticCotangent, gs, mus, xid, nud) -> np.ndarray:
     """Momentum-map integrand with the canonical sign frozen at +1, row-wise
     over stacked kinematics: Ad*_{g^{-1}} (nu-dot + (C(mu) - Sigma) xi-dot)."""
-    covs = np.einsum("abk,tk,tb->ta", model._structure, mus, xid)
+    covs = np.einsum("abk,tk,tb->ta", model.group.structure, mus, xid)
     covs += nud
     covs -= xid @ model.sigma_matrix.T
     return model.cover.coadjoint_inv_apply(gs, covs)
-
-
-def _derived_integrand(model: MagneticCotangent, x: PhasePath):
-    """The momentum-map integrand along a single path x, as a function of
-    the parameter."""
-    return lambda ts: _momentum_rows(model, *_phase_kinematics(x, x.base.segment_index(ts), ts))
 
 
 def _check_phase_path(model: MagneticCotangent, x: PhasePath, at_base: bool):
@@ -249,7 +243,7 @@ def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     """
     _check_phase_path(model, x, at_base=True)
     s = _sym._CANON_SIGN
-    struct, sig = model._structure, model.sigma_matrix
+    struct, sig = model.group.structure, model.sigma_matrix
     base = x.base
     steps = np.maximum(1, np.ceil(base.durations * 1024).astype(np.intp))
     h = base.durations / steps
@@ -286,7 +280,7 @@ def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     coarse, fine = base.sum_segments(coarse), base.sum_segments(fine)
     size = np.maximum.reduceat(size, base.offsets[:-1])
     gaps = np.atleast_1d(np.abs(fine - coarse).max(axis=-1))
-    failed = np.flatnonzero(gaps > np.maximum(1e-7, 1e-10 * size))
+    failed = np.flatnonzero(~(gaps <= np.maximum(1e-7, 1e-10 * size)))  # NaN fails
     if len(failed):
         gap = gaps[failed[0]]
         raise NumericalError(f"transport Richardson check failed: step halving moved result by {gap:.3e}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .cylinder import deck_group_of_reduced_cover, gamma_mu, orbit_descriptor
-from .errors import CapabilityError, ConfigError, InputError
+from .errors import ConfigError, InputError
 from .lattices import LatticeSubgroup
 from .verification import CheckReport, check_rng, run_checks
 
@@ -50,9 +50,6 @@ class AnalysisReport:
     def checks(self) -> list[CheckReport]:
         return [CheckReport.from_dict(d) for d in self.data["numeric"]["checks"]]
 
-    def all_checks_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def without_header(self) -> dict:
         return {k: v for k, v in self.data.items() if k != "header"}
 
@@ -72,23 +69,14 @@ def _orbit_dict(desc) -> dict:
 
 
 def _per_mu_entry(sc, index: int, mu, seed: int) -> dict:
-    entry: dict = {"mu": [float(x) for x in mu]}
-    try:
-        desc = orbit_descriptor(sc, mu, rng=check_rng(seed, f"orbit[{index}]"))
-        entry["orbit"] = _orbit_dict(desc)
-    except CapabilityError as exc:
-        entry["orbitNote"] = str(exc)
+    desc = orbit_descriptor(sc, mu, rng=check_rng(seed, f"orbit[{index}]"))
+    entry: dict = {"mu": [float(x) for x in mu], "orbit": _orbit_dict(desc)}
 
     if not sc.decomp.closed:
         entry["reductionSuppressed"] = "holonomy closure has a positive-dimensional part"
         return entry
 
-    try:
-        g_mu = gamma_mu(sc, mu)
-    except CapabilityError as exc:
-        # capability gap is a note in the report, not a crash
-        entry["gammaMuNote"] = str(exc)
-        return entry
+    g_mu = gamma_mu(sc, mu)
     entry["gammaMu"] = {"rank": g_mu.rank, "basis": [list(c) for c in g_mu.columns]}
 
     gamma_n = sc.gamma_n if sc.gamma_n is not None else LatticeSubgroup.zero(sc.gamma_dim)

@@ -236,20 +236,18 @@ class Scenario:
         self.config = config
         self.field = config.field
         self.theta = config.theta
-        if config.group == "torus":
-            self.kind = "torus"
-            self.group = GroupModel("torus", config.dim)
-            self.gamma_dim = config.dim
-        else:
-            self.kind = "central_extension"
-            self.group = GroupModel("central_extension")
-            self.gamma_dim = 1
+        self.kind = "torus" if config.group == "torus" else "central_extension"
+        self.group = GroupModel(self.kind, config.dim)
         self.model = MagneticCotangent(self.group, self.theta)
         self.cover = self.model.cover
         self.n = self.model.n
 
+        # one fundamental-group generator per circle coordinate; the loop
+        # around circle a shifts momentum by theta column a
+        self.gamma_dim = len(self.group.circles)
         self.gamma = LatticeSubgroup.standard(self.gamma_dim)
-        self.holonomy_generators = tuple(self.holonomy_of(k) for k in np.eye(self.gamma_dim, dtype=int))
+        columns = self.theta.columns()
+        self.holonomy_generators = tuple(columns[a] for a in self.group.circles)
         self.subgroup = GeneratedSubgroup(self.field, self.n, self.holonomy_generators)
         self.decomp = is_closed(self.subgroup)
         self.cylinder = Cylinder(self.decomp)
@@ -303,18 +301,12 @@ class Scenario:
 
     def holonomy_of(self, k):
         """Exact momentum shift of the fundamental-group element k."""
-        ks = [int(x) for x in np.atleast_1d(k)]
-        if self.kind == "torus":
-            cols = self.theta.columns()
-            out = [self.field.zero] * self.n
-            for a, c in enumerate(ks):
-                if c:
-                    f = self.field.coerce(c)
-                    out = [x + f * y for x, y in zip(out, cols[a])]
-            return tuple(out)
-        s1, s2 = self.theta.sigma
-        f = self.field.coerce(-ks[0])
-        return (self.field.zero, f * s1, f * s2)
+        out = [self.field.zero] * self.n
+        for c, generator in zip(np.atleast_1d(k), self.holonomy_generators):
+            if c:
+                f = self.field.coerce(int(c))
+                out = [x + f * y for x, y in zip(out, generator)]
+        return tuple(out)
 
     def loop_path(self, k) -> GroupPath:
         """Cover path from the identity to the deck translate k: projects to a
@@ -322,10 +314,8 @@ class Scenario:
         ks = np.asarray(k, dtype=float)
         if ks.ndim == 0:
             ks = ks[None]
-        if self.kind == "torus":
-            return GroupPath.straight(self.cover, ks)
         xi = np.zeros(ks.shape[:-1] + (self.n,))
-        xi[..., 0] = ks[..., 0]
+        xi[..., self.group.circles] = ks
         return GroupPath.straight(self.cover, xi)
 
     # -- sampling helpers --------------------------------------------------

@@ -135,10 +135,6 @@ class MagneticCotangent:
         self.n = group.dim
         # Sigma(xi, eta) = <theta xi, eta> = xi^T theta^T eta
         self.sigma_matrix = theta.float_matrix().T
-        c = group.structure_constants()
-        self._structure = np.array(
-            [[[float(c[a][b][k]) for k in range(self.n)] for b in range(self.n)] for a in range(self.n)]
-        )
         self._chu_base = self.chu_map(self.base_point())
         self._chu_base.flags.writeable = False  # shared by every sigma_J
 
@@ -168,7 +164,7 @@ class MagneticCotangent:
 
     def bracket_form(self, mu) -> np.ndarray:
         """C(mu) with C_ab = <mu, [e_a, e_b]>."""
-        return _dot(self._structure, np.asarray(mu, dtype=float)[..., None, None, :])
+        return _dot(self.group.structure, np.asarray(mu, dtype=float)[..., None, None, :])
 
     def omega_matrix(self, z: PhasePoint) -> np.ndarray:
         """2n x 2n matrix of the form in the stacked (xi, nu) basis."""

@@ -13,7 +13,8 @@ evaluated.  It then evaluates them as one batch, with one call per kernel
 (a batch of paths is one GroupPath or PhasePath), and reports the largest
 error over the batch.  A NumericalError on any sample fails the whole check
 with maxError infinity, as it did when the first failing sample stopped a
-loop.
+loop.  Errors over settings are combined with ``np.maximum``, which keeps a
+NaN, and a NaN max error also fails the check with maxError infinity.
 
 No check loops over its samples.  The group and form checks (``group_*``,
 ``adjoint_homomorphism``, ``omega_*``) and ``cylinder_homomorphism`` call
@@ -148,7 +149,7 @@ def _chk_group_associativity(sc, rng, samples):
         a, b, c = _uniform(rng, samples, sc.n, *[(-3.0, 3.0)] * 3)
         lhs = model.multiply(model.multiply(a, b), c)
         rhs = model.multiply(a, model.multiply(b, c))
-        worst = max(worst, float(model.distance(lhs, rhs).max()))
+        worst = float(np.maximum(worst, model.distance(lhs, rhs).max()))
     return worst, 2 * samples, "compact chart and universal cover"
 
 
@@ -162,7 +163,7 @@ def _chk_adjoint_homomorphism(sc, rng, samples):
     for model in (sc.group, sc.cover):
         g, h = (model.normalize(x) for x in _uniform(rng, samples, sc.n, *[(-2.0, 2.0)] * 2))
         gap = model.adjoint(model.multiply(g, h)) - model.adjoint(g) @ model.adjoint(h)
-        worst = max(worst, float(np.abs(gap).max()))
+        worst = float(np.maximum(worst, np.abs(gap).max()))
     return worst, 2 * samples, ""
 
 
@@ -323,7 +324,7 @@ def _chk_casimir_invariance(sc, rng, samples):
         f0 = cyl.heisenberg_casimir(sigma, mu[0], mu[1:])
         (paths,) = _draw(rng, samples, sc.draw_cover_path)
         moved = cyl.affine_action(sc.model, sc.cover_paths(paths), mu)
-        worst = max(worst, float(np.abs(cyl.heisenberg_casimir(sigma, moved[:, 0], moved[:, 1:]) - f0).max()))
+        worst = float(np.maximum(worst, np.abs(cyl.heisenberg_casimir(sigma, moved[:, 0], moved[:, 1:]) - f0).max()))
     return worst, samples * len(sc.mu_list), ""
 
 
@@ -340,7 +341,7 @@ def _chk_reduction_fiber(sc, rng, samples):
         shift, detail = cyl.reduction_fiber_check(sc, mu, samples=used, rng=rng)
         if detail:
             return shift, used * len(sc.mu_list), detail
-        worst = max(worst, shift)
+        worst = float(np.maximum(worst, shift))
     return worst, used * len(sc.mu_list), ""
 
 
@@ -362,7 +363,7 @@ def _chk_orbit_descriptor(sc, rng, samples):
         desc = cyl.orbit_descriptor(sc, mu, rng=rng, samples=samples)
         (paths,) = _draw(rng, samples, sc.draw_cover_path)
         moved = cyl.affine_action(sc.model, sc.cover_paths(paths), mu)
-        worst = max(worst, float(desc.residuals(moved).max()))
+        worst = float(np.maximum(worst, desc.residuals(moved).max()))
     return worst, 2 * samples * len(sc.mu_list), ""
 
 
@@ -420,6 +421,8 @@ def run_check(sc, spec: CheckSpec, seed: int, tol_scale: float, samples: int) ->
         err, used, notes = float("inf"), 0, f"numerical failure: {exc}"
     elapsed = time.perf_counter() - start
     err = float(err)
+    if np.isnan(err):  # a check that dies numerically reports infinity
+        err, notes = float("inf"), "numerical failure: max error is NaN" + (f" ({notes})" if notes else "")
     return CheckReport(spec.name, err, tol, err <= tol, used, notes, elapsed)
 
 

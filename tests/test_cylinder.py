@@ -18,7 +18,7 @@ from momenta.cylinder import (
     reduction_fiber_check,
     sigma_K,
 )
-from momenta.errors import CapabilityError, InputError, MomentaError
+from momenta.errors import InputError, NumericalError
 from momenta.groups import GroupPath, concat_paths, path_product
 from momenta.lattices import LatticeSubgroup
 from momenta.momentum import (
@@ -51,10 +51,6 @@ SC_DENSE = scenario(
     '{"group":"torus","dim":3,"field":2,'
     '"theta":[["0","1","1*al"],["-1","0","1"],["-1*al","-1","0"]]}'
 )
-
-
-class FakeScenario:
-    kind = "quaternionic"
 
 
 def deck_loop_phase(sc, k):
@@ -240,10 +236,6 @@ class TestGammaMuDeck:
     def test_gamma_mu_central_extension(self):
         assert gamma_mu(SC_HEIS, SC_HEIS.mu_list[0]) == LatticeSubgroup.standard(1)
 
-    def test_gamma_mu_capability_error(self):
-        with pytest.raises(CapabilityError):
-            gamma_mu(FakeScenario(), np.zeros(2))
-
     def test_deck_group_trivial_for_cotangent_scenarios(self):
         for sc in (SC_TORUS, SC_FLAT, SC_HEIS):
             for gamma_n in (LatticeSubgroup.zero(sc.gamma_dim), sc.gamma0):
@@ -331,10 +323,6 @@ class TestOrbits:
         assert np.array_equal(first.basis, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert second.basis is first.basis and not first.basis.flags.writeable
 
-    def test_orbit_capability_error(self):
-        with pytest.raises(CapabilityError):
-            orbit_descriptor(FakeScenario(), np.zeros(2))
-
     @pytest.mark.parametrize("sc", [SC_TORUS, SC_TORUS3, SC_HEIS], ids=["torus2", "torus3", "heis"])
     def test_batched_rows_match_straight_affine_action(self, sc):
         # the orbit validation moves mu along a batch of straight lifts; each
@@ -367,7 +355,7 @@ class TestOrbits:
             return out
 
         monkeypatch.setattr(cylinder, "affine_action", nudged)
-        with pytest.raises(MomentaError, match="escaped its analytic description"):
+        with pytest.raises(NumericalError, match="escaped its analytic description"):
             orbit_descriptor(sc, mu, rng=np.random.default_rng(5))
 
 

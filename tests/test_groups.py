@@ -24,6 +24,11 @@ def random_elements(model, count):
     return RNG.uniform(-2.0, 2.0, size=(count, model.dim))
 
 
+def left_velocity(p, t):
+    """Left-trivialized velocity of a single path at parameter t."""
+    return p.directions[p.segment_index(np.array([t]))[0]]
+
+
 class TestGroupOps:
     def test_heisenberg_multiplication_example(self):
         H = GroupModel("heisenberg")
@@ -177,6 +182,49 @@ class TestAdjoint:
             assert np.allclose(row, H.coadjoint_inv(g) @ mu, atol=1e-13)
 
 
+class TestTwoStepClosedForms:
+    """Every operation against the 2-step nilpotent formulas, computed from
+    the exact structure constants alone."""
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
+    def test_operations_match_formulas(self, model):
+        n = model.dim
+        c = np.array(model.structure_constants(), dtype=float)
+        gs, hs = random_elements(model, 200), random_elements(model, 200)
+        bracket = np.einsum("abk,ra,rb->rk", c, gs, hs)
+        ad = np.einsum("abk,ra->rkb", c, gs)  # ad_g[k, b] = <[g, e_b], e^k>
+        eye = np.eye(n)
+        assert np.array_equal(model.bracket(gs, hs), bracket)
+        # the circle coordinates agree modulo 1
+        assert model.distance(model.multiply(gs, hs), gs + hs + 0.5 * bracket).max() <= 1e-12
+        assert np.array_equal(model.adjoint(gs), eye + ad)
+        assert np.array_equal(model.chart_to_body(gs), eye - 0.5 * ad)
+        assert np.array_equal(model.coadjoint_inv(gs), np.swapaxes(eye - ad, 1, 2))
+        mus = random_elements(model, 200)
+        assert np.array_equal(model.coadjoint_inv_apply(gs, mus), np.einsum("rkb,rk->rb", eye - ad, mus))
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
+    def test_structure_tensor_and_centre(self, model):
+        n = model.dim
+        c = model.structure_constants()
+        assert not model.structure.flags.writeable
+        assert np.array_equal(model.structure, np.array(c, dtype=float))
+        # every bracket is central, which is what stops BCH after one term
+        for a, b, k in itertools.product(range(n), repeat=3):
+            if c[a][b][k]:
+                assert not any(c[k][m][l] for m, l in itertools.product(range(n), repeat=2))
+        xs, ys, zs = (random_elements(model, 50) for _ in range(3))
+        assert not model.bracket(model.bracket(xs, ys), zs).any()
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
+    def test_cover_keeps_brackets_and_drops_circles(self, model):
+        cover = model.cover()
+        assert cover.pairs == model.pairs and cover.circles == () and cover.is_simply_connected
+        assert model.is_simply_connected == (not model.circles) == (cover is model)
+        assert np.array_equal(cover.structure, model.structure)
+        assert hash(cover) == hash(GroupModel(cover.kind, cover.dim))
+
+
 class TestAlgebra:
     def test_structure_constants_exact_properties(self):
         for model in [GroupModel("heisenberg"), GroupModel("universal_torus", 3)]:
@@ -227,7 +275,7 @@ class TestGroupPath:
         with pytest.raises(InputError):
             p.evaluate(1.5)
         with pytest.raises(InputError):
-            p.left_velocity(-0.2)
+            p.evaluate_many(np.array([-0.2]))
 
     def test_evaluate_at_zero_is_base(self):
         H = GroupModel("heisenberg")
@@ -240,7 +288,7 @@ class TestGroupPath:
         xi = np.array([0.3, 1.0, -2.0])
         p = GroupPath.straight(H, xi)
         for t in [0.0, 0.25, 0.7, 1.0]:
-            assert np.array_equal(p.left_velocity(t), xi)
+            assert np.array_equal(left_velocity(p, t), xi)
 
     def test_heisenberg_segment_endpoint(self):
         H = GroupModel("heisenberg")
@@ -262,13 +310,13 @@ class TestGroupPath:
     def test_velocity_picks_segment_start_at_breakpoint(self):
         R1 = GroupModel("universal_torus", 1)
         p = GroupPath(R1, [([1.0], 0.5), ([-2.0], 0.5)])
-        assert p.left_velocity(0.5) == pytest.approx(-2.0)
+        assert left_velocity(p, 0.5) == pytest.approx(-2.0)
 
     def test_loop_detection_respects_chart(self):
         # one winding of the torus: a loop downstairs, not in the cover
-        T, R1 = GroupModel("torus", 1), GroupModel("universal_torus", 1)
-        assert GroupPath.straight(T, [1.0]).is_loop()
-        assert not GroupPath.straight(R1, [1.0]).is_loop()
+        for model, closes in ((GroupModel("torus", 1), True), (GroupModel("universal_torus", 1), False)):
+            p = GroupPath.straight(model, [1.0])
+            assert model.equal(p.endpoint(), p.base) == closes
 
     def test_from_samples_reproduces_path(self):
         H = GroupModel("heisenberg")
@@ -305,7 +353,7 @@ class TestGroupPath:
         g = np.array([0.5, -1.0, 2.0])
         q = GroupPath(H, segments, base=g)
         for t in [0.1, 0.6, 0.9]:
-            assert np.array_equal(q.left_velocity(t), p.left_velocity(t))
+            assert np.array_equal(left_velocity(q, t), left_velocity(p, t))
             assert H.equal(q.evaluate(t), H.multiply(g, p.evaluate(t)), 1e-12)
 
     def test_reversed_runs_backwards(self):

@@ -206,19 +206,19 @@ class TestKernelLattice:
 
     def test_theta_invertible(self):
         field = F2
-        theta = [field.parse_vector(r) for r in [["0", "1"], ["-1", "0"]]]
+        theta = [tuple(field.coerce(e) for e in r) for r in [["0", "1"], ["-1", "0"]]]
         assert kernel_lattice(theta, 2) == LatticeSubgroup.zero(2)
 
     def test_irrational_kernel_has_no_rational_points(self):
         # skew theta with 1-dimensional real kernel spanned by (0,-al,1); the
         # split rational system forces x2 = x3 = 0, then x1 = 0
         field = F2
-        theta = [field.parse_vector(r) for r in [["0", "1", "1*al"], ["-1", "0", "0"], ["-1*al", "0", "0"]]]
+        theta = [tuple(field.coerce(e) for e in r) for r in [["0", "1", "1*al"], ["-1", "0", "0"], ["-1*al", "0", "0"]]]
         assert kernel_lattice(theta, 3) == LatticeSubgroup.zero(3)
 
     def test_rank_two_rational(self):
         field = F2
-        theta = [field.parse_vector(r) for r in [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]]
+        theta = [tuple(field.coerce(e) for e in r) for r in [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]]
         L = kernel_lattice(theta, 3)
         assert L == LatticeSubgroup(3, [(0, 0, 1)])
 
@@ -226,7 +226,7 @@ class TestKernelLattice:
         # every integer vector of the [-5,5]^3 box in ker theta lies in the
         # Z-span of the output, and each output column is in the kernel
         field = F2
-        theta = [field.parse_vector(r) for r in [["0", "2", "0"], ["-2", "0", "0"], ["0", "0", "0"]]]
+        theta = [tuple(field.coerce(e) for e in r) for r in [["0", "2", "0"], ["-2", "0", "0"], ["0", "0", "0"]]]
         L = kernel_lattice(theta, 3)
         for col in L.columns:
             for row in theta:

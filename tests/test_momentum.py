@@ -229,7 +229,7 @@ def two_sweep_transport(model, x):
     """Reference transport: two independent Simpson sweeps, one with
     ceil(1024 w) and one with ceil(2048 w) steps per segment, each evaluating
     the integrand on its own grid; returns the fine sweep."""
-    struct, sig, s = model._structure, model.sigma_matrix, symplectic._CANON_SIGN
+    struct, sig, s = model.group.structure, model.sigma_matrix, symplectic._CANON_SIGN
 
     def sweep(scale):
         total = np.zeros(model.n)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momenta.groups import GroupPath
-from momenta.momentum import PhasePath, _derived_integrand, momentum_segments
+from momenta.momentum import PhasePath, _momentum_rows, _phase_kinematics, momentum_segments
 from momenta.numerics import adaptive_path_quadrature
 from momenta.scenario import build_scenario, parse_config
 
@@ -17,6 +17,12 @@ CONFIGS = {
 }
 
 _X8, _W8 = np.polynomial.legendre.leggauss(8)
+
+
+def derived_integrand(model, x):
+    """The momentum-map integrand along a single path x, as a function of
+    the parameter."""
+    return lambda ts: _momentum_rows(model, *_phase_kinematics(x, x.base.segment_index(ts), ts))
 
 
 def refined_segments(f_many, times):
@@ -46,7 +52,7 @@ def test_fixed_rule_matches_refined_rule(name):
         p = GroupPath(sc.cover, list(zip(dirs, durs)), base)
         x = PhasePath(p, RNG.uniform(-1.5, 1.5, (segments + 1, n)))
         got = momentum_segments(sc.model, x)
-        want = refined_segments(_derived_integrand(sc.model, x), p.times)
+        want = refined_segments(derived_integrand(sc.model, x), p.times)
         assert got.shape == want.shape == (segments, n)
         size = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-13 * size

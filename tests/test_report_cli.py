@@ -97,6 +97,16 @@ class TestCheckReport:
         assert rep.notes.startswith("numerical failure")
         assert rep.duration_seconds >= 0.0
 
+    def test_nan_error_becomes_failed_check(self, torus_sc):
+        # NaN fails every gate but would print as maxError NaN; a check that
+        # dies numerically reports infinity and says so
+        def runner(sc, rng, samples):
+            return float("nan"), samples, "synthetic"
+
+        rep = run_check(torus_sc, CheckSpec("synthetic", 1e-8, runner), seed=0, tol_scale=1.0, samples=5)
+        assert not rep.passed and math.isinf(rep.max_error) and rep.sample_count == 5
+        assert rep.notes == "numerical failure: max error is NaN (synthetic)"
+
     def test_duration_is_timed_but_not_reported(self, torus_sc):
         def runner(sc, rng, samples):
             time.sleep(0.01)
@@ -155,6 +165,25 @@ class TestRunChecks:
         for r in reports:
             assert r.passed, f"{r.check_name}: {r.max_error} > {r.tolerance} ({r.notes})"
 
+    def test_overflowing_kinetic_flow_is_a_numerical_failure(self):
+        # theta = 1e5 J: the RK4 state overflows to NaN, which used to slip
+        # through the step-halving test and report maxError NaN
+        text = TORUS_TEXT.replace('[["0","1"],["-1","0"]]', '[["0","100000"],["-100000","0"]]')
+        sc = build_scenario(parse_config(text.replace('"sampleCount": 25', '"sampleCount": 20')))
+        with np.errstate(all="ignore"):
+            (rep,) = run_checks(sc, names={"noether_drift"})
+        assert math.isinf(rep.max_error) and not rep.passed
+        assert rep.notes.startswith("numerical failure")
+
+    def test_nan_over_settings_is_not_swallowed(self):
+        # mu = 1e300 overflows the Casimir to inf - inf = NaN; combining the
+        # per-mu errors with Python's max dropped it and the check passed
+        text = HEIS_TEXT.replace("[[0.5, 0.1, -0.4]]", "[[1e300, 0, 0]]")
+        with np.errstate(all="ignore"):
+            (rep,) = run_checks(build_scenario(parse_config(text)), names={"casimir_invariance"}, samples=5)
+        assert math.isinf(rep.max_error) and not rep.passed
+        assert rep.notes.startswith("numerical failure")
+
     def test_config_tolerance_rescales_checks(self, tmp_path):
         text = TORUS_TEXT.replace(
             '"verify": {"sampleCount": 25, "seed": 7}',
@@ -197,7 +226,7 @@ class TestReport:
         assert entry["deckDescription"] == "trivial"
         assert entry["gammaMu"]["rank"] == 2
         assert entry["orbit"]["kind"] == "affineSubspace" and entry["orbit"]["dim"] == 2
-        assert rep.all_checks_passed()
+        assert rep.data["numeric"]["allPassed"]
 
     def test_heis_exact_section(self, heis_sc, heis_checks):
         rep = build_analysis(heis_sc, checks=heis_checks, timestamp="T0")
@@ -247,6 +276,19 @@ class TestCLI:
         assert lines[-1] == f"{n}/{n} checks passed"
         for line in lines[:-1]:
             assert re.search(r" time=\d+\.\d{3}s$", line), line
+
+    def test_orbit_escape_fails_the_check_in_verify(self, tmp_path, capsys):
+        # far from unit scale the Casimir residual misses its absolute bound:
+        # inside verify that is a failed check (exit 1), not an internal error
+        text = HEIS_TEXT.replace("[[0.5, 0.1, -0.4]]", "[[5e5, 1e5, -4e5]]").replace('"sampleCount": 25', '"sampleCount": 20')
+        cfg = write_config(tmp_path, text)
+        with np.errstate(all="ignore"):
+            assert cli.main(["verify", "--config", cfg]) == 1
+            out = capsys.readouterr().out
+            assert "FAIL orbit_descriptor" in out
+            (rep,) = run_checks(build_scenario(parse_config(text)), names={"orbit_descriptor"})
+        assert math.isinf(rep.max_error) and rep.notes.startswith("numerical failure")
+        assert "escaped its analytic description" in rep.notes
 
     def test_verify_sign_flip_fails(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("momenta.symplectic._CANON_SIGN", -1.0)

@@ -180,6 +180,11 @@ class TestBuildScenario:
             for a, b in zip(sc.theta.columns()[0], sc.theta.columns()[1])
         ]
         assert list(combo) == want
+        # one generator per circle coordinate: the central circle of S^1 x R^2
+        heis = build_scenario(parse('{"group":"heisenberg","sigma":["1/2","1*al"],"field":2}'))
+        assert heis.gamma_dim == 1 and heis.holonomy_generators == (heis.theta.columns()[0],)
+        s1, s2 = heis.theta.sigma
+        assert heis.holonomy_of([-2]) == (heis.field.zero, 2 * s1, 2 * s2)
 
     def test_loop_path_endpoints(self):
         sc = build_scenario(parse(TORUS_TEXT))
