@@ -18,7 +18,7 @@ import os
 import sys
 
 from .cylinder import affine_action, heisenberg_casimir, orbit_descriptor
-from .errors import CapabilityError, ConfigError, MomentaError
+from .errors import ConfigError, MomentaError
 from .groups import GroupPath
 from .report import build_analysis
 from .scenario import Scenario, build_scenario, parse_config
@@ -153,9 +153,6 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except CapabilityError as exc:
-        print(f"unsupported scenario: {exc}", file=sys.stderr)
         return 2
     except MomentaError as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -233,16 +233,19 @@ def orbit_descriptor(scenario, mu, rng=None, samples: int = 200) -> OrbitDescrip
         desc = OrbitDescriptor(
             "affineSubspace", mu.copy(), scenario.orbit_basis, validated_samples=samples
         )
+        bound = 1e-8
     else:
         sigma = np.array([float(s) for s in scenario.theta.sigma])
         value = heisenberg_casimir(sigma, mu[0], mu[1:])
         desc = OrbitDescriptor(
             "casimirLevelSet", sigma, casimir_value=value, validated_samples=samples
         )
+        # the Casimir is quadratic in mu, so its rounding gap grows like |mu|^2
+        bound = 1e-8 * max(1.0, float(mu @ mu))
 
     directions = rng.uniform(-2.0, 2.0, (samples, model.n))
     moved = affine_action(model, GroupPath.straight(model.cover, directions), mu)
-    if not np.all(desc.residuals(moved) <= 1e-8):
+    if not np.all(desc.residuals(moved) <= bound):
         raise NumericalError("sampled orbit point escaped its analytic description")
     return desc
 

@@ -1,8 +1,7 @@
 """Exception taxonomy shared across the package.
 
 Input/config problems are distinguished from numerical failures so the CLI can
-map them to distinct exit codes, and capability gaps (asking a question the
-scenario family cannot answer) are explicit rather than silently wrong.
+map them to distinct exit codes.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ __all__ = [
     "MomentaError",
     "InputError",
     "ConfigError",
-    "CapabilityError",
     "NumericalError",
 ]
 
@@ -30,10 +28,6 @@ class ConfigError(MomentaError, ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-class CapabilityError(MomentaError):
-    """The request is outside what the scenario family supports."""
 
 
 class NumericalError(MomentaError, RuntimeError):

@@ -4,13 +4,14 @@ Both components are `fractions.Fraction`, so all field operations are exact.
 The descriptor r must not be a rational square: irrationality of sqrt(r) is
 what makes equality and sign decidable from the components alone.
 
-Row reduction (`rref`, and through it `rank`, `nullspace`, `solve_linear`)
-does not use that arithmetic: it eliminates fraction-free on integer pairs
-(A, B) standing for A + B*sqrt(R), removing each row's gcd as it goes (see
-Bareiss 1968 and Cohen, A Course in Computational Algebraic Number Theory,
-2.2), and builds Fractions only for the rows it returns.  Those equal the
-rows of Gauss-Jordan over Q(sqrt(r)), because the reduced row echelon form of
-a matrix is unique.
+Row reduction does not use that arithmetic: `echelon` eliminates
+fraction-free on integer pairs (A, B) standing for A + B*sqrt(R), removing
+each row's gcd as it goes (see Bareiss 1968 and Cohen, A Course in
+Computational Algebraic Number Theory, 2.2), and returns integer rows.
+`rank` reads only its pivots; `rref` (and through it `nullspace` and
+`solve_linear`) builds Fractions only for the rows it returns.  Those equal
+the rows of Gauss-Jordan over Q(sqrt(r)), because the reduced row echelon
+form of a matrix is unique.
 """
 
 from __future__ import annotations
@@ -20,7 +21,21 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 
-__all__ = ["QuadraticField", "ExactScalar", "rref", "rank", "nullspace", "solve_linear"]
+__all__ = [
+    "QuadraticField",
+    "ExactScalar",
+    "integer_rows",
+    "from_integer_row",
+    "float_row",
+    "primitive",
+    "pivot_row",
+    "clear",
+    "echelon",
+    "rref",
+    "rank",
+    "nullspace",
+    "solve_linear",
+]
 
 
 def _fraction(x) -> Fraction:
@@ -44,10 +59,17 @@ def _is_rational_square(r: Fraction) -> bool:
 # pure "c/d*al" terms are accepted as degenerate cases.  In the two-term form
 # the alpha coefficient must carry an explicit sign, which keeps the split of
 # e.g. "1/10*al" unambiguous.
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_TWO_TERM_RE = re.compile(rf"(?P<a>{_RAT})(?P<b>[+-]\d+(?:/\d+)?)\*al")
-_ALPHA_RE = re.compile(rf"(?P<b>{_RAT})\*al")
-_RAT_RE = re.compile(_RAT)
+_A = r"(?P<a>[+-]?\d+)(?:/(?P<ad>\d+))?"
+_TWO_TERM_RE = re.compile(_A + r"(?P<b>[+-]\d+)(?:/(?P<bd>\d+))?\*al")
+_ALPHA_RE = re.compile(r"(?P<b>[+-]?\d+)(?:/(?P<bd>\d+))?\*al")
+_RAT_RE = re.compile(_A)
+
+
+def _ratio(num, den) -> Fraction:
+    """num/den from digit strings; an absent num is 0, an absent den 1."""
+    if den is not None and int(den) == 0:
+        raise ValueError(f"zero denominator in {num}/{den}")
+    return Fraction(int(num or 0), int(den or 1))
 
 
 class QuadraticField:
@@ -78,17 +100,15 @@ class QuadraticField:
     def parse(self, text: str) -> ExactScalar:
         if not isinstance(text, str) or " " in text:
             raise ValueError(f"malformed exact scalar: {text!r}")
-        if m := _TWO_TERM_RE.fullmatch(text):
-            return self.scalar(Fraction(m.group("a")), Fraction(m.group("b")))
-        if m := _ALPHA_RE.fullmatch(text):
-            return self.scalar(0, Fraction(m.group("b")))
-        if _RAT_RE.fullmatch(text):
-            return self.scalar(Fraction(text))
-        raise ValueError(f"malformed exact scalar: {text!r} (expected 'a/b' or 'a/b+c/d*al')")
+        m = _TWO_TERM_RE.fullmatch(text) or _ALPHA_RE.fullmatch(text) or _RAT_RE.fullmatch(text)
+        if m is None:
+            raise ValueError(f"malformed exact scalar: {text!r} (expected 'a/b' or 'a/b+c/d*al')")
+        g = m.groupdict()
+        return ExactScalar(_ratio(g.get("a"), g.get("ad")), _ratio(g.get("b"), g.get("bd")), self)
 
     def coerce(self, x) -> ExactScalar:
         if isinstance(x, ExactScalar):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise ValueError("scalar from a different field")
             return x
         if isinstance(x, str):
@@ -237,10 +257,6 @@ class ExactScalar:
     def __float__(self):
         return float(self.a) + float(self.b) * self.field.sqrt_r
 
-    def split(self) -> tuple[Fraction, Fraction]:
-        """Components in the Q-basis {1, sqrt(r)}."""
-        return self.a, self.b
-
     def is_rational(self) -> bool:
         return self.b == 0
 
@@ -266,52 +282,98 @@ class ExactScalar:
 
 def _field_of(rows):
     """The field of the ExactScalar entries, or None when all are rational."""
-    fields = {x.field for row in rows for x in row if isinstance(x, ExactScalar)}
+    # one hash per distinct field object, not one per entry
+    fields = set({id(x.field): x.field for row in rows for x in row if isinstance(x, ExactScalar)}.values())
     if len(fields) > 1:
         raise ValueError("scalars from different fields")
     return fields.pop() if fields else None
 
 
-def _integer_row(row, q, split):
-    parts = [(x.a, x.b) if isinstance(x, ExactScalar) else (x, 0) for x in row]
-    fracs = [(a.numerator, a.denominator) for a, _ in parts]
-    if split:
-        fracs += [(b.numerator, b.denominator * q) for _, b in parts]
-    den = math.lcm(*(d for _, d in fracs))
-    return [num * (den // d) for num, d in fracs]
+def integer_rows(rows):
+    """(ints, dens, q, R) for rows of int, Fraction or ExactScalar entries:
+    entry j of row i is (A_j + B_j*sqrt(R)) / dens[i] for ints[i] =
+    [A_0..A_{n-1}, B_0..B_{n-1}], and q is the denominator of the field's r.
+    When no entry has a sqrt part, R = 0, q = 1 and ints[i] = [A_0..A_{n-1}]."""
+    parts = [[(x.a, x.b) if isinstance(x, ExactScalar) else (x, 0) for x in row] for row in rows]
+    split = any(b for row in parts for _, b in row)
+    field = _field_of(rows) if split else None
+    q = field.r.denominator if split else 1
+    ints, dens = [], []
+    for row in parts:
+        fracs = [(a.numerator, a.denominator) for a, _ in row]
+        if split:
+            fracs += [(b.numerator, b.denominator * q) for _, b in row]
+        den = math.lcm(*(d for _, d in fracs))
+        ints.append([num * (den // d) for num, d in fracs])
+        dens.append(den)
+    return ints, dens, q, field.r.numerator * q if split else 0
 
 
-def _primitive(row):
+def from_integer_row(row, den: int, q: int, R: int, field):
+    """The entries (A_j + B_j*sqrt(R)) / den of an integer row [A..., B...]
+    ([A...] when R is 0) as Fractions, or as ExactScalars of ``field``."""
+    n = len(row) // 2 if R else len(row)
+    a = [Fraction(x, den) for x in row[:n]]
+    if field is None:
+        return a
+    b = [Fraction(q * x, den) for x in row[n:]] if R else [Fraction(0)] * n
+    return [ExactScalar(x, y, field) for x, y in zip(a, b)]
+
+
+def float_row(row, den: int, q: int, R: int, sqrt_r: float):
+    """The entries (A_j + B_j*sqrt(R)) / den of an integer row, den > 0, as
+    the floats a/den + (q*b/den)*sqrt(r), rounded as ExactScalar.__float__
+    rounds them."""
+    n = len(row) // 2 if R else len(row)
+    return [a / den + (q * b / den) * sqrt_r for a, b in zip(row, row[n:] if R else [0] * n)]
+
+
+def primitive(row):
+    """An integer row divided by the gcd of its entries."""
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns).
+def _times_sqrt(row, R):
+    """sqrt(R) times an integer row [A..., B...] of Z[sqrt(R)] entries."""
+    n = len(row) // 2
+    return [R * b for b in row[n:]] + row[:n]
 
-    Fraction rows give Fraction rows, ExactScalar rows give ExactScalar rows,
-    and rows beyond the rank come back zero.  On the integer rows above, a
-    pivot row is multiplied by its pivot's conjugate, which makes the pivot a
-    rational integer P; every other row is cleared by row <- P*row - f*pivot_row
-    in Z[sqrt(R)] and divided by the gcd of its integers; Fractions are built
-    only for the returned entries x/P.  Rows are only scaled by nonzero
-    scalars or changed by multiples of each other, and the reduced row echelon
-    form of a matrix is unique, so the result is exactly that of Gauss-Jordan
-    over Q(sqrt(r)).
+
+def pivot_row(row, c: int, R: int):
+    """The primitive multiple of an integer row whose entry at column c is a
+    positive rational integer: the row times that entry's conjugate, divided
+    by the gcd.  Rows are [A..., B...] for entries A + B*sqrt(R), or [A...]
+    when R is 0."""
+    b = row[len(row) // 2 + c] if R else 0
+    if b:
+        row = [row[c] * x - b * y for x, y in zip(row, _times_sqrt(row, R))]
+    row = primitive(row)
+    return row if row[c] > 0 else [-x for x in row]
+
+
+def clear(row, prow, c: int, R: int):
+    """P*row - f*prow over Z[sqrt(R)], with f the entry of row at column c
+    and P the rational integer there in the pivot row prow: zero at c."""
+    fa, fb = row[c], row[len(row) // 2 + c] if R else 0
+    if fb:
+        return [prow[c] * x - fa * y - fb * z for x, y, z in zip(row, prow, _times_sqrt(prow, R))]
+    return [prow[c] * x - fa * y for x, y in zip(row, prow)]
+
+
+def echelon(ints, ncols: int, R: int = 0):
+    """Reduced echelon form of integer rows over Z[sqrt(R)]; returns
+    (pivot_rows, pivot_columns), one `pivot_row` per pivot.
+
+    Rows are [A_0..A_{ncols-1}, B_0..B_{ncols-1}] for the entries
+    A_j + B_j*sqrt(R), or [A_0..A_{ncols-1}] when R is 0.  Each pivot row
+    gets a positive rational integer P at its pivot; every other row is
+    cleared by row <- P*row - f*pivot_row (`clear`) and divided by the gcd
+    of its integers.  Dividing pivot row i by P gives row i of the reduced
+    row echelon form over the field.
     """
-    rows = [list(row) for row in rows]
-    if not rows:
-        return rows, []
-    ncols, m = len(rows[0]), len(rows)
-    field = _field_of(rows)
-    split = any(x.b for row in rows for x in row if isinstance(x, ExactScalar))
-    q = field.r.denominator if split else 1
-    R = field.r.numerator * q if split else 0
-
-    def times_sqrt(row):
-        return [R * b for b in row[ncols:]] + row[:ncols]
-
-    ints = [_integer_row(row, q, split) for row in rows]
+    ints = [list(row) for row in ints]
+    m = len(ints)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -319,38 +381,42 @@ def rref(rows):
         if piv is None:
             continue
         prow, ints[piv] = ints[piv], ints[r]
-        if split and prow[ncols + c]:
-            pa, pb = prow[c], prow[ncols + c]
-            prow = _primitive([pa * x - pb * y for x, y in zip(prow, times_sqrt(prow))])
-        ints[r], P = prow, prow[c]
-        psqrt = times_sqrt(prow) if split else None
+        ints[r] = prow = pivot_row(prow, c, R)
         for i, row in enumerate(ints):
-            if i == r or not any(row[c::ncols]):
-                continue
-            fa, fb = row[c], row[ncols + c] if split else 0
-            if fb:
-                row = [P * x - fa * y - fb * z for x, y, z in zip(row, prow, psqrt)]
-            else:
-                row = [P * x - fa * y for x, y in zip(row, prow)]
-            ints[i] = _primitive(row)
+            if i != r and any(row[c::ncols]):
+                ints[i] = primitive(clear(row, prow, c, R))
         pivots.append(c)
         if r + 1 == m:
             break
+    return ints[: len(pivots)], pivots
 
-    out = []
-    for row, c in zip(ints, pivots):
-        a = [Fraction(x, row[c]) for x in row[:ncols]]
-        if field is not None:
-            b = [Fraction(x * q, row[c]) for x in row[ncols:]] if split else [Fraction(0)] * ncols
-            a = [ExactScalar(x, y, field) for x, y in zip(a, b)]
-        out.append(a)
+
+def rref(rows):
+    """Reduced row echelon form; returns (new_rows, pivot_columns).
+
+    Fraction rows give Fraction rows, ExactScalar rows give ExactScalar rows,
+    and rows beyond the rank come back zero.  The elimination is `echelon`
+    on the integer rows above; Fractions are built only for the returned
+    entries x/P.  Rows are only scaled by nonzero scalars or changed by
+    multiples of each other, and the reduced row echelon form of a matrix is
+    unique, so the result is exactly that of Gauss-Jordan over Q(sqrt(r)).
+    """
+    rows = [list(row) for row in rows]
+    if not rows:
+        return rows, []
+    ncols, m = len(rows[0]), len(rows)
+    field = _field_of(rows)
+    ints, _, q, R = integer_rows(rows)
+    red, pivots = echelon(ints, ncols, R)
+    out = [from_integer_row(row, row[c], q, R, field) for row, c in zip(red, pivots)]
     zero = Fraction(0) if field is None else field.zero
     out.extend([zero] * ncols for _ in range(m - len(pivots)))
     return out, pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    ints, _, _, R = integer_rows(rows)
+    return len(echelon(ints, len(rows[0]) if rows else 0, R)[1])
 
 
 def nullspace(rows):

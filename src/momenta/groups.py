@@ -35,6 +35,7 @@ from .errors import InputError, NumericalError
 __all__ = [
     "GroupModel",
     "GroupPath",
+    "circle_count",
     "path_product",
     "concat_paths",
 ]
@@ -47,6 +48,13 @@ _FAMILIES = {
     "heisenberg": (3, ((1, 2, 0),), 0),
     "central_extension": (3, ((1, 2, 0),), 1),
 }
+
+
+def circle_count(kind: str, dim: int) -> int:
+    """How many coordinates of the ``kind`` model of dimension ``dim`` are
+    circles: the rank of its fundamental group."""
+    circles = _FAMILIES[kind][2]
+    return dim if circles is None else circles
 
 
 class GroupModel:
@@ -64,7 +72,7 @@ class GroupModel:
     def __init__(self, kind: str, dim: int | None = None):
         if kind not in _FAMILIES:
             raise InputError(f"unknown group kind {kind!r}")
-        fixed, pairs, circles = _FAMILIES[kind]
+        fixed, pairs, _ = _FAMILIES[kind]
         if fixed is not None:
             if dim not in (None, fixed):
                 raise InputError(f"{kind} has dimension {fixed}, got {dim}")
@@ -75,7 +83,7 @@ class GroupModel:
         self.kind = kind  # a label for repr and messages; no operation branches on it
         self.dim = dim
         self.pairs = pairs
-        self.circles = tuple(range(dim if circles is None else circles))
+        self.circles = tuple(range(circle_count(kind, dim)))
         # the dense structure tensor c[a, b, k] of [e_a, e_b] = sum_k c[a, b, k] e_k
         self.structure = np.zeros((dim, dim, dim))
         for a, b, k in pairs:

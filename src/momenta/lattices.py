@@ -12,7 +12,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import ExactScalar, QuadraticField, nullspace, rank, solve_linear
+from .exact import (
+    ExactScalar,
+    QuadraticField,
+    clear,
+    echelon,
+    from_integer_row,
+    integer_rows,
+    pivot_row,
+    primitive,
+    solve_linear,
+)
 
 __all__ = [
     "xgcd",
@@ -233,7 +243,10 @@ class LatticeSubgroup:
 
     @classmethod
     def standard(cls, ambient_dim):
-        return cls(ambient_dim, _eye(ambient_dim))
+        # the identity columns are already in HNF
+        out = cls(ambient_dim)
+        out.columns = tuple(map(tuple, _eye(ambient_dim)))
+        return out
 
     @property
     def rank(self) -> int:
@@ -254,7 +267,8 @@ class LatticeSubgroup:
             if rest:
                 return None
             coords.append(c)
-            v = [x - c * y for x, y in zip(v, col)]
+            if c:
+                v = [x - c * y for x, y in zip(v, col)]
         return coords if not any(v) else None
 
     def contains(self, vector) -> bool:
@@ -266,6 +280,8 @@ class LatticeSubgroup:
     def sum(self, other: "LatticeSubgroup") -> "LatticeSubgroup":
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        if not (self.columns and other.columns):
+            return self if self.columns else other
         return LatticeSubgroup(self.ambient_dim, self.columns + other.columns)
 
     def __eq__(self, other):
@@ -332,14 +348,10 @@ def quotient_invariants(big: LatticeSubgroup, small: LatticeSubgroup) -> Abelian
 
 
 def integer_kernel(rational_rows, ncols: int) -> LatticeSubgroup:
-    """{x in Z^ncols : A x = 0} for A with Fraction entries (saturated lattice)."""
-    int_rows = []
-    for row in rational_rows:
-        fr = [_rational(x) for x in row]
-        den = 1
-        for x in fr:
-            den = lcm(den, x.denominator)
-        int_rows.append([int(x * den) for x in fr])
+    """{x in Z^ncols : A x = 0} for A with int or Fraction entries (saturated
+    lattice)."""
+    ints, _, _, _ = integer_rows([[_rational(x) for x in row] for row in rational_rows])
+    int_rows = [row for row in ints if any(row)]
     if not int_rows:
         return LatticeSubgroup.standard(ncols)
     H, U = hermite_normal_form(int_rows)
@@ -397,121 +409,89 @@ class ClosedSubgroupDecomp:
         if not self.lattice_basis:
             return False
         rows = [[lam[i] for lam in self.lattice_basis] for i in range(self.ambient_dim)]
-        sol = _field_solve(rows, vec, self.field)
-        if sol is None:
-            return False
-        return all(c.is_rational() and c.a.denominator == 1 for c in sol)
-
-
-def _field_solve(rows, rhs, field):
-    # solve over the field, then verify (solve_linear returns one solution of a
-    # consistent system; lattice basis columns are independent so it is unique)
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    for row, b in zip(rows, rhs):
-        acc = field.zero
-        for a, x in zip(row, sol):
-            acc = acc + a * x
-        if acc != b:
-            return None
-    return sol
-
-
-def _discrete_lattice_basis(field, images, n):
-    den = 1
-    for v in images:
-        for x in v:
-            den = lcm(den, x.a.denominator, x.b.denominator)
-    M = [[0] * len(images) for _ in range(2 * n)]
-    for j, v in enumerate(images):
-        for i, x in enumerate(v):
-            M[i][j] = int(x.a * den)
-            M[n + i][j] = int(x.b * den)
-    H, _ = hermite_normal_form(M)
-    out = []
-    for j in range(len(images)):
-        col = [H[i][j] for i in range(2 * n)]
-        if not any(col):
-            continue
-        out.append(tuple(field.scalar(Fraction(col[i], den), Fraction(col[n + i], den)) for i in range(n)))
-    return tuple(out)
+        # the lattice columns are independent, so a solution is the unique one
+        sol = solve_linear(rows, vec)
+        return sol is not None and all(c.is_rational() and c.a.denominator == 1 for c in sol)
 
 
 def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
     """Decide closedness of the Z-span and return its closure decomposition.
 
-    Discreteness criterion: the Z-span of vectors in Q(sqrt r)^n is discrete
-    iff the Q-rank of their {1, sqrt r}-split images in Q^{2n} equals the
-    dimension of their R-span (their rank over Q(sqrt r)).  When the span is
-    not discrete, a Q(sqrt r)-dependency sum c_i v_i = 0 with c_i = p_i +
-    sqrt(r) q_i yields u = sum q_i v_i != 0 for some nullspace basis vector;
-    integer liftings of (p, q) show u and sqrt(r)·u both lie in the span, so
-    the closure contains the whole line R·u.  The line is split off and the
-    procedure recurses on the quotient, which is exact coordinate elimination.
+    Vectors are integer rows [A..., B...] over Z[sqrt(R)] with one common
+    denominator (see `exact.integer_rows`).  Discreteness criterion: the
+    Z-span of vectors v_i in Q(sqrt r)^n is discrete iff the Q-rank of their
+    {1, sqrt r}-split images in Q^{2n} equals the dimension of their R-span,
+    i.e. iff their Q(sqrt r)-dependencies are spanned by rational ones.  The
+    span is then the lattice of the split images, read off their HNF.  The
+    dependencies are read off the reduced echelon form of the matrix with
+    columns v_i: one per free column.  When one of them, sum c_i v_i = 0 with
+    c_i = p_i + sqrt(r) q_i, has u = sum q_i v_i != 0 (and one has, unless
+    all are rational), integer liftings of (p, q) show u and sqrt(r)·u both
+    lie in the span, so the closure contains the whole line R·u.  The line is
+    split off and the procedure repeats on the quotient, which is exact
+    coordinate elimination.
     """
     field = group.field
     n = group.ambient_dim
-    gens = [list(v) for v in group.generators]
-    vrows: list[tuple[list[ExactScalar], int]] = []
+    gens, dens, q, R = integer_rows(group.generators)
+    den = lcm(*dens)
+    gens = [[x * (den // d) for x in g] for g, d in zip(gens, dens)]
+    # the closure's subspace as `pivot_row`s, zero at each other's pivots
+    vrows: list[tuple[list[int], int]] = []
 
     def reduce_mod_v(vec):
-        vec = list(vec)
+        # scaled by every pivot, so the images share the denominator den
+        # times the product of the pivots
         for row, p in vrows:
-            if vec[p]:
-                f = vec[p]
-                vec = [x - f * y for x, y in zip(vec, row)]
+            vec = clear(vec, row, p, R)
         return vec
 
     while True:
-        images = [reduce_mod_v(g) for g in gens]
-        images = [v for v in images if any(v)]
-        if not images:
-            lattice = ()
+        images = [v for v in map(reduce_mod_v, gens) if any(v)]
+        if not (R and images):
             break
-        cols_matrix = [[v[i] for v in images] for i in range(n)]
-        alpha_rank = rank(cols_matrix)
-        split_rows = [[x.a for x in v] + [x.b for x in v] for v in images]
-        if rank(split_rows) == alpha_rank:
-            lattice = _discrete_lattice_basis(field, images, n)
-            break
-        u = None
-        for c in nullspace(cols_matrix):
-            cand = [field.zero] * n
-            for ci, v in zip(c, images):
-                if ci.b:
-                    cand = [x + ci.b * y for x, y in zip(cand, v)]
-            if any(cand):
-                u = cand
-                break
-        assert u is not None, "non-discrete span must admit a dense direction"
-        p = next(i for i, x in enumerate(u) if x)
-        urow = [x / u[p] for x in u]
-        vrows = [
-            ([x - row[p] * y for x, y in zip(row, urow)] if row[p] else row, rp)
-            for row, rp in vrows
-        ]
-        vrows.append((urow, p))
+        k = len(images)
+        red, pivots = echelon([[v[i] for v in images] + [v[n + i] for v in images] for i in range(n)], k, R)
+        # free column f gives the dependency c with c_f = 1 and, at pivot
+        # row i, c = -(A_i[f] + B_i[f]*sqrt(R)) / P_i; its u (the sqrt(r)
+        # parts of c times the images) is -q/L times this sum, L the lcm of
+        # the pivots
+        L = lcm(*(row[c] for row, c in zip(red, pivots)))
+        dense = (
+            [sum(row[k + f] * (L // row[c]) * images[c][j] for row, c in zip(red, pivots)) for j in range(2 * n)]
+            for f in range(k)
+            if any(row[k + f] for row in red)
+        )
+        u = next((u for u in dense if any(u)), None)
+        if u is None:
+            break  # every dependency is rational: the span is discrete
+        p = next(i for i in range(n) if u[i] or u[n + i])
+        u = pivot_row(u, p, R)
+        vrows = [(primitive(clear(row, u, p, R)), rp) for row, rp in vrows]
+        vrows.append((u, p))
         vrows.sort(key=lambda item: item[1])
 
-    subspace = tuple(tuple(row) for row, _ in vrows)
+    for row, p in vrows:
+        den *= row[p]
+    lattice = []
+    if images:
+        H, _ = hermite_normal_form([list(x) for x in zip(*images)])
+        lattice = [col for col in zip(*H) if any(col)]
     return ClosedSubgroupDecomp(
         field=field,
         ambient_dim=n,
-        closed=not subspace,
-        subspace_basis=subspace,
-        lattice_basis=tuple(lattice),
+        closed=not vrows,
+        subspace_basis=tuple(tuple(from_integer_row(row, row[p], q, R, field)) for row, p in vrows),
+        lattice_basis=tuple(tuple(from_integer_row(col, den, q, R, field)) for col in lattice),
     )
 
 
 def kernel_lattice(theta_rows, d: int) -> LatticeSubgroup:
     """{k in Z^d : theta k = 0} for an exact theta, by splitting each equation
     into its rational and sqrt(r) components."""
-    rows = []
-    for row in theta_rows:
-        rows.append([x.a for x in row])
-        rows.append([x.b for x in row])
-    return integer_kernel(rows, d)
+    ints, _, _, R = integer_rows(theta_rows)
+    halves = [half for row in ints for half in ((row[:d], row[d:]) if R else (row,))]
+    return integer_kernel(halves, d)
 
 
 def subgroup_is_hamiltonian(gamma_n: LatticeSubgroup, gamma_0: LatticeSubgroup) -> bool:

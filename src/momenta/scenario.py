@@ -18,8 +18,8 @@ import numpy as np
 
 from .cylinder import Cylinder
 from .errors import ConfigError, InputError
-from .exact import QuadraticField, rref
-from .groups import GroupModel, GroupPath
+from .exact import QuadraticField, echelon, float_row, integer_rows
+from .groups import GroupModel, GroupPath, circle_count
 from .lattices import (
     CoverDescriptor,
     GeneratedSubgroup,
@@ -46,6 +46,7 @@ log = logging.getLogger("momenta.scenario")
 # three-dimensional nilpotent group with compact center, whose universal
 # cover is the simply connected group of the same Lie algebra.
 GROUP_CHOICES = ("torus", "heisenberg", "centralExtension")
+_GROUP_KIND = {"torus": "torus", "heisenberg": "central_extension", "centralExtension": "central_extension"}
 
 _TOP_KEYS = {"group", "dim", "field", "theta", "sigma", "muList", "gammaN", "verify"}
 _VERIFY_KEYS = {"tolerance", "sampleCount", "seed"}
@@ -124,6 +125,11 @@ def _parse_theta(field: QuadraticField, rows, dim: int) -> CocycleTheta:
         raise ConfigError("theta", "theta not antisymmetric") from err
 
 
+# Largest accepted |mu| entry: the checks square mu (the Heisenberg Casimir)
+# and flow it, which overflows floats long before 1e308.
+_MU_BOUND = 1e100
+
+
 def _parse_mu_list(raw, n: int) -> tuple:
     if raw is None:
         return (np.zeros(n),)
@@ -134,6 +140,8 @@ def _parse_mu_list(raw, n: int) -> tuple:
         good = isinstance(entry, list) and len(entry) == n
         if not (good and all(_is_finite_number(x) for x in entry)):
             raise ConfigError(f"muList[{i}]", f"expected {n} finite numbers")
+        if any(abs(x) > _MU_BOUND for x in entry):
+            raise ConfigError(f"muList[{i}]", f"entries must be at most {_MU_BOUND:g} in magnitude")
         out.append(np.array(entry, dtype=float))
     return tuple(out)
 
@@ -214,8 +222,7 @@ def parse_config(text: str) -> ScenarioConfig:
         theta = CocycleTheta.from_sigma(field, vals)
 
     mu_list = _parse_mu_list(raw.get("muList"), dim)
-    gamma_dim = dim if group == "torus" else 1
-    gamma_n = _parse_gamma_n(raw.get("gammaN"), gamma_dim)
+    gamma_n = _parse_gamma_n(raw.get("gammaN"), circle_count(_GROUP_KIND[group], dim))
     verify = _parse_verify(raw.get("verify"))
     log.info("parsed %s scenario config (dim=%d)", group, dim)
     return ScenarioConfig(
@@ -236,7 +243,7 @@ class Scenario:
         self.config = config
         self.field = config.field
         self.theta = config.theta
-        self.kind = "torus" if config.group == "torus" else "central_extension"
+        self.kind = _GROUP_KIND[config.group]
         self.group = GroupModel(self.kind, config.dim)
         self.model = MagneticCotangent(self.group, self.theta)
         self.cover = self.model.cover
@@ -288,8 +295,9 @@ class Scenario:
         """Rows of an exact basis (reduced row echelon form) of the real span
         of the theta columns, as floats; affine-action orbits on the torus are
         translates of that span.  Computed once per scenario."""
-        reduced, pivots = rref([list(col) for col in self.theta.columns()])
-        rows = [[float(x) for x in reduced[i]] for i in range(len(pivots))]
+        ints, _, q, R = integer_rows(self.theta.columns())
+        red, pivots = echelon(ints, self.n, R)
+        rows = [float_row(row, row[c], q, R, self.field.sqrt_r) for row, c in zip(red, pivots)]
         basis = np.array(rows, dtype=float).reshape(len(pivots), self.n)
         basis.flags.writeable = False  # shared by every orbit descriptor
         return basis

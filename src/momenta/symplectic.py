@@ -52,8 +52,9 @@ class CocycleTheta:
         if any(len(row) != n for row in matrix):
             raise InputError("theta matrix must be square")
         for i in range(n):
-            for j in range(n):
-                if matrix[i][j] != -matrix[j][i]:
+            for j in range(i, n):
+                x, y = matrix[i][j], matrix[j][i]
+                if x.a != -y.a or x.b != -y.b:
                     raise InputError(f"theta is not skew at ({i}, {j})")
         self.matrix = matrix
         self.sigma = None if sigma is None else tuple(field.coerce(x) for x in sigma)

@@ -280,6 +280,15 @@ class TestOrbits:
         assert desc.contains(mu)
         assert not desc.contains(mu + np.array([0.0, 0.0, 0.1]))
 
+    def test_casimir_gap_bound_scales_with_mu(self):
+        # at mu x 1e6 the sampled Casimir gap is about 1.5e-5: inside
+        # 1e-8 * |mu|^2 but not the absolute residual the checks read
+        mu = np.array([5e5, 1e5, -4e5])
+        desc = orbit_descriptor(SC_HEIS, mu, rng=np.random.default_rng(14))
+        assert desc.casimir_value == heisenberg_casimir([1.0, 0.0], mu[0], mu[1:])
+        moved = affine_action(SC_HEIS.model, SC_HEIS.random_cover_path(RNG), mu)
+        assert desc.residuals(moved)[0] <= 1e-8 * (mu @ mu)
+
     def test_casimir_invariance(self):
         sc = SC_HEIS
         sigma = np.array([1.0, 0.0])
@@ -310,11 +319,11 @@ class TestOrbits:
 
         calls = []
 
-        def counting_rref(rows):
+        def counting_echelon(rows, *args):
             calls.append(len(rows))
-            return exact.rref(rows)
+            return exact.echelon(rows, *args)
 
-        monkeypatch.setattr(scenario_module, "rref", counting_rref)
+        monkeypatch.setattr(scenario_module, "echelon", counting_echelon)
         sc = scenario('{"group":"torus","dim":3,"theta":[["0","1","0"],["-1","0","0"],["0","0","0"]]}')
         first = orbit_descriptor(sc, [0.1, 0.2, 0.3], rng=np.random.default_rng(1))
         second = orbit_descriptor(sc, [-0.5, 0.0, 0.7], rng=np.random.default_rng(2))

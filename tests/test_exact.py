@@ -2,11 +2,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momenta.exact import ExactScalar, QuadraticField, nullspace, rank, rref, solve_linear
+from momenta.exact import (
+    ExactScalar,
+    QuadraticField,
+    echelon,
+    float_row,
+    integer_rows,
+    nullspace,
+    rank,
+    rref,
+    solve_linear,
+)
 
 F2 = QuadraticField(2)
 
@@ -235,6 +246,7 @@ class TestRrefOracle:
         red, pivots = rref(rows)
         want, want_pivots = reference_rref(rows)
         assert pivots == want_pivots
+        assert rank(rows) == len(pivots)
         assert red == want
         assert [[type(x) for x in row] for row in red] == [[type(x) for x in row] for row in want]
         for row in red:
@@ -242,6 +254,20 @@ class TestRrefOracle:
                 if isinstance(x, ExactScalar):
                     assert x.field == rows[0][0].field
                     assert type(x.a) is Fraction and type(x.b) is Fraction
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices())
+    def test_float_rows_match_the_exact_rows(self, rows):
+        # the torus orbit basis reads floats off the integer rows; they must
+        # be the floats of rref's exact entries, bit for bit
+        red, pivots = rref(rows)
+        ints, _, q, R = integer_rows(rows)
+        fields = [x.field for row in rows for x in row if isinstance(x, ExactScalar)]
+        sqrt_r = fields[0].sqrt_r if fields else 0.0
+        pivot_rows, _ = echelon(ints, len(rows[0]) if rows else 0, R)
+        for row, c, want in zip(pivot_rows, pivots, red):
+            got = float_row(row, row[c], q, R, sqrt_r)
+            assert np.array(got).tobytes() == np.array([float(x) for x in want]).tobytes()
 
     def test_field_dependence_is_not_rational_dependence(self):
         F = QuadraticField("8/3")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momenta.exact import QuadraticField
+from momenta.exact import QuadraticField, nullspace, rank
 from momenta.lattices import (
     AbelianInvariants,
     GeneratedSubgroup,
@@ -115,6 +115,24 @@ class TestHermite:
         assert LatticeSubgroup(3, [(1, 0, 0)]).coordinates_of((Fraction(2), 0, Fraction(1))) is None
         with pytest.raises(TypeError):
             L.coordinates_of((0.5, 0))
+
+
+class TestCanonicalLattices:
+    @pytest.mark.parametrize("d", range(6))
+    def test_standard_is_the_identity_lattice(self, d):
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
+        assert LatticeSubgroup.standard(d) == LatticeSubgroup(d, eye)
+        assert LatticeSubgroup.standard(d).columns == LatticeSubgroup(d, eye).columns
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_sum_with_zero_is_the_hnf_sum(self, A):
+        d = len(A)
+        L = LatticeSubgroup(d, zip(*A))
+        zero = LatticeSubgroup.zero(d)
+        via_hnf = LatticeSubgroup(d, L.columns + zero.columns)
+        assert L.sum(zero) == via_hnf == zero.sum(L) == L
+        assert zero.sum(zero) == LatticeSubgroup(d, ())
 
 
 class TestSmith:
@@ -270,6 +288,123 @@ def brute_force_min_norm(vectors, bound):
             continue
         best = min(best, math.sqrt(sum(float(x) ** 2 for x in comb)))
     return best
+
+
+def reference_is_closed(group):
+    """The closure decomposition computed in ExactScalar arithmetic, with a
+    separate split-rank test: the oracle for the integer-row `is_closed`."""
+    field, n = group.field, group.ambient_dim
+    gens = [list(v) for v in group.generators]
+    vrows = []
+
+    def reduce_mod_v(vec):
+        vec = list(vec)
+        for row, p in vrows:
+            if vec[p]:
+                f = vec[p]
+                vec = [x - f * y for x, y in zip(vec, row)]
+        return vec
+
+    while True:
+        images = [v for v in map(reduce_mod_v, gens) if any(v)]
+        if not images:
+            lattice = ()
+            break
+        cols_matrix = [[v[i] for v in images] for i in range(n)]
+        split_rows = [[x.a for x in v] + [x.b for x in v] for v in images]
+        if rank(split_rows) == rank(cols_matrix):
+            den = 1
+            for v in images:
+                for x in v:
+                    den = math.lcm(den, x.a.denominator, x.b.denominator)
+            M = [[int(v[i].a * den) for v in images] for i in range(n)]
+            M += [[int(v[i].b * den) for v in images] for i in range(n)]
+            H, _ = hermite_normal_form(M)
+            lattice = tuple(
+                tuple(field.scalar(Fraction(c[i], den), Fraction(c[n + i], den)) for i in range(n))
+                for c in zip(*H)
+                if any(c)
+            )
+            break
+        u = None
+        for c in nullspace(cols_matrix):
+            cand = [field.zero] * n
+            for ci, v in zip(c, images):
+                if ci.b:
+                    cand = [x + ci.b * y for x, y in zip(cand, v)]
+            if any(cand):
+                u = cand
+                break
+        p = next(i for i, x in enumerate(u) if x)
+        urow = [x / u[p] for x in u]
+        vrows = [([x - row[p] * y for x, y in zip(row, urow)] if row[p] else row, rp) for row, rp in vrows]
+        vrows.append((urow, p))
+        vrows.sort(key=lambda item: item[1])
+    subspace = tuple(tuple(row) for row, _ in vrows)
+    return not subspace, subspace, lattice
+
+
+CLOSURE_FIELDS = (F2, QuadraticField("8/3"))
+closure_entries = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+@st.composite
+def generator_sets(draw):
+    """Generators over Q, Q(sqrt2) or Q(sqrt(8/3)), with rational and field
+    dependencies (the latter make the span dense) and zero vectors."""
+    field = draw(st.sampled_from(CLOSURE_FIELDS))
+    rational = draw(st.booleans())
+    n, k = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    entry = st.builds(field.scalar, closure_entries, st.just(0) if rational else closure_entries)
+    gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    if gens and draw(st.booleans()):
+        # a rational combination: dependent over Q, the span stays discrete
+        cs = draw(st.lists(closure_entries, min_size=len(gens), max_size=len(gens)))
+        gens.append([sum((c * g[i] for c, g in zip(cs, gens)), field.zero) for i in range(n)])
+    if gens and draw(st.booleans()):
+        # (a + sqrt(r)) times a generator: dependent over the field only
+        f = field.scalar(draw(closure_entries), 1)
+        gens.insert(draw(st.integers(0, len(gens))), [f * x for x in gens[0]])
+    if len(gens) > 1 and draw(st.booleans()):
+        # a field combination of two generators: its dependency has sqrt
+        # parts on two pivot rows
+        f0, f1 = (field.scalar(draw(closure_entries), draw(closure_entries)) for _ in range(2))
+        gens.append([f0 * x + f1 * y for x, y in zip(gens[0], gens[1])])
+    if draw(st.booleans()):
+        gens.append([field.zero] * n)
+    return GeneratedSubgroup(field, n, gens)
+
+
+class TestClosureOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(generator_sets())
+    def test_matches_exact_scalar_closure(self, group):
+        d = is_closed(group)
+        closed, subspace, lattice = reference_is_closed(group)
+        assert (d.closed, d.subspace_basis, d.lattice_basis) == (closed, subspace, lattice)
+        for v in d.subspace_basis + d.lattice_basis:
+            for x in v:
+                assert x.field == group.field and type(x.a) is Fraction and type(x.b) is Fraction
+
+    def test_dense_line_from_two_pivot_rows(self):
+        # (1+al)(1,1,0) is a field combination of (2,0,0) and (0,3,0) whose
+        # dependency weighs the two by 1/2 and 1/3: the closure is the line
+        # R(1,1,0) plus Z(0,1,0) (the images (0,-2,0) and (0,3,0)), not the
+        # whole plane
+        al = F2.scalar(0, 1)
+        g = GeneratedSubgroup(F2, 3, [[2, 0, 0], [0, 3, 0], [1 + al, 1 + al, 0]])
+        d = is_closed(g)
+        assert (d.closed, d.subspace_basis, d.lattice_basis) == reference_is_closed(g)
+        assert [[x.format() for x in v] for v in d.subspace_basis] == [["1", "1", "0"]]
+        assert [[x.format() for x in v] for v in d.lattice_basis] == [["0", "1", "0"]]
+
+    def test_dense_after_rational_dependency(self):
+        # (1, 0), (2, 0) and (sqrt2, 1): a rational and an irrational relation
+        al = F2.scalar(0, 1)
+        g = GeneratedSubgroup(F2, 2, [[1, 0], [2, 0], [al, 1], [0, 1]])
+        d = is_closed(g)
+        assert (d.closed, d.subspace_basis, d.lattice_basis) == reference_is_closed(g)
+        assert not d.closed
 
 
 class TestClosure:

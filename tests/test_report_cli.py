@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -178,9 +179,10 @@ class TestRunChecks:
     def test_nan_over_settings_is_not_swallowed(self):
         # mu = 1e300 overflows the Casimir to inf - inf = NaN; combining the
         # per-mu errors with Python's max dropped it and the check passed
-        text = HEIS_TEXT.replace("[[0.5, 0.1, -0.4]]", "[[1e300, 0, 0]]")
+        # (a config rejects such a mu, so it is put in after parsing)
+        config = dataclasses.replace(parse_config(HEIS_TEXT), mu_list=(np.array([1e300, 0.0, 0.0]),))
         with np.errstate(all="ignore"):
-            (rep,) = run_checks(build_scenario(parse_config(text)), names={"casimir_invariance"}, samples=5)
+            (rep,) = run_checks(build_scenario(config), names={"casimir_invariance"}, samples=5)
         assert math.isinf(rep.max_error) and not rep.passed
         assert rep.notes.startswith("numerical failure")
 
@@ -278,9 +280,9 @@ class TestCLI:
             assert re.search(r" time=\d+\.\d{3}s$", line), line
 
     def test_orbit_escape_fails_the_check_in_verify(self, tmp_path, capsys):
-        # far from unit scale the Casimir residual misses its absolute bound:
-        # inside verify that is a failed check (exit 1), not an internal error
-        text = HEIS_TEXT.replace("[[0.5, 0.1, -0.4]]", "[[5e5, 1e5, -4e5]]").replace('"sampleCount": 25', '"sampleCount": 20')
+        # at sigma = 1e5 the Casimir residual misses its bound: inside verify
+        # that is a failed check (exit 1), not an internal error
+        text = HEIS_TEXT.replace('["1", "0"]', '["100000", "0"]').replace('"sampleCount": 25', '"sampleCount": 20')
         cfg = write_config(tmp_path, text)
         with np.errstate(all="ignore"):
             assert cli.main(["verify", "--config", cfg]) == 1
@@ -361,17 +363,6 @@ class TestCLI:
         assert cli.main(["orbit", "--config", cfg, "--mu", "5", "--samples", "2"]) == 2
         assert "out of range" in capsys.readouterr().err
 
-    def test_orbit_unsupported_scenario(self, tmp_path, capsys, monkeypatch):
-        from momenta.errors import CapabilityError
-
-        def boom(*args, **kwargs):
-            raise CapabilityError("no orbit support for this scenario")
-
-        monkeypatch.setattr(cli, "orbit_descriptor", boom)
-        cfg = write_config(tmp_path, TORUS_TEXT)
-        assert cli.main(["orbit", "--config", cfg, "--mu", "0"]) == 2
-        assert "unsupported scenario" in capsys.readouterr().err
-
     @pytest.mark.parametrize("error", [NumericalError, MomentaError])
     def test_internal_error_exit_3(self, tmp_path, capsys, monkeypatch, error):
         def boom(*args, **kwargs):
@@ -406,6 +397,24 @@ class TestCLI:
         assert cli.main([command, "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"config error: {field}" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "orbit"])
+    @pytest.mark.parametrize("mu", ["[1e150, 0, 0]", "[1e300, 0, 0]", "[0, -1.5e100, 0]"])
+    def test_mu_above_bound_exit_2(self, tmp_path, capsys, command, mu):
+        # at the parent 1e150 gave maxError nan and 1e300 exited 3
+        cfg = write_config(tmp_path, HEIS_TEXT.replace("[0.5, 0.1, -0.4]", mu))
+        args = ["--mu", "0"] if command == "orbit" else []
+        assert cli.main([command, "--config", cfg] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config error: muList[0]: entries must be at most 1e+100" in captured.err
+
+    def test_orbit_far_from_unit_mu(self, tmp_path, capsys):
+        # heis mu x 1e6: the Casimir gap is about 1.5e-5, far inside
+        # 1e-8 * |mu|^2; the validation bound was an absolute 1e-8
+        cfg = write_config(tmp_path, HEIS_TEXT.replace("[0.5, 0.1, -0.4]", "[5e5, 1e5, -4e5]"))
+        assert cli.main(["orbit", "--config", cfg, "--mu", "0", "--samples", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("# descriptor: casimirLevelSet")
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert cli.main(["verify", "--config", str(tmp_path / "nope.json")]) == 2

@@ -123,6 +123,30 @@ class TestParseConfig:
             parse('{"group":"torus","dim":2,"theta":[["0","0"],["0","0"]],"gammaN":[[1.5,0]]}')
         assert err.value.field == "gammaN[0]"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"group":"torus","dim":3,"theta":[["0","0","0"],["0","0","0"],["0","0","0"]]',
+            '{"group":"heisenberg","sigma":["1","0"]',
+            '{"group":"centralExtension","sigma":["0","2"]',
+        ],
+    )
+    def test_gamma_n_length_is_the_circle_count(self, text):
+        # gammaN vectors have one entry per circle coordinate of the model
+        circles = len(build_scenario(parse(text + "}")).group.circles)
+        ok = parse(text + ',"gammaN":[[%s]]}' % ",".join(["0"] * circles))
+        assert ok.gamma_n == ((0,) * circles,)
+        with pytest.raises(ConfigError) as err:
+            parse(text + ',"gammaN":[[%s]]}' % ",".join(["0"] * (circles + 1)))
+        assert err.value.field == "gammaN[0]" and f"expected {circles} integers" in str(err.value)
+
+    @pytest.mark.parametrize("entry", ["1/0", "1+1/0*al", "0/0*al"])
+    def test_zero_denominator_names_entry(self, entry):
+        # Fraction raised ZeroDivisionError here, which escaped as a traceback
+        with pytest.raises(ConfigError) as err:
+            parse('{"group":"torus","dim":2,"theta":[["0","%s"],["-1","0"]]}' % entry)
+        assert err.value.field == "theta[0][1]"
+
     def test_bad_verify_values(self):
         base = '{"group":"torus","dim":1,"theta":[["0"]],"verify":%s}'
         for block in ['{"tolerance":0}', '{"tolerance":Infinity}', '{"tolerance":NaN}', '{"tolerance":1e400}',
