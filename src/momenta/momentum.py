@@ -22,7 +22,7 @@ import numpy as np
 from . import symplectic as _sym
 from .errors import InputError, NumericalError
 from .groups import GroupModel, GroupPath, _interleave, _ranges, concat_paths, path_product
-from .numerics import adaptive_path_quadrature, kernel_segments
+from .numerics import adaptive_path_quadrature
 from .symplectic import CocycleTheta, MagneticCotangent, PhasePoint
 
 __all__ = [
@@ -111,9 +111,8 @@ def _coadjoint_integral(p: GroupPath, matrix) -> np.ndarray:
     """Integral of Ad*_{g(t)^{-1}} (matrix @ left velocity) dt along each
     path of p: the integrand of Theta and sigma_J."""
 
-    def integrand(ts):
-        ks = kernel_segments(ts)
-        return p.model.coadjoint_inv_apply(p.at_segments(ks, ts), p.directions[ks] @ matrix.T)
+    def integrand(ts):  # node i lies in segment i of the table
+        return p.model.coadjoint_inv_apply(p.at_segments(np.arange(len(ts)), ts), p.directions @ matrix.T)
 
     return p.sum_segments(adaptive_path_quadrature(integrand, p.times))
 
@@ -170,8 +169,8 @@ def momentum_segments(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     sums give it along sub-paths."""
     _check_phase_path(model, x, at_base=False)
 
-    def integrand(ts):
-        return _momentum_rows(model, *_phase_kinematics(x, kernel_segments(ts), ts))
+    def integrand(ts):  # node i lies in segment i of the table
+        return _momentum_rows(model, *_phase_kinematics(x, np.arange(len(ts)), ts))
 
     return adaptive_path_quadrature(integrand, x.base.times)
 

@@ -1,21 +1,21 @@
 """The path-integral kernel shared by the momentum and cylinder modules.
 
-On the simply connected cover every path integrand in this package is a
-polynomial of degree at most 1 in t on each segment: the chart is
-exponential, the coadjoint action is affine in the group element, momentum
-curves are piecewise linear, and the coadjoint factor (the central
-component of the covector) is constant on a segment.  A 3-point
-Gauss-Legendre rule per segment, exact up to degree 5, therefore
-integrates them exactly up to rounding, with room to spare.
+On the simply connected cover every path integrand in this package is
+affine in t on each segment.  The premise is that every group model is
+2-step nilpotent: each bracket lands in the centre (``groups._FAMILIES``
+has no pair whose target is a bracket input).  Then on a segment the path
+is affine in the exponential chart, and so is the momentum curve; the
+central component of the covector is constant there, so Ad*_{g^{-1}} =
+(I - ad_g)^T applied to the covector is affine as well.  The midpoint rule
+integrates an affine integrand exactly, so one node per segment gives
+every path integral up to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["adaptive_path_quadrature", "kernel_segments"]
-
-_X3, _W3 = np.polynomial.legendre.leggauss(3)
+__all__ = ["adaptive_path_quadrature"]
 
 
 def adaptive_path_quadrature(f_many, breakpoints) -> np.ndarray:
@@ -23,12 +23,12 @@ def adaptive_path_quadrature(f_many, breakpoints) -> np.ndarray:
 
     ``f_many(ts) -> (len(ts), k)`` must be evaluable at arbitrary points;
     ``breakpoints`` (increasing) mark its segments, and the integrand must be
-    a polynomial of degree <= 5 on each.  A batch of paths passes its
-    breakpoint lists one after another: where the values drop, a new list
-    starts, and the drop is not a segment.  Returns an array of shape
-    ``(segments, k)`` whose row j is the integral over segment j; sum the
-    rows (of each path) for the total.  The integrand is evaluated once, at
-    3 interior nodes per segment, listed segment by segment.
+    affine on each.  A batch of paths passes its breakpoint lists one after
+    another: where the values drop, a new list starts, and the drop is not a
+    segment.  Returns an array of shape ``(segments, k)`` whose row j is the
+    integral over segment j; sum the rows (of each path) for the total.  The
+    integrand is evaluated once, at the midpoint of every segment, so node i
+    lies in segment i of the integrated segments.
 
     The name predates the fixed rule; the traced benchmark run patches the
     kernel under it.
@@ -38,15 +38,5 @@ def adaptive_path_quadrature(f_many, breakpoints) -> np.ndarray:
     within = hi >= lo
     if not within.all():
         lo, hi = lo[within], hi[within]
-    half = 0.5 * (hi - lo)
-    ts = (lo[:, None] + half[:, None] * (_X3 + 1.0)).ravel()
-    vals = np.asarray(f_many(ts), dtype=float).reshape(len(lo), len(_X3), -1)
-    return np.einsum("s,j,sjk->sk", half, _W3, vals)
-
-
-def kernel_segments(ts) -> np.ndarray:
-    """Segment of each node ``ts`` of one ``adaptive_path_quadrature`` call,
-    counted over the segments it integrates (a drop between two paths'
-    breakpoint lists is not one): the nodes come segment by segment, 3 each,
-    so this is the row of a path batch's segment table."""
-    return np.arange(len(ts)) // len(_X3)
+    vals = np.asarray(f_many(0.5 * (lo + hi)), dtype=float).reshape(len(lo), -1)
+    return (hi - lo)[:, None] * vals

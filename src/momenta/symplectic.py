@@ -87,16 +87,21 @@ class CocycleTheta:
 
         Only nonzero structure constants contribute: c^k_xy enters the triples
         (x, y, z), (z, x, y) and (y, z, x) with theta[z][k] c^k_xy for every z,
-        so an abelian model needs no arithmetic at all.
+        so an abelian model needs no arithmetic at all.  A GroupModel's are
+        its bracket pairs, c = 1 at (a, b, k) and -1 at (b, a, k); any other
+        algebra is read from its dense structure constants.
         """
         if model.dim != self.dim:
             raise InputError("theta dimension does not match the group")
-        c = model.structure_constants()
         n = self.dim
-        nonzero = [
-            (x, y, k, c[x][y][k])
-            for x in range(n) for y in range(n) for k in range(n) if c[x][y][k]
-        ]
+        if isinstance(model, GroupModel):
+            nonzero = [(x, y, k, c) for a, b, k in model.pairs for x, y, c in ((a, b, 1), (b, a, -1))]
+        else:
+            cs = model.structure_constants()
+            nonzero = [
+                (x, y, k, cs[x][y][k])
+                for x in range(n) for y in range(n) for k in range(n) if cs[x][y][k]
+            ]
         totals = {}
         for x, y, k, cxyk in nonzero:
             for z in range(n):

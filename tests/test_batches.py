@@ -22,7 +22,7 @@ from momenta.momentum import (
     theta_integral,
     verify_momentum_condition,
 )
-from momenta.numerics import adaptive_path_quadrature, kernel_segments
+from momenta.numerics import adaptive_path_quadrature
 from momenta.scenario import build_scenario, parse_config
 from momenta.symplectic import PhasePoint
 from momenta.verification import check_rng, registry, run_checks
@@ -110,8 +110,8 @@ class TestBatchMatchesPathByPath:
         seen = []
         adaptive_path_quadrature(lambda ts: seen.append(ts) or np.ones((len(ts), 1)), p.times)
         (ts,) = seen
-        paths = np.repeat(np.arange(len(p)), 3 * p.counts())  # 3 nodes per segment
-        assert np.array_equal(kernel_segments(ts), p.segment_index(ts, paths))
+        paths = np.repeat(np.arange(len(p)), p.counts())  # one node per segment
+        assert np.array_equal(p.segment_index(ts, paths), np.arange(len(ts)))
 
     def test_momentum_kernels(self, name):
         sc = scenario(name)

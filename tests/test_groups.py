@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from momenta import groups
 from momenta.errors import InputError
 from momenta.groups import GroupModel, GroupPath, concat_paths, path_product
 
@@ -215,6 +216,15 @@ class TestTwoStepClosedForms:
                 assert not any(c[k][m][l] for m, l in itertools.product(range(n), repeat=2))
         xs, ys, zs = (random_elements(model, 50) for _ in range(3))
         assert not model.bracket(model.bracket(xs, ys), zs).any()
+
+    @pytest.mark.parametrize("kind", sorted(groups._FAMILIES))
+    def test_every_family_is_two_step(self, kind):
+        # no bracket target is a bracket input, so every bracket is central:
+        # the premise under which every path integrand is affine on a segment
+        # and the one-node path kernel is exact
+        pairs = groups._FAMILIES[kind][1]
+        inputs = {i for a, b, _ in pairs for i in (a, b)}
+        assert not inputs & {k for _, _, k in pairs}
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
     def test_cover_keeps_brackets_and_drops_circles(self, model):

@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from momenta import momentum
 from momenta.groups import GroupPath
-from momenta.momentum import PhasePath, _momentum_rows, _phase_kinematics, momentum_segments
+from momenta.momentum import PhasePath, _coadjoint_integral, _momentum_rows, _phase_kinematics, momentum_segments
 from momenta.numerics import adaptive_path_quadrature
 from momenta.scenario import build_scenario, parse_config
 
@@ -12,7 +13,9 @@ RNG = np.random.default_rng(70331)
 
 CONFIGS = {
     "torus2": '{"group":"torus","dim":2,"theta":[["0","1"],["-1","0"]]}',
+    "flat2": '{"group":"torus","dim":2,"theta":[["0","0"],["0","0"]]}',
     "torus3": '{"group":"torus","dim":3,"theta":[["0","1","0"],["-1","0","0"],["0","0","0"]]}',
+    "dense3": '{"group":"torus","dim":3,"field":2,"theta":[["0","1","1*al"],["-1","0","1"],["-1*al","-1","0"]]}',
     "heis": '{"group":"heisenberg","sigma":["1","0"]}',
 }
 
@@ -23,6 +26,28 @@ def derived_integrand(model, x):
     """The momentum-map integrand along a single path x, as a function of
     the parameter."""
     return lambda ts: _momentum_rows(model, *_phase_kinematics(x, x.base.segment_index(ts), ts))
+
+
+def coadjoint_integrand(p, matrix):
+    """The integrand of Theta and sigma_J along a single path p:
+    Ad*_{g(t)^{-1}} (matrix @ left velocity)."""
+    return lambda ts: p.model.coadjoint_inv_apply(p.evaluate_many(ts), p.directions[p.segment_index(ts)] @ matrix.T)
+
+
+def coadjoint_segments(monkeypatch, p, matrix):
+    """Per-segment rows of ``_coadjoint_integral``, read from its one kernel
+    call."""
+    rows = []
+
+    def spy(f_many, breakpoints):
+        rows.append(adaptive_path_quadrature(f_many, breakpoints))
+        return rows[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(momentum, "adaptive_path_quadrature", spy)
+        _coadjoint_integral(p, matrix)
+    (got,) = rows
+    return got
 
 
 def refined_segments(f_many, times):
@@ -37,12 +62,21 @@ def refined_segments(f_many, times):
     return halves[0::2] + halves[1::2]
 
 
+def assert_segments_match(got, want, segments, n):
+    assert got.shape == want.shape == (segments, n)
+    size = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-13 * size
+    assert np.abs(got.sum(axis=0) - want.sum(axis=0)).max() <= 1e-13 * np.abs(want).sum(axis=0).max()
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_fixed_rule_matches_refined_rule(name):
-    # the momentum integrand has the highest degree (2) of the path
-    # integrands; paths start at the identity and elsewhere, as flow tails do
+def test_fixed_rule_matches_refined_rule(name, monkeypatch):
+    # every path integrand is affine on a segment: the momentum integrand and
+    # the coadjoint one of Theta and sigma_J; paths start at the identity and
+    # elsewhere, as flow tails do
     sc = build_scenario(parse_config(CONFIGS[name]))
     n = sc.n
+    matrices = sc.model.theta.float_matrix(), sc.model.chu_at_base()
     for i in range(70):
         segments = int(RNG.integers(1, 513))
         durs = RNG.uniform(0.5, 1.5, segments)
@@ -53,15 +87,25 @@ def test_fixed_rule_matches_refined_rule(name):
         x = PhasePath(p, RNG.uniform(-1.5, 1.5, (segments + 1, n)))
         got = momentum_segments(sc.model, x)
         want = refined_segments(derived_integrand(sc.model, x), p.times)
-        assert got.shape == want.shape == (segments, n)
-        size = np.abs(want).max()
-        assert np.abs(got - want).max() <= 1e-13 * size
-        assert np.abs(got.sum(axis=0) - want.sum(axis=0)).max() <= 1e-13 * np.abs(want).sum(axis=0).max()
+        assert_segments_match(got, want, segments, n)
+        for matrix in matrices:
+            got = coadjoint_segments(monkeypatch, p, matrix)
+            want = refined_segments(coadjoint_integrand(p, matrix), p.times)
+            assert_segments_match(got, want, segments, n)
 
 
-def test_per_segment_integrals_of_a_quintic():
-    breakpoints = np.array([0.0, 0.2, 0.25, 1.0])
-    got = adaptive_path_quadrature(lambda ts: np.stack([ts**5, 1.0 + 0.0 * ts], axis=1), breakpoints)
-    lo, hi = breakpoints[:-1], breakpoints[1:]
-    assert np.allclose(got[:, 0], (hi**6 - lo**6) / 6.0, rtol=1e-14, atol=0.0)
-    assert np.allclose(got[:, 1], hi - lo, rtol=1e-14, atol=0.0)
+def test_midpoint_rule_is_exact_on_affine_integrands_and_of_degree_one():
+    # a drop in the breakpoints starts a second path and is not a segment
+    breakpoints = np.array([0.0, 0.2, 0.25, 1.0, 0.0, 0.6, 1.0])
+    lo = np.array([0.0, 0.2, 0.25, 0.0, 0.6])
+    hi = np.array([0.2, 0.25, 1.0, 0.6, 1.0])
+    h = hi - lo
+    affine = adaptive_path_quadrature(lambda ts: np.stack([3.0 - 2.0 * ts, 1.0 + 0.0 * ts], axis=1), breakpoints)
+    assert np.allclose(affine[:, 0], 3.0 * h - (hi**2 - lo**2), rtol=1e-14, atol=0.0)
+    assert np.allclose(affine[:, 1], h, rtol=1e-14, atol=0.0)
+    # exact minus midpoint rule is h^3 f''/24 on a quadratic: the rule has
+    # degree 1, no more and no less
+    a, b, c = 1.5, -0.7, 0.3
+    quadratic = adaptive_path_quadrature(lambda ts: (a * ts**2 + b * ts + c)[:, None], breakpoints)[:, 0]
+    exact = a * (hi**3 - lo**3) / 3.0 + b * (hi**2 - lo**2) / 2.0 + c * h
+    assert np.allclose(exact - quadratic, h**3 * (2.0 * a) / 24.0, rtol=1e-10, atol=0.0)
