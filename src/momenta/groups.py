@@ -375,12 +375,13 @@ class GroupPath:
     @classmethod
     def from_samples(cls, model: GroupModel, ts, gs, counts=None) -> "GroupPath":
         """Interpolating path: one exponential segment between consecutive
-        samples, hitting every sample exactly.  Needs a global logarithm.
-        With ``counts``, ``ts`` and ``gs`` hold the samples of len(counts)
-        paths one after another, counts[b] of them for path b, and the
-        result is a batch."""
-        ts = np.asarray(ts, dtype=float)
-        gs = np.asarray(gs, dtype=float)
+        samples.  The samples are the nodes and their times the breakpoints,
+        each path's ends set to exactly 0 and 1, so the path hits every
+        sample bit for bit.  Needs a global logarithm.  With ``counts``,
+        ``ts`` and ``gs`` hold the samples of len(counts) paths one after
+        another, counts[b] of them for path b, and the result is a batch."""
+        ts = np.array(ts, dtype=float)
+        gs = np.array(gs, dtype=float)
         if gs.shape != (len(ts), model.dim):
             raise InputError(f"expected samples of shape ({len(ts)}, {model.dim}), got {gs.shape}")
         if not model.is_simply_connected:
@@ -390,14 +391,21 @@ class GroupPath:
             raise InputError("sample times must increase from 0 to 1")
         lasts = sizes.cumsum() - 1
         firsts = lasts - sizes + 1
-        # g_i^{-1} g_{i+1}, whose logarithm is itself in the exponential chart;
-        # a step from one path's last sample to the next path's first is dropped
-        inner = np.ones(len(ts) - 1, dtype=bool)
-        inner[lasts[:-1]] = False
-        dts, steps = (ts[1:] - ts[:-1])[inner], model.multiply(-gs[:-1], gs[1:])[inner]
-        if not (abs(ts[firsts]).max() <= 1e-12 and abs(ts[lasts] - 1.0).max() <= 1e-12 and dts.min() > 0):
+        ends = abs(ts[firsts]).max() <= 1e-12 and abs(ts[lasts] - 1.0).max() <= 1e-12
+        ts[firsts], ts[lasts] = 0.0, 1.0
+        path = cls.__new__(cls)
+        path.model, path.batched = model, counts is not None
+        path.offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
+        (sizes - 1).cumsum(out=path.offsets[1:])
+        path._first = first = _ranges(firsts, sizes - 1)  # the sample starting each segment
+        path._points = None
+        path.durations = ts[first + 1] - ts[first]
+        if not (ends and path.durations.min() > 0):  # NaN fails
             raise InputError("sample times must increase from 0 to 1")
-        return cls.from_table(model, steps / dts[:, None], dts, gs[firsts], None if counts is None else sizes - 1)
+        path.times, path.nodes, path.bases = ts, gs, gs[firsts]
+        # g_i^{-1} g_{i+1} is its own logarithm in the exponential chart
+        path.directions = model.multiply(-gs[first], gs[first + 1]) / path.durations[:, None]
+        return path
 
     # -- batch structure ---------------------------------------------------
 
@@ -464,6 +472,16 @@ class GroupPath:
         first = self._first[ks]
         s = (ts - self.times[first])[:, None]
         return self.model.multiply(self.nodes[first], s * self.directions[ks])
+
+    def midpoints(self) -> np.ndarray:
+        """Path point at the middle of each segment, in table order.  A path
+        is affine in the chart on a segment, so this is the mean of the
+        segment's two nodes, exact up to rounding in every coordinate that
+        is not a circle.  A wrapped circle coordinate has no such midpoint,
+        but no circle is the input of a bracket pair, so Ad* never reads
+        one."""
+        f = self._first  # take gathers rows several times faster than indexing
+        return 0.5 * (self.nodes.take(f, axis=0) + self.nodes.take(f + 1, axis=0))
 
     def evaluate(self, t: float) -> np.ndarray:
         return self.evaluate_many(np.array([t], dtype=float))[0]
@@ -549,7 +567,8 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
         raise InputError("path_product needs two single paths or two batches of the same size")
     if not model.is_simply_connected:
         raise InputError("path_product is defined on universal-cover models")
-    if model.distance(np.concatenate([p.bases, q.bases]), model.identity()).max() > 1e-10:
+    bases = np.concatenate([p.bases, q.bases])
+    if bases.any() and model.distance(bases, model.identity()).max() > 1e-10:
         raise InputError("path_product needs identity-based paths")
 
     ts, kp, kq, counts = _refined_grids(p, q)

@@ -86,6 +86,12 @@ class PhasePath:
         s = (ts - self.base.times[first])[:, None]
         return self.momenta[first] + s * self.slopes[ks]
 
+    def midpoints(self) -> np.ndarray:
+        """Momentum at the middle of each segment, in table order: the curve
+        is affine on a segment, so this is the mean of its two samples."""
+        f = self.base._first
+        return 0.5 * (self.momenta.take(f, axis=0) + self.momenta.take(f + 1, axis=0))
+
     def end_momenta(self) -> np.ndarray:
         """Final momentum of each path, shape (B, n) also for a single path."""
         return self.momenta[self.base.offsets[1:] + np.arange(len(self.base))]
@@ -109,10 +115,12 @@ def _require_identity_based(p: GroupPath):
 
 def _coadjoint_integral(p: GroupPath, matrix) -> np.ndarray:
     """Integral of Ad*_{g(t)^{-1}} (matrix @ left velocity) dt along each
-    path of p: the integrand of Theta and sigma_J."""
+    path of p: the integrand of Theta and sigma_J.  The kernel's nodes are
+    the segment midpoints in table order, so the integrand reads g there
+    from the table (``GroupPath.midpoints``) and ignores the parameters."""
 
-    def integrand(ts):  # node i lies in segment i of the table
-        return p.model.coadjoint_inv_apply(p.at_segments(np.arange(len(ts)), ts), p.directions @ matrix.T)
+    def integrand(ts):
+        return p.model.coadjoint_inv_apply(p.midpoints(), p.directions @ matrix.T)
 
     return p.sum_segments(adaptive_path_quadrature(integrand, p.times))
 
@@ -137,18 +145,13 @@ def theta_closed_form_heisenberg(model: GroupModel, sigma, endpoint) -> np.ndarr
     return np.concatenate([[su], -alpha * s - 0.5 * su * iota])
 
 
-def _phase_kinematics(x: PhasePath, ks, ts):
-    """Velocity data (g, mu, xi-dot, nu-dot) at parameters ``ts`` lying in
-    segments ``ks``."""
-    return x.base.at_segments(ks, ts), x._at_segments(ks, ts), x.base.directions[ks], x.slopes[ks]
-
-
 def _momentum_rows(model: MagneticCotangent, gs, mus, xid, nud) -> np.ndarray:
     """Momentum-map integrand with the canonical sign frozen at +1, row-wise
     over stacked kinematics: Ad*_{g^{-1}} (nu-dot + (C(mu) - Sigma) xi-dot)."""
-    covs = np.einsum("abk,tk,tb->ta", model.group.structure, mus, xid)
-    covs += nud
-    covs -= xid @ model.sigma_matrix.T
+    covs = nud - xid @ model.sigma_matrix.T
+    for a, b, k in model.group.pairs:  # C(mu) xi-dot, one bracket pair at a time
+        covs[:, a] += mus[:, k] * xid[:, b]
+        covs[:, b] -= mus[:, k] * xid[:, a]
     return model.cover.coadjoint_inv_apply(gs, covs)
 
 
@@ -162,17 +165,27 @@ def _check_phase_path(model: MagneticCotangent, x: PhasePath, at_base: bool):
             raise InputError("path must start at the base point (e, 0)")
 
 
+def _segment_momenta(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
+    """``momentum_segments`` without the input check.  The kernel's nodes
+    are the segment midpoints in table order; g and mu are affine on a
+    segment, so the integrand reads them there from the table
+    (``GroupPath.midpoints``, ``PhasePath.midpoints``) and ignores the
+    parameters."""
+    p = x.base
+
+    def integrand(ts):
+        return _momentum_rows(model, p.midpoints(), x.midpoints(), p.directions, x.slopes)
+
+    return adaptive_path_quadrature(integrand, p.times)
+
+
 def momentum_segments(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     """Momentum integral over each segment of x, one row per row of the
     segment table; x may start anywhere.  The integral is additive over
     concatenation and does not depend on the parametrisation, so partial
     sums give it along sub-paths."""
     _check_phase_path(model, x, at_base=False)
-
-    def integrand(ts):  # node i lies in segment i of the table
-        return _momentum_rows(model, *_phase_kinematics(x, np.arange(len(ts)), ts))
-
-    return adaptive_path_quadrature(integrand, x.base.times)
+    return _segment_momenta(model, x)
 
 
 def momentum_of_path(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
@@ -180,7 +193,7 @@ def momentum_of_path(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     normalized so the trivial class maps to 0; exact quadrature of the
     generator contraction."""
     _check_phase_path(model, x, at_base=True)
-    return x.base.sum_segments(momentum_segments(model, x))
+    return x.base.sum_segments(_segment_momenta(model, x))
 
 
 def momentum_closed_form(model: MagneticCotangent, g_path: GroupPath, mu) -> np.ndarray:

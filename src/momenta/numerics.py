@@ -8,7 +8,10 @@ is affine in the exponential chart, and so is the momentum curve; the
 central component of the covector is constant there, so Ad*_{g^{-1}} =
 (I - ad_g)^T applied to the covector is affine as well.  The midpoint rule
 integrates an affine integrand exactly, so one node per segment gives
-every path integral up to rounding.
+every path integral up to rounding.  The node is the segment's midpoint,
+where the path and the momentum curve are the means of their values at
+the segment's two breakpoints; so the integrands in ``momentum.py`` read
+their midpoints from the segment table and never evaluate the path.
 """
 
 from __future__ import annotations

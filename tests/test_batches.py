@@ -227,6 +227,34 @@ class TestBatchMatchesPathByPath:
         assert rng.random() == ref.random()  # the draws keep their order and number
 
 
+def test_from_samples_keeps_its_samples():
+    # the samples are the nodes and their times the breakpoints, bit for bit,
+    # with each path's ends set to exactly 0 and 1; a ragged batch drops the
+    # step between paths and matches its paths built alone
+    sc = scenario("heis")
+    rng = np.random.default_rng(14)
+    sizes = np.array([2, 9, 3, 65])
+    ts = [np.r_[1e-13 * (b % 2), np.sort(rng.uniform(0.0, 1.0, m - 2)), 1.0 - 1e-13 * (b % 2)] for b, m in enumerate(sizes)]
+    gs = [rng.uniform(-2.0, 2.0, (m, sc.n)) for m in sizes]
+    batch = GroupPath.from_samples(sc.cover, np.concatenate(ts), np.concatenate(gs), sizes)
+    assert batch.batched and list(batch.counts()) == list(sizes - 1)
+    for b, (t, g) in enumerate(zip(ts, gs)):
+        single = GroupPath.from_samples(sc.cover, t, g)
+        assert t[0] == 1e-13 * (b % 2)  # the caller's times are left alone
+        lo, hi = batch.offsets[b], batch.offsets[b + 1]
+        for p, start, rows in ((single, 0, slice(None)), (batch, lo + b, slice(lo, hi))):
+            points = slice(start, start + len(t))
+            assert np.array_equal(p.nodes[points], g)
+            assert np.array_equal(p.times[points], np.r_[0.0, t[1:-1], 1.0])
+            assert np.array_equal(p.durations[rows], np.diff(np.r_[0.0, t[1:-1], 1.0]))
+            assert np.array_equal(p.directions[rows], single.directions)
+            assert np.array_equal(p._first[rows], start + np.arange(len(t) - 1))
+        # each segment runs from its sample to the next
+        ks = np.arange(len(t) - 1)
+        assert np.abs(single.at_segments(ks, single.times[1:]) - g[1:]).max() <= 1e-14 * np.abs(g).max()
+        assert np.array_equal(batch.bases[b], g[0])
+
+
 def test_path_product_raises_on_a_miss(monkeypatch):
     # the representative hits every sample, so its endpoint gap is rounding
     # only and refining cannot shrink it: a miss raises after one from_samples

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momenta import momentum
-from momenta.groups import GroupPath
-from momenta.momentum import PhasePath, _coadjoint_integral, _momentum_rows, _phase_kinematics, momentum_segments
+from momenta import groups, momentum
+from momenta.groups import GroupModel, GroupPath
+from momenta.momentum import PhasePath, _coadjoint_integral, _momentum_rows, momentum_segments, sigma_J, theta_integral
 from momenta.numerics import adaptive_path_quadrature
 from momenta.scenario import build_scenario, parse_config
 
@@ -20,12 +20,18 @@ CONFIGS = {
 }
 
 _X8, _W8 = np.polynomial.legendre.leggauss(8)
+COVER_KINDS = sorted({GroupModel(kind, 3).cover().kind for kind in groups._FAMILIES})
 
 
 def derived_integrand(model, x):
     """The momentum-map integrand along a single path x, as a function of
     the parameter."""
-    return lambda ts: _momentum_rows(model, *_phase_kinematics(x, x.base.segment_index(ts), ts))
+
+    def f_many(ts):
+        ks = x.base.segment_index(ts)
+        return _momentum_rows(model, x.base.at_segments(ks, ts), x._at_segments(ks, ts), x.base.directions[ks], x.slopes[ks])
+
+    return f_many
 
 
 def coadjoint_integrand(p, matrix):
@@ -109,3 +115,49 @@ def test_midpoint_rule_is_exact_on_affine_integrands_and_of_degree_one():
     quadratic = adaptive_path_quadrature(lambda ts: (a * ts**2 + b * ts + c)[:, None], breakpoints)[:, 0]
     exact = a * (hi**3 - lo**3) / 3.0 + b * (hi**2 - lo**2) / 2.0 + c * h
     assert np.allclose(exact - quadratic, h**3 * (2.0 * a) / 24.0, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", COVER_KINDS)
+def test_table_midpoints_are_path_midpoints(kind):
+    # the integrands read g and mu at the kernel's nodes from the table: the
+    # means of each segment's two stored rows, which are the points at its
+    # midpoint because both curves are affine there.  A ragged batch skips
+    # the drops between its paths
+    cover = GroupModel(kind, 3)
+    rng = np.random.default_rng(70332)
+    counts = np.array([1, 5, 2, 33, 1])
+    durs = np.concatenate([w / w.sum() for w in (rng.uniform(0.5, 1.5, m) for m in counts)])
+    p = GroupPath.from_table(cover, rng.uniform(-1.5, 1.5, (len(durs), 3)), durs, rng.uniform(-2.0, 2.0, (5, 3)), counts)
+    x = PhasePath(p, rng.uniform(-1.5, 1.5, (len(p.times), 3)))
+    seen = []
+    adaptive_path_quadrature(lambda ts: seen.append(ts) or np.ones((len(ts), 1)), p.times)
+    (mid,) = seen
+    ks = np.arange(len(durs))
+    # the reference's offsets into a segment round at the size of t, which
+    # the momentum slopes (up to about 100 here) amplify
+    scales = np.abs(p.nodes).max(), np.abs(x.slopes).max()
+    for got, want, scale in zip((p.midpoints(), x.midpoints()), (p.at_segments(ks, mid), x._at_segments(ks, mid)), scales):
+        assert got.shape == want.shape == (len(durs), 3)
+        assert np.abs(got - want).max() <= 1e-15 * scale
+
+
+def test_integrands_never_read_circle_coordinates():
+    # on the compact Heisenberg quotient the central coordinate is a circle:
+    # the nodes wrap, so their means are no midpoints there, but no circle is
+    # the input of a bracket pair, and Theta and sigma_J's integral read pair
+    # inputs only: they equal the cover path's values bit for bit
+    for kind in groups._FAMILIES:
+        model = GroupModel(kind, 3)
+        assert not set(model.circles) & {i for a, b, _ in model.pairs for i in (a, b)}
+    sc = build_scenario(parse_config(CONFIGS["heis"]))
+    rng = np.random.default_rng(70333)
+    durs = rng.uniform(0.5, 1.5, 40)
+    durs /= durs.sum()
+    dirs = rng.uniform(-1.5, 1.5, (40, 3))
+    dirs[:, 0] += 7.0  # the central coordinate winds about seven times
+    down, up = GroupPath.from_table(sc.group, dirs, durs), GroupPath.from_table(sc.cover, dirs, durs)
+    assert sc.group.kind == "central_extension" and sc.group.circles == (0,)
+    assert np.array_equal(down.nodes[:, 1:], up.nodes[:, 1:])
+    assert np.abs(down.midpoints()[:, 0] - up.midpoints()[:, 0]).max() > 0.4
+    assert np.array_equal(theta_integral(sc.group, sc.theta, down), theta_integral(sc.cover, sc.theta, up))
+    assert np.array_equal(_coadjoint_integral(down, sc.model.chu_at_base()), sigma_J(sc.model, up))
