@@ -8,6 +8,11 @@ the closed-form momentum map, an independent transport oracle, the
 non-equivariance cocycle, and a finite-difference validator for the momentum
 condition.
 
+Every group here is 2-step nilpotent, so on each segment of a path the
+kernel's integrands are affine (see ``numerics``) and the transport oracle's
+is at most quadratic: one Simpson panel integrates it exactly, and the
+oracle's Richardson gap, blind below the fourth degree, guards that premise.
+
 Sign discipline: the quadrature integrands here are derived once with the
 canonical-part sign fixed to +1, while the transport oracle and the
 finite-difference validator evaluate the symplectic form through the
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import symplectic as _sym
 from .errors import InputError, NumericalError
-from .groups import GroupModel, GroupPath, _interleave, _ranges, concat_paths, path_product
+from .groups import GroupModel, GroupPath, _interleave, concat_paths, path_product
 from .numerics import adaptive_path_quadrature
 from .symplectic import CocycleTheta, MagneticCotangent, PhasePoint
 
@@ -204,31 +209,12 @@ def momentum_closed_form(model: MagneticCotangent, g_path: GroupPath, mu) -> np.
     return coad + theta_integral(g_path.model, model.theta, g_path)
 
 
-_TRANSPORT_ROWS = 2**12  # integrand rows evaluated together, bounding memory
-
-
-def _simpson_sweeps(vals, h, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Simpson integrals over grids of 4 m + 1 equally spaced rows
-    h / 4 apart, stacked one after another (``rows`` per grid, default one
-    grid): the coarse sweep over m panels of width h reads the even-indexed
-    rows, the fine sweep over 2 m panels of width h / 2 reads them all.
-    Returns (coarse, fine), one row per grid.
-
-    Both weight patterns are fixed by the row index modulo 4, so one sum per
-    residue class and grid gives both sweeps: with S_r the sum of the rows
-    of residue r and E the two end rows, coarse = h/6 (2 S_0 + 4 S_2 - E) and
-    fine = h/12 (2 S_0 + 4 S_1 + 2 S_2 + 4 S_3 - E)."""
-    rows = np.array([len(vals)] if rows is None else rows, dtype=np.intp)
-    h = np.broadcast_to(np.asarray(h, dtype=float), rows.shape)[:, None]
-    starts = np.cumsum(rows) - rows
-    m = (rows - 1) // 4
-    counts = np.stack([m + 1, m, m, m], axis=1).ravel()  # rows per (grid, residue)
-    first = np.repeat(starts, 4) + np.tile(np.arange(4), len(rows))
-    order = np.repeat(first, counts) + 4 * _ranges(np.zeros(len(counts)), counts)
-    sums = np.add.reduceat(np.take(vals, order, axis=0), np.cumsum(counts) - counts)
-    s0, s1, s2, s3 = sums.reshape(len(rows), 4, -1).transpose(1, 0, 2)
-    ends = vals[starts] + vals[starts + rows - 1]
-    return (h / 6.0) * (2.0 * s0 + 4.0 * s2 - ends), (h / 12.0) * (2.0 * (s0 + s2) + 4.0 * (s1 + s3) - ends)
+def _simpson_sweeps(vals, w) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse and the fine sweep over each segment of a (segments, 5, n)
+    block of rows w / 4 apart: one Simpson panel, w/6 (1, 0, 4, 0, 1), and
+    two, w/12 (1, 4, 2, 4, 1)."""
+    v0, v1, v2, v3, v4 = vals.transpose(1, 0, 2)
+    return (w / 6.0)[:, None] * (v0 + 4.0 * v2 + v4), (w / 12.0)[:, None] * (v0 + 4.0 * (v1 + v3) + 2.0 * v2 + v4)
 
 
 def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
@@ -236,61 +222,41 @@ def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     <mu-dot, e_i> = omega(e_i-generator, x-dot) from (z0, 0) with a classical
     4th-order step, Richardson-checked at half the step, along each path.
 
-    The right-hand side does not involve the transported variable, so the RK4
-    update collapses exactly to a composite Simpson rule per step.  On a
-    segment of length w the integrand is evaluated once, on a grid of
-    4 steps + 1 points with steps = ceil(1024 w): the coarse sweep (steps
-    panels, step <= 1/1024) reads the even-indexed points, the fine sweep
-    (2 steps panels, step <= 1/2048) reads them all.  Each point is
-    evaluated from its own segment's node, direction and momentum slope, so
-    kinks never leak into a panel.  The grids of all segments are evaluated
-    together, in chunks of about 2**12 points.
+    The right-hand side does not involve the transported variable, so an RK4
+    step is a Simpson panel.  Each segment of width w is evaluated at 5
+    equally spaced rows from its own start node, direction and momentum
+    slope, so kinks never leak into a panel: the coarse sweep is one panel,
+    the fine sweep two.  On a segment the path is affine in the chart of a
+    2-step group and so is the covector; the integrand, bilinear in the two,
+    is at most quadratic, and one panel integrates it exactly.
 
-    Both sweeps are exact up to rounding on these integrands, and rounding
-    grows with the size of the data, so on each path they must agree to
-    1e-10 times the largest of the integrand's values, the momenta and Sigma
-    times each velocity, and never less than 1e-7.  The form enters through
-    the symplectic module's current sign, keeping this oracle independent of
-    the derived quadrature integrand.
+    The sweeps then differ by rounding, which grows with the size of the
+    data, so on each path they must agree to 1e-10 times the largest of the
+    integrand's values, the momenta and Sigma times each velocity, and never
+    less than 1e-7.  Cubic terms cancel in the gap and a quartic term c d^4
+    opens it by |c| w^5 / 128, so the gap guards the 2-step premise.  The
+    form enters through the symplectic module's current sign, keeping this
+    oracle independent of the derived quadrature integrand.
     """
     _check_phase_path(model, x, at_base=True)
     s = _sym._CANON_SIGN
     struct, sig = model.group.structure, model.sigma_matrix
-    base = x.base
-    steps = np.maximum(1, np.ceil(base.durations * 1024).astype(np.intp))
-    h = base.durations / steps
-    rows = 4 * steps + 1
-    segments = len(rows)
-    coarse, fine = np.empty((segments, model.n)), np.empty((segments, model.n))
-    # per segment, grown below by its integrand values: its momenta at both
-    # ends and Sigma times its velocity
-    mu_peak = np.abs(x.momenta).max(axis=1)
-    size = np.max([mu_peak[base._first], mu_peak[base._first + 1], np.abs(base.directions @ sig.T).max(axis=1)], axis=0)
-    # a chunk holds the segments whose grids start in one window of rows
-    chunk = (np.cumsum(rows) - rows) // _TRANSPORT_ROWS
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(chunk)) + 1, [segments]])
+    base, n = x.base, model.n
+    xid, nud, mu0, push = base.directions, x.slopes, x.momenta[base._first], base.directions @ sig.T
     # the velocity is constant on a segment, so the bracket term is one
     # matrix per segment, and the covector is affine in the offset d into
     # the segment: cov0 + d cov1
-    xid, nud, mu0 = base.directions, x.slopes, x.momenta[base._first]
     brackets = s * np.einsum("abk,sb->sak", struct, xid)
-    cov0 = np.einsum("sak,sk->sa", brackets, mu0) + (s * nud - xid @ sig.T)
+    cov0 = np.einsum("sak,sk->sa", brackets, mu0) + (s * nud - push)
     cov1 = np.einsum("sak,sk->sa", brackets, nud)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        r = rows[a:b]
-
-        def spread(per_segment):  # one copy per grid point of its segment
-            return np.repeat(per_segment[a:b], r, axis=0)
-
-        ds = (spread(0.25 * h) * _ranges(np.zeros(b - a), r))[:, None]  # offsets into the segments
-        covs = spread(cov0) + ds * spread(cov1)
-        gs = base.model.multiply(spread(base.nodes[base._first]), ds * spread(xid))
-        vals = base.model.coadjoint_inv_apply(gs, covs)
-        peaks = np.maximum.reduceat(np.abs(vals), np.cumsum(r) - r).max(axis=1)
-        size[a:b] = np.maximum(size[a:b], peaks)
-        coarse[a:b], fine[a:b] = _simpson_sweeps(vals, h[a:b], r)
-    coarse, fine = base.sum_segments(coarse), base.sum_segments(fine)
-    size = np.maximum.reduceat(size, base.offsets[:-1])
+    ds = np.outer(base.durations, 0.25 * np.arange(5))[..., None]  # offsets of the 5 rows
+    gs = base.model.multiply(base.nodes[base._first][:, None], ds * xid[:, None])
+    covs = cov0[:, None] + ds * cov1[:, None]
+    vals = base.model.coadjoint_inv_apply(gs.reshape(-1, n), covs.reshape(-1, n)).reshape(-1, 5, n)
+    coarse, fine = (base.sum_segments(v) for v in _simpson_sweeps(vals, base.durations))
+    ends = np.abs(x.momenta).max(axis=1)
+    size = np.max([np.abs(vals).max(axis=(1, 2)), np.abs(push).max(axis=1), ends[base._first], ends[base._first + 1]], axis=0)
+    size = np.maximum.reduceat(size, base.offsets[:-1])  # per path
     gaps = np.atleast_1d(np.abs(fine - coarse).max(axis=-1))
     failed = np.flatnonzero(~(gaps <= np.maximum(1e-7, 1e-10 * size)))  # NaN fails
     if len(failed):

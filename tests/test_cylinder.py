@@ -373,6 +373,20 @@ class TestNoether:
         x = PhasePath.to_point(SC_TORUS.model, [0.3, 0.1], [0.4, -0.2])
         assert noether_check(SC_TORUS.model, SC_TORUS.cylinder, x, 0.0) == 0.0
 
+    def test_short_flow_time_is_checked(self, monkeypatch):
+        # a field pushing the first momentum coordinate moves K at once; a
+        # flow shorter than the checkpoint spacing must still read it
+        n = SC_HEIS.n
+        push = np.eye(2 * n)[n]
+
+        def pushing(model):
+            field = _kinetic_field(model)
+            return lambda y: field(y) + push
+
+        monkeypatch.setattr(cylinder, "_kinetic_field", pushing)
+        x = PhasePath.to_point(SC_HEIS.model, [0.2, 0.1, -0.3], [0.4, 0.2, 0.1])
+        assert noether_check(SC_HEIS.model, SC_HEIS.cylinder, x, 0.05) > 0.01
+
     def test_negative_time_rejected(self):
         x = PhasePath.to_point(SC_TORUS.model, [0.3, 0.1], [0.4, -0.2])
         with pytest.raises(InputError):

@@ -268,14 +268,20 @@ class TestSharedGridTransport:
             got, want = horizontal_transport(model, x), two_sweep_transport(model, x)
             assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
-    def test_coarse_sweep_has_twice_the_step(self):
-        # on exp(t) Simpson's error falls 16-fold when the step halves
-        for steps in (1, 4, 16):
-            h = 1.0 / steps
-            t = 0.25 * h * np.arange(4 * steps + 1)
-            coarse, fine = _simpson_sweeps(np.exp(t)[:, None], h)
-            ratio = (coarse[0] - (np.e - 1.0)) / (fine[0] - (np.e - 1.0))
-            assert 15.0 < ratio < 16.5
+    def test_gap_sees_the_fourth_degree(self):
+        # one Simpson panel and two are exact on cubics, so their gap is
+        # rounding; on t^4 over width w they err by w^5/120 and w^5/1920,
+        # and the gap is w^5/128
+        w = np.array([0.05, 0.3, 1.0, 2.5])
+        t = np.outer(w, 0.25 * np.arange(5))
+        coarse, fine = _simpson_sweeps((1.0 - 2.0 * t + 0.5 * t**2 + 3.0 * t**3)[..., None], w)
+        exact = w - w**2 + w**3 / 6.0 + 0.75 * w**4
+        assert np.allclose(coarse[:, 0], exact, rtol=1e-15, atol=0.0)
+        assert np.allclose(fine[:, 0], exact, rtol=1e-15, atol=0.0)
+        coarse, fine = _simpson_sweeps((t**4)[..., None], w)
+        assert np.allclose(coarse[:, 0] - w**5 / 5.0, w**5 / 120.0, rtol=1e-12, atol=0.0)
+        assert np.allclose(fine[:, 0] - w**5 / 5.0, w**5 / 1920.0, rtol=1e-12, atol=0.0)
+        assert np.allclose(coarse[:, 0] - fine[:, 0], w**5 / 128.0, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("name", sorted(SCALED_CONFIGS))
     def test_richardson_threshold_scales_with_the_momenta(self, name):
