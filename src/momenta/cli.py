@@ -67,6 +67,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        print(f"--seed must be at least 0, got {args.seed}", file=sys.stderr)
+        return 2
     sc = _load_scenario(args.config)
     reports = run_checks(sc, seed=args.seed)
     for r in reports:
@@ -135,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the seeded invariant checks")
     pv.add_argument("--config", required=True, help="scenario config JSON file")
-    pv.add_argument("--seed", type=int, help="override the config seed")
+    pv.add_argument("--seed", type=int, help="override the config seed, at least 0")
 
     po = sub.add_parser("orbit", help="sample an affine orbit as CSV")
     po.add_argument("--config", required=True, help="scenario config JSON file")

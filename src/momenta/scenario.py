@@ -334,45 +334,55 @@ class Scenario:
             k[0] = 1
         return k
 
-    # The draw_* methods take a sample's random numbers in generator order
-    # and build nothing, so that a check can draw all of its samples first
-    # and evaluate them as one batch (cover_paths, phase_paths).
+    # A random path has two segments from the identity (a phase path: from
+    # the base point).  A sample's numbers are one row of the generator
+    # stream: per kind, in the order asked for, 2 durations in (0.5, 1.5)
+    # (scaled to sum 1), 2 directions in (-1.5, 1.5)^n and, for a phase path,
+    # 3 momenta at the breakpoints in (-1, 1)^n, the first then set to 0.
 
-    def draw_cover_path(self, rng, segments: int = 2, scale: float = 1.5):
-        """(directions, durations) of a random identity-based cover path."""
-        durs = rng.uniform(0.5, 1.5, segments)
-        durs /= durs.sum()
-        return rng.uniform(-scale, scale, (segments, self.n)), durs
+    def _row_ranges(self, kinds):
+        n = self.n
+        cover = [(0.5, 1.5, 2), (-1.5, 1.5, 2 * n)]
+        fields = {"cover": cover, "phase": cover + [(-1.0, 1.0, 3 * n)]}
+        lows, highs, sizes = zip(*(f for kind in kinds for f in fields[kind]))
+        return np.repeat(lows, sizes), np.repeat(highs, sizes)
 
-    def draw_phase_path(self, rng, segments: int = 2):
-        """(directions, durations, momenta) of a random phase path from the
-        base point."""
-        dirs, durs = self.draw_cover_path(rng, segments)
-        momenta = rng.uniform(-1.0, 1.0, (segments + 1, self.n))
-        momenta[0] = 0.0
-        return dirs, durs, momenta
+    def _paths_from_rows(self, rows, kinds) -> list:
+        n, out = self.n, []
+        for kind in kinds:
+            durs, dirs, rows = np.split(rows, [2, 2 + 2 * n], axis=1)
+            durs = (durs / durs.sum(axis=1, keepdims=True)).ravel()
+            path = GroupPath.from_table(self.cover, dirs.reshape(-1, n), durs, counts=np.full(len(rows), 2))
+            if kind == "phase":
+                momenta, rows = np.split(rows, [3 * n], axis=1)
+                momenta[:, :n] = 0.0
+                path = PhasePath(path, momenta.reshape(-1, n))
+            out.append(path)
+        return out
 
-    def cover_paths(self, draws) -> GroupPath:
-        """Batch of the cover paths drawn by ``draw_cover_path``."""
-        dirs, durs = zip(*draws)
-        return GroupPath.from_table(self.cover, np.concatenate(dirs), np.concatenate(durs), counts=[len(d) for d in durs])
+    def draw_paths(self, rng, count: int, *kinds) -> list:
+        """``count`` random paths of each kind ("cover" or "phase"), drawn
+        sample after sample in one generator call; one batch per kind."""
+        lows, highs = self._row_ranges(kinds)
+        return self._paths_from_rows(rng.uniform(lows, highs, (count, len(lows))), kinds)
 
-    def phase_paths(self, draws) -> PhasePath:
-        """Batch of the phase paths drawn by ``draw_phase_path``."""
-        dirs, durs, momenta = zip(*draws)
-        base = self.cover_paths(zip(dirs, durs))
-        return PhasePath(base, np.concatenate(momenta))
+    def draw_phase_and_loops(self, rng, count: int):
+        """``count`` phase paths and, drawn after each, deck-loop
+        coefficients.  Bounded integers keep half a word buffered in the
+        generator, so this one goes sample by sample."""
+        lows, highs = self._row_ranges(("phase",))
+        rows, ks = zip(*[(rng.uniform(lows, highs), self.random_loop_coefficients(rng)) for _ in range(count)])
+        return self._paths_from_rows(np.array(rows), ("phase",))[0], np.array(ks)
 
-    def random_cover_path(self, rng, segments: int = 2, scale: float = 1.5) -> GroupPath:
-        dirs, durs = self.draw_cover_path(rng, segments, scale)
-        return GroupPath(self.cover, zip(dirs, durs))
+    def random_cover_path(self, rng) -> GroupPath:
+        """One random cover path, not a batch."""
+        (p,) = self.draw_paths(rng, 1, "cover")
+        return GroupPath.from_table(self.cover, p.directions, p.durations)
 
-    def random_phase_path(self, rng, segments: int = 2) -> PhasePath:
-        dirs, durs, momenta = self.draw_phase_path(rng, segments)
-        return PhasePath(GroupPath(self.cover, zip(dirs, durs)), momenta)
-
-    def random_mu(self, rng) -> np.ndarray:
-        return rng.uniform(-1.5, 1.5, self.n)
+    def random_phase_path(self, rng) -> PhasePath:
+        """One random phase path, not a batch."""
+        (x,) = self.draw_paths(rng, 1, "phase")
+        return PhasePath(GroupPath.from_table(self.cover, x.base.directions, x.base.durations), x.momenta)
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:

@@ -5,13 +5,16 @@ neither the set of checks run nor their order can change the sampled data.
 A numerical failure inside a check is reported as a failed CheckReport,
 never as a crash.
 
-Checks draw, then evaluate.  A check first takes all of its samples' random
-numbers, sample after sample in the order a per-sample loop would take
-them (``_draw``; the Scenario's ``draw_*`` methods build nothing), so the
-generator streams and where they end do not depend on how the samples are
-evaluated.  It then evaluates them as one batch, with one call per kernel
-(a batch of paths is one GroupPath or PhasePath), and reports the largest
-error over the batch.  A NumericalError on any sample fails the whole check
+Checks draw, then evaluate.  A check takes all of its samples' random
+numbers in one generator call, in the order a per-sample loop would take
+them: ``Scenario.draw_paths`` for paths (only the Scenario knows where a
+path's numbers sit in the stream), ``_uniform`` for points.  So the streams
+and where they end do not depend on how the samples are evaluated.  Draws
+that interleave bounded integers go sample by sample
+(``Scenario.draw_phase_and_loops``, ``reduction_fiber``).  A check then
+evaluates its samples as one batch, with one call per kernel (a batch of
+paths is one GroupPath or PhasePath), and reports the largest error over
+the batch.  A NumericalError on any sample fails the whole check
 with maxError infinity, as it did when the first failing sample stopped a
 loop.  Errors over settings are combined with ``np.maximum``, which keeps a
 NaN, and a NaN max error also fails the check with maxError infinity.
@@ -19,11 +22,10 @@ NaN, and a NaN max error also fails the check with maxError infinity.
 No check loops over its samples.  The group and form checks (``group_*``,
 ``adjoint_homomorphism``, ``omega_*``) and ``cylinder_homomorphism`` call
 the same ``multiply``, ``omega`` and ``project`` that serve one element, on
-all samples stacked in rows; where every draw of a check is ``uniform``,
-one block (``_uniform``) takes the same numbers in the same generator order.
-Loops stay only over settings: ``muList`` entries and the two group models
-(compact chart and universal cover).  The exact holonomy tests of
-``reduction_fiber`` run per sample, in exact arithmetic.
+all samples stacked in rows.  Loops stay only over settings: ``muList``
+entries and the two group models (compact chart and universal cover).  The
+exact holonomy tests of ``reduction_fiber`` run per sample, in exact
+arithmetic.
 
 Stated tolerances assume the default config tolerance 1e-8; a looser or
 tighter config tolerance rescales every check proportionally.
@@ -110,14 +112,6 @@ def check_rng(seed: int, name: str) -> np.random.Generator:
 # -- samplers ----------------------------------------------------------------
 
 
-def _draw(rng, count, *draws):
-    """Draw ``count`` samples, each one call of every function in ``draws``
-    in turn (the generator order of a per-sample loop); returns one list per
-    function."""
-    rows = [[draw(rng) for draw in draws] for _ in range(count)]
-    return [list(col) for col in zip(*rows)] if rows else [[] for _ in draws]
-
-
 def _worst(gaps) -> float:
     """Largest row norm of stacked gaps."""
     return float(np.linalg.norm(gaps, axis=-1).max())
@@ -169,8 +163,7 @@ def _chk_adjoint_homomorphism(sc, rng, samples):
 
 def _chk_path_product_endpoint(sc, rng, samples):
     used = min(samples, 25)
-    p, q = _draw(rng, used, sc.draw_cover_path, sc.draw_cover_path)
-    p, q = sc.cover_paths(p), sc.cover_paths(q)
+    p, q = sc.draw_paths(rng, used, "cover", "cover")
     want = sc.cover.multiply(p.ends(), q.ends())
     return _worst(path_product(p, q).ends() - want), used, ""
 
@@ -197,16 +190,14 @@ def _chk_omega_left_invariance(sc, rng, samples):
 
 
 def _chk_momentum_closed_form(sc, rng, samples):
-    (x,) = _draw(rng, samples, sc.draw_phase_path)
-    x = sc.phase_paths(x)
+    (x,) = sc.draw_paths(rng, samples, "phase")
     got = momentum_of_path(sc.model, x)
     want = momentum_closed_form(sc.model, x.base, x.end_momenta())
     return _worst(got - want), samples, "quadrature vs endpoint closed form"
 
 
 def _chk_momentum_transport(sc, rng, samples):
-    (x,) = _draw(rng, samples, sc.draw_phase_path)
-    x = sc.phase_paths(x)
+    (x,) = sc.draw_paths(rng, samples, "phase")
     gap = momentum_of_path(sc.model, x) - horizontal_transport(sc.model, x)
     return _worst(gap), samples, "quadrature vs flat-connection transport"
 
@@ -214,9 +205,8 @@ def _chk_momentum_transport(sc, rng, samples):
 def _phase_and_loop(sc, rng, used):
     """Phase paths x and, drawn after each, deck loops gamma from the base
     point."""
-    x, ks = _draw(rng, used, sc.draw_phase_path, sc.random_loop_coefficients)
-    gamma = PhasePath.with_linear_momentum(sc.loop_path(np.array(ks)), np.zeros(sc.n))
-    return sc.phase_paths(x), gamma
+    x, ks = sc.draw_phase_and_loops(rng, used)
+    return x, PhasePath.with_linear_momentum(sc.loop_path(ks), np.zeros(sc.n))
 
 
 def _chk_momentum_additivity(sc, rng, samples):
@@ -229,8 +219,7 @@ def _chk_momentum_additivity(sc, rng, samples):
 
 def _chk_momentum_equivariance(sc, rng, samples):
     used = min(samples, 50)
-    g_path, x = _draw(rng, used, sc.draw_cover_path, sc.draw_phase_path)
-    g_path, x = sc.cover_paths(g_path), sc.phase_paths(x)
+    g_path, x = sc.draw_paths(rng, used, "cover", "phase")
     lhs = momentum_of_path(sc.model, lifted_action_on_path(g_path, x))
     coad = sc.cover.coadjoint_inv_apply(g_path.ends(), momentum_of_path(sc.model, x))
     rhs = coad + sigma_J(sc.model, g_path)
@@ -246,8 +235,7 @@ def _chk_momentum_condition(sc, rng, samples):
 
 def _chk_cocycle_matches_theta(sc, rng, samples):
     used = min(samples, 50)
-    (p,) = _draw(rng, used, sc.draw_cover_path)
-    p = sc.cover_paths(p)
+    (p,) = sc.draw_paths(rng, used, "cover")
     gap = sigma_J(sc.model, p) - theta_integral(sc.cover, sc.theta, p)
     return _worst(gap), used, "cotangent-lift cocycle equals the magnetic term"
 
@@ -255,8 +243,7 @@ def _chk_cocycle_matches_theta(sc, rng, samples):
 def _cocycle_sides(sc, rng, used):
     """For pairs (p, q) of cover paths: the product path pq and the right
     side sigma_J(p) + Ad*_{p^{-1}} sigma_J(q) of the cocycle identity."""
-    p, q = _draw(rng, used, sc.draw_cover_path, sc.draw_cover_path)
-    p, q = sc.cover_paths(p), sc.cover_paths(q)
+    p, q = sc.draw_paths(rng, used, "cover", "cover")
     rhs = sigma_J(sc.model, p) + sc.cover.coadjoint_inv_apply(p.ends(), sigma_J(sc.model, q))
     return path_product(p, q), rhs
 
@@ -269,8 +256,8 @@ def _chk_cocycle_identity(sc, rng, samples):
 
 def _chk_cocycle_flat_vanishes(sc, rng, samples):
     used = min(samples, 25)
-    (p,) = _draw(rng, used, sc.draw_cover_path)
-    return _worst(sigma_J(sc.model, sc.cover_paths(p))), used, "Sigma = 0 forces an equivariant momentum map"
+    (p,) = sc.draw_paths(rng, used, "cover")
+    return _worst(sigma_J(sc.model, p)), used, "Sigma = 0 forces an equivariant momentum map"
 
 
 def _chk_cylinder_homomorphism(sc, rng, samples):
@@ -288,8 +275,7 @@ def _chk_cylinder_K_path_independence(sc, rng, samples):
 
 
 def _chk_cylinder_equivariance(sc, rng, samples):
-    g_path, x = _draw(rng, samples, sc.draw_cover_path, sc.draw_phase_path)
-    g_path, x = sc.cover_paths(g_path), sc.phase_paths(x)
+    g_path, x = sc.draw_paths(rng, samples, "cover", "phase")
     lhs = cyl.K(sc.model, sc.cylinder, lifted_action_on_path(g_path, x))
     rhs = cyl.affine_cylinder_action(
         sc.model, sc.cylinder, g_path.ends(), cyl.K(sc.model, sc.cylinder, x), lift_path=g_path
@@ -308,7 +294,7 @@ def _chk_cylinder_infinitesimal(sc, rng, samples):
     used = min(samples, 50)
     h, hm = 1e-4, 1e-6
     psi0 = sc.model.chu_at_base()
-    mu, xi = (np.array(d) for d in _draw(rng, used, sc.random_mu, lambda r: r.uniform(-1.0, 1.0, sc.n)))
+    mu, xi = _uniform(rng, used, sc.n, (-1.5, 1.5), (-1.0, 1.0))
     plus = cyl.affine_action(sc.model, GroupPath.straight(sc.cover, h * xi), mu)
     minus = cyl.affine_action(sc.model, GroupPath.straight(sc.cover, -h * xi), mu)
     fd = (plus - minus) / (2.0 * h)
@@ -322,8 +308,8 @@ def _chk_casimir_invariance(sc, rng, samples):
     worst = 0.0
     for mu in sc.mu_list:
         f0 = cyl.heisenberg_casimir(sigma, mu[0], mu[1:])
-        (paths,) = _draw(rng, samples, sc.draw_cover_path)
-        moved = cyl.affine_action(sc.model, sc.cover_paths(paths), mu)
+        (paths,) = sc.draw_paths(rng, samples, "cover")
+        moved = cyl.affine_action(sc.model, paths, mu)
         worst = float(np.maximum(worst, np.abs(cyl.heisenberg_casimir(sigma, moved[:, 0], moved[:, 1:]) - f0).max()))
     return worst, samples * len(sc.mu_list), ""
 
@@ -361,8 +347,8 @@ def _chk_orbit_descriptor(sc, rng, samples):
     worst = 0.0
     for mu in sc.mu_list:
         desc = cyl.orbit_descriptor(sc, mu, rng=rng, samples=samples)
-        (paths,) = _draw(rng, samples, sc.draw_cover_path)
-        moved = cyl.affine_action(sc.model, sc.cover_paths(paths), mu)
+        (paths,) = sc.draw_paths(rng, samples, "cover")
+        moved = cyl.affine_action(sc.model, paths, mu)
         worst = float(np.maximum(worst, desc.residuals(moved).max()))
     return worst, 2 * samples * len(sc.mu_list), ""
 

@@ -24,7 +24,7 @@ from momenta.momentum import (
 from momenta.numerics import adaptive_path_quadrature
 from momenta.scenario import build_scenario, parse_config
 from momenta.symplectic import PhasePoint
-from momenta.verification import check_rng, registry, run_checks
+from momenta.verification import _phase_and_loop, check_rng, registry, run_checks
 
 CONFIGS = {
     "torus2": '{"group":"torus","dim":2,"theta":[["0","1"],["-1","0"]],"muList":[[0.3,-0.2],[0.0,0.0]]}',
@@ -46,10 +46,26 @@ def assert_rows_close(batch, singles):
     assert np.abs(batch - singles).max() <= 1e-14 * scale
 
 
+def draw_segments(sc, rng, m, scale=1.5):
+    """(directions, durations) of a random m-segment cover path."""
+    durs = rng.uniform(0.5, 1.5, m)
+    return rng.uniform(-scale, scale, (m, sc.n)), durs / durs.sum()
+
+
+def cover_batch(sc, tables):
+    """One batch of the cover paths of (directions, durations) tables."""
+    dirs, durs = zip(*tables)
+    return GroupPath.from_table(sc.cover, np.concatenate(dirs), np.concatenate(durs), counts=[len(w) for w in durs])
+
+
 def mixed_phase_paths(sc, rng, counts=SEGMENTS * 2):
-    draws = [sc.draw_phase_path(rng, segments=m) for m in counts]
-    singles = [PhasePath(GroupPath(sc.cover, zip(d, w)), m) for d, w, m in draws]
-    return sc.phase_paths(draws), singles
+    tables, momenta = [], []
+    for m in counts:
+        tables.append(draw_segments(sc, rng, m))
+        momenta.append(rng.uniform(-1.0, 1.0, (m + 1, sc.n)))
+        momenta[-1][0] = 0.0
+    singles = [PhasePath(GroupPath(sc.cover, zip(*t)), mo) for t, mo in zip(tables, momenta)]
+    return PhasePath(cover_batch(sc, tables), np.concatenate(momenta)), singles
 
 
 def sharing_breakpoints(sc, rng, draw, k, ulps):
@@ -131,7 +147,7 @@ class TestBatchMatchesPathByPath:
         got = K(sc.model, sc.cylinder, x).representative
         assert_rows_close(got, [K(sc.model, sc.cylinder, s).representative for s in singles])
 
-    def test_transport_across_chunks(self, name):
+    def test_transport_matches_singles(self, name):
         sc = scenario(name)
         x, singles = mixed_phase_paths(sc, np.random.default_rng(4))
         assert_rows_close(horizontal_transport(sc.model, x), [horizontal_transport(sc.model, s) for s in singles])
@@ -139,8 +155,8 @@ class TestBatchMatchesPathByPath:
     def test_path_product(self, name):
         sc = scenario(name)
         rng = np.random.default_rng(5)
-        p = [sc.draw_cover_path(rng, segments=m) for m in SEGMENTS]
-        q = [sc.draw_cover_path(rng, segments=m) for m in reversed(SEGMENTS)]
+        p = [draw_segments(sc, rng, m) for m in SEGMENTS]
+        q = [draw_segments(sc, rng, m) for m in reversed(SEGMENTS)]
         # a pair with coincident breakpoints gives a shorter grid, and so does
         # one with breakpoints 0.5 and the next double: the times added inside
         # that interval one ulp wide repeat its ends and are dropped
@@ -149,7 +165,7 @@ class TestBatchMatchesPathByPath:
         mid = np.nextafter(0.5, 1.0)
         p.append((rng.uniform(-1.5, 1.5, (2, sc.n)), np.array([0.5, 0.5])))
         q.append((rng.uniform(-1.5, 1.5, (2, sc.n)), np.array([mid, 1.0 - mid])))
-        got = path_product(sc.cover_paths(p), sc.cover_paths(q))
+        got = path_product(cover_batch(sc, p), cover_batch(sc, q))
         for b, (pb, qb) in enumerate(zip(p, q)):
             want = path_product(GroupPath(sc.cover, zip(*pb)), GroupPath(sc.cover, zip(*qb)))
             lo, hi = got.offsets[b], got.offsets[b + 1]
@@ -164,12 +180,12 @@ class TestBatchMatchesPathByPath:
         # and of q; evaluate_many finds them with segment_index
         sc = scenario(name)
         rng = np.random.default_rng(8)
-        p = [sc.draw_cover_path(rng, segments=m) for m in SEGMENTS * 2]
-        q = [sc.draw_cover_path(rng, segments=m) for m in SEGMENTS[::-1] * 2]
+        p = [draw_segments(sc, rng, m) for m in SEGMENTS * 2]
+        q = [draw_segments(sc, rng, m) for m in SEGMENTS[::-1] * 2]
         cases = ((1, 1, 0), (2, 4, 0), (3, 20, 0), (5, 1, 1), (6, 3, -1), (7, 20, 1))
         for b, k, ulps in cases:
             q[b] = sharing_breakpoints(sc, rng, p[b], k, ulps)
-        p, q = sc.cover_paths(p), sc.cover_paths(q)
+        p, q = cover_batch(sc, p), cover_batch(sc, q)
         for b, k, ulps in cases:
             pt, qt = p.times[p.offsets[b] + b + k], q.times[q.offsets[b] + b + k]
             assert qt == (np.nextafter(pt, ulps * np.inf) if ulps else pt)
@@ -267,8 +283,8 @@ def test_path_product_raises_on_a_miss(monkeypatch):
 
     monkeypatch.setattr(GroupPath, "from_samples", classmethod(counted))
     rng = np.random.default_rng(10)
-    p = sc.cover_paths([sc.draw_cover_path(rng, segments=7) for _ in range(4)])
-    q = sc.cover_paths([sc.draw_cover_path(rng, segments=5) for _ in range(4)])
+    p = cover_batch(sc, [draw_segments(sc, rng, 7) for _ in range(4)])
+    q = cover_batch(sc, [draw_segments(sc, rng, 5) for _ in range(4)])
     with pytest.raises(NumericalError, match="endpoint tolerance"):
         path_product(p, q)
     assert len(calls) == 1
@@ -281,10 +297,68 @@ def test_path_product_far_from_unit_scale(scale):
     sc = scenario("heis")
     rng = np.random.default_rng(7)
     for _ in range(20):
-        p, q = sc.random_cover_path(rng, scale=scale), sc.random_cover_path(rng, scale=scale)
+        p, q = (GroupPath(sc.cover, zip(*draw_segments(sc, rng, 2, scale))) for _ in range(2))
         want = sc.cover.multiply(p.endpoint(), q.endpoint())
         gap = np.abs(path_product(p, q).endpoint() - want).max()
         assert gap <= max(1e-10, 1e-13 * np.abs(want).max())
+
+
+def reference_path(sc, rng, kind):
+    """One sample drawn by uniform calls, the reference for the sampler's
+    stream layout: durations, directions, then a phase path's momenta with
+    the first set to 0."""
+    path = GroupPath(sc.cover, zip(*draw_segments(sc, rng, 2)))
+    if kind == "cover":
+        return path
+    momenta = rng.uniform(-1.0, 1.0, (3, sc.n))
+    momenta[0] = 0.0
+    return PhasePath(path, momenta)
+
+
+def assert_batch_is_singles(batch, singles):
+    """The batch's paths equal the single paths bit for bit: nodes,
+    durations and, for phase paths, momenta."""
+    base = batch.base if isinstance(batch, PhasePath) else batch
+    assert base.batched and len(base) == len(singles)
+    for b, single in enumerate(singles):
+        lo, hi = base.offsets[b], base.offsets[b + 1]
+        one = single.base if isinstance(single, PhasePath) else single
+        assert np.array_equal(base.durations[lo:hi], one.durations)
+        assert np.array_equal(base.nodes[lo + b : hi + b + 1], one.nodes)
+        if isinstance(single, PhasePath):
+            assert np.array_equal(batch.momenta[lo + b : hi + b + 1], single.momenta)
+
+
+@pytest.mark.parametrize("name", ["torus3", "heis"])
+@pytest.mark.parametrize("count", [1, 7, 100])
+@pytest.mark.parametrize("kinds", [("phase",), ("cover", "cover"), ("cover", "phase")])
+def test_draw_paths_matches_the_sample_loop(name, count, kinds):
+    sc = scenario(name)
+    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+    batches = sc.draw_paths(rng, count, *kinds)
+    singles = [[reference_path(sc, ref, kind) for kind in kinds] for _ in range(count)]
+    assert len(batches) == len(kinds)
+    for batch, column in zip(batches, zip(*singles)):
+        assert_batch_is_singles(batch, column)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("name", ["torus3", "heis"])
+@pytest.mark.parametrize("count", [1, 7, 100])
+def test_phase_and_loop_matches_the_sample_loop(name, count):
+    # bounded integers between the uniform draws: the loop coefficients come
+    # from the same stream positions and the generator ends where the loop does
+    sc = scenario(name)
+    rng, ref = np.random.default_rng(22), np.random.default_rng(22)
+    x, gamma = _phase_and_loop(sc, rng, count)
+    singles, ks = [], []
+    for _ in range(count):
+        singles.append(reference_path(sc, ref, "phase"))
+        ks.append(sc.random_loop_coefficients(ref))
+    assert_batch_is_singles(x, singles)
+    assert np.array_equal(gamma.base.ends(), sc.loop_path(np.array(ks)).ends())
+    assert not np.any(gamma.momenta)
+    assert rng.random() == ref.random()
 
 
 # next rng.random() after each runner at seed 42, then passed, sampleCount

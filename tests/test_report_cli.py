@@ -279,6 +279,14 @@ class TestCLI:
         for line in lines[:-1]:
             assert re.search(r" time=\d+\.\d{3}s$", line), line
 
+    def test_verify_rejects_a_negative_seed(self, tmp_path, capsys):
+        # a usage error like --samples below 1, not a failed check
+        cfg = write_config(tmp_path, TORUS_TEXT)
+        assert cli.main(["verify", "--config", cfg, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--seed" in captured.err
+
     def test_orbit_escape_fails_the_check_in_verify(self, tmp_path, capsys):
         # at sigma = 1e5 the Casimir residual misses its bound: inside verify
         # that is a failed check (exit 1), not an internal error

@@ -220,11 +220,20 @@ class TestBuildScenario:
         sc = build_scenario(parse(TORUS_TEXT))
         rng = np.random.default_rng(0)
         p = sc.random_cover_path(rng)
-        assert p.model == sc.cover
+        assert p.model == sc.cover and not p.batched and p.endpoint().shape == (2,)
         x = sc.random_phase_path(rng)
-        assert x.momenta.shape[1] == 2 and not np.any(x.momenta[0])
+        assert not x.base.batched and x.momenta.shape == (3, 2) and not np.any(x.momenta[0])
         k = sc.random_loop_coefficients(rng)
         assert k.shape == (2,) and k.dtype.kind == "i"
+        # one batch per kind asked for, each path with two segments from the
+        # identity (a phase path: from the base point)
+        p, x, q = sc.draw_paths(rng, 5, "cover", "phase", "cover")
+        for path in (p, x.base, q):
+            assert path.batched and path.model == sc.cover and list(path.counts()) == [2] * 5
+            assert not np.any(path.bases)
+        assert x.momenta.shape == (15, 2) and not np.any(x.momenta[::3])
+        x, ks = sc.draw_phase_and_loops(rng, 4)
+        assert len(x.base) == 4 and ks.shape == (4, 2) and ks.dtype.kind == "i" and ks.any(axis=1).all()
 
     def test_summary_echoes_config(self):
         cfg = parse(TORUS_TEXT)
