@@ -1,29 +1,32 @@
 """Exact scalars a + b*sqrt(r) and linear algebra over the field Q(sqrt(r)).
 
-Both components are `fractions.Fraction`, so all field operations are exact.
-The descriptor r must not be a rational square: irrationality of sqrt(r) is
-what makes equality and sign decidable from the components alone.
+An `ExactScalar` holds two `fractions.Fraction` components.  It is a value
+to parse from a config, compare, negate, print and read as a float; it has
+no field arithmetic.  The descriptor r must not be a rational square:
+irrationality of sqrt(r) is what makes equality decidable from the
+components alone.
 
-Row reduction does not use that arithmetic: `echelon` eliminates
-fraction-free on integer pairs (A, B) standing for A + B*sqrt(R), removing
-each row's gcd as it goes (see Bareiss 1968 and Cohen, A Course in
-Computational Algebraic Number Theory, 2.2), and returns integer rows.
-`rank` reads only its pivots; `rref` (and through it `nullspace` and
-`solve_linear`) builds Fractions only for the rows it returns.  Those equal
-the rows of Gauss-Jordan over Q(sqrt(r)), because the reduced row echelon
-form of a matrix is unique.
-"""
+Exact computation runs on integer rows: `integer_rows` scales rows of exact
+entries once to integers [A..., B...] over a common denominator, standing
+for A + B*sqrt(R), and `echelon` eliminates fraction-free on them in
+Z[sqrt(R)], removing each row's gcd as it goes (see Bareiss 1968 and Cohen,
+A Course in Computational Algebraic Number Theory, 2.2).  Fractions appear
+only at the edges: at parse, at print (`from_integer_row`), and in the rows
+that `rref` returns (and through it `nullspace` and `solve_linear`).  Those
+equal the rows of Gauss-Jordan over Q(sqrt(r)), because the reduced row
+echelon form of a matrix is unique."""
 
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
+from typing import NamedTuple
 
 __all__ = [
     "QuadraticField",
     "ExactScalar",
+    "IntegerRows",
     "integer_rows",
     "from_integer_row",
     "float_row",
@@ -41,7 +44,7 @@ __all__ = [
 def _fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -125,9 +128,10 @@ class QuadraticField:
         return f"QuadraticField({self.r})"
 
 
-@total_ordering
 class ExactScalar:
-    """a + b*sqrt(r) with rational a, b, exact under +, -, *, /."""
+    """a + b*sqrt(r) with rational a, b: a value that is parsed, compared,
+    negated, printed and read as a float.  Arithmetic on exact data runs on
+    the integer rows of `integer_rows`."""
 
     __slots__ = ("a", "b", "field")
 
@@ -136,129 +140,24 @@ class ExactScalar:
         self.b = b
         self.field = field
 
-    def _make(self, a, b):
-        return ExactScalar(a, b, self.field)
-
-    def _coerce(self, other):
-        if isinstance(other, ExactScalar):
-            if other.field != self.field:
-                return None
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self._make(_fraction(other), Fraction(0))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._make(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._make(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        r = self.field.r
-        return self._make(self.a * o.a + r * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> ExactScalar:
-        # 1/(a + b*sqrt(r)) = (a - b*sqrt(r))/(a^2 - r b^2); the denominator is
-        # nonzero for nonzero input because r is not a rational square.
-        den = self.a * self.a - self.field.r * self.b * self.b
-        if den == 0:
-            raise ZeroDivisionError("division by zero exact scalar")
-        return self._make(self.a / den, -self.b / den)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self._make(Fraction(1), Fraction(0))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __neg__(self):
-        return self._make(-self.a, -self.b)
-
-    def __pos__(self):
-        return self
+        return ExactScalar(-self.a, -self.b, self.field)
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+        if isinstance(other, ExactScalar):
+            return self.field == other.field and self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.a, self.b, self.field.r))
 
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: sign decided by comparing a^2 against r b^2
-        big_a = a * a > self.field.r * b * b
-        if a > 0:
-            return 1 if big_a else -1
-        return -1 if big_a else 1
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
     def __float__(self):
         return float(self.a) + float(self.b) * self.field.sqrt_r
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def format(self) -> str:
         if self.b == 0:
@@ -275,8 +174,8 @@ class ExactScalar:
 # ---------------------------------------------------------------------------
 # Exact Gauss-Jordan elimination on integers.  Entries are int, Fraction or
 # ExactScalar; rows are lists.  Over Q(sqrt(r)) with r = p/q, put R = p*q, so
-# that b*sqrt(r) = (b/q)*sqrt(R); each row is scaled once by a common
-# denominator to the integers [A_0..A_{n-1}, B_0..B_{n-1}] of its entries
+# that b*sqrt(r) = (b/q)*sqrt(R); the rows are scaled once by a common
+# denominator to the integers [A_0..A_{n-1}, B_0..B_{n-1}] of their entries
 # A_j + B_j*sqrt(R) (just [A_0..A_{n-1}] when no entry has a sqrt part).
 
 
@@ -289,24 +188,32 @@ def _field_of(rows):
     return fields.pop() if fields else None
 
 
-def integer_rows(rows):
-    """(ints, dens, q, R) for rows of int, Fraction or ExactScalar entries:
-    entry j of row i is (A_j + B_j*sqrt(R)) / dens[i] for ints[i] =
-    [A_0..A_{n-1}, B_0..B_{n-1}], and q is the denominator of the field's r.
-    When no entry has a sqrt part, R = 0, q = 1 and ints[i] = [A_0..A_{n-1}]."""
+class IntegerRows(NamedTuple):
+    """Rows of exact entries as integers: entry j of row i is
+    (A_j + B_j*sqrt(R)) / den for ints[i] = [A_0..A_{n-1}, B_0..B_{n-1}],
+    with q the denominator of the field's r; when no entry has a sqrt part,
+    R = 0, q = 1 and ints[i] = [A_0..A_{n-1}]."""
+
+    ints: list
+    den: int
+    q: int
+    R: int
+
+
+def integer_rows(rows) -> IntegerRows:
+    """The `IntegerRows` of rows of int, Fraction or ExactScalar entries,
+    over the least common denominator."""
     parts = [[(x.a, x.b) if isinstance(x, ExactScalar) else (x, 0) for x in row] for row in rows]
     split = any(b for row in parts for _, b in row)
     field = _field_of(rows) if split else None
     q = field.r.denominator if split else 1
-    ints, dens = [], []
-    for row in parts:
-        fracs = [(a.numerator, a.denominator) for a, _ in row]
-        if split:
-            fracs += [(b.numerator, b.denominator * q) for _, b in row]
-        den = math.lcm(*(d for _, d in fracs))
-        ints.append([num * (den // d) for num, d in fracs])
-        dens.append(den)
-    return ints, dens, q, field.r.numerator * q if split else 0
+    fracs = [
+        [(a.numerator, a.denominator) for a, _ in row] + [(b.numerator, b.denominator * q) for _, b in row if split]
+        for row in parts
+    ]
+    den = math.lcm(*(d for row in fracs for _, d in row))
+    ints = [[num * (den // d) for num, d in row] for row in fracs]
+    return IntegerRows(ints, den, q, field.r.numerator * q if split else 0)
 
 
 def from_integer_row(row, den: int, q: int, R: int, field):
@@ -425,9 +332,8 @@ def nullspace(rows):
         return []
     ncols = len(rows[0])
     field = _field_of(rows)
-    one = Fraction(1) if field is None else field.one
+    one, zero = (Fraction(1), Fraction(0)) if field is None else (field.one, field.zero)
     red, pivots = rref(rows)
-    zero = one - one
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -448,8 +354,8 @@ def solve_linear(rows, rhs):
     ncols = len(rows[0])
     if ncols in pivots:
         return None  # pivot in the rhs column: inconsistent
-    zero = rhs[0] - rhs[0]
-    x = [zero] * ncols
+    field = _field_of(aug)
+    x = [Fraction(0) if field is None else field.zero] * ncols
     for i, pc in enumerate(pivots):
         x[pc] = red[i][ncols]
     return x

@@ -26,8 +26,6 @@ piecewise-analytic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import InputError, NumericalError
@@ -198,14 +196,6 @@ class GroupModel:
         for a, b, k in self.pairs:
             out[..., k] += xi[..., a] * eta[..., b] - xi[..., b] * eta[..., a]
         return out
-
-    def structure_constants(self):
-        """c[a][b][k] with [e_a, e_b] = sum_k c[a][b][k] e_k, exact rationals."""
-        n = self.dim
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for a, b, k in self.pairs:
-            c[a][b][k], c[b][a][k] = Fraction(1), Fraction(-1)
-        return c
 
     def adjoint(self, g) -> np.ndarray:
         """Ad_g = I + ad_g."""

@@ -8,12 +8,14 @@ exact big-integer/rational arithmetic; no floating point.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .exact import (
     ExactScalar,
+    IntegerRows,
     QuadraticField,
     clear,
     echelon,
@@ -21,7 +23,6 @@ from .exact import (
     integer_rows,
     pivot_row,
     primitive,
-    solve_linear,
 )
 
 __all__ = [
@@ -209,6 +210,21 @@ def _as_int(x) -> int:
     raise TypeError(f"not an integer coordinate: {x!r}")
 
 
+def _hnf_coordinates(columns, v):
+    """Integer coordinates of the integer vector v in column-HNF columns
+    (pivots on strictly increasing rows), or None."""
+    coords = []
+    for col in columns:
+        p = next(i for i, x in enumerate(col) if x)
+        c, rest = divmod(v[p], col[p])
+        if rest:
+            return None
+        coords.append(c)
+        if c:
+            v = [x - c * y for x, y in zip(v, col)]
+    return coords if not any(v) else None
+
+
 def _rational(x):
     if isinstance(x, (int, Fraction)):
         return x
@@ -259,17 +275,7 @@ class LatticeSubgroup:
             raise ValueError("vector length does not match ambient dimension")
         if any(x.denominator != 1 for x in v):
             return None  # the lattice lies in Z^n
-        v = [x.numerator for x in v]
-        coords = []
-        for col in self.columns:
-            p = next(i for i, x in enumerate(col) if x)
-            c, rest = divmod(v[p], col[p])
-            if rest:
-                return None
-            coords.append(c)
-            if c:
-                v = [x - c * y for x, y in zip(v, col)]
-        return coords if not any(v) else None
+        return _hnf_coordinates(self.columns, [x.numerator for x in v])
 
     def contains(self, vector) -> bool:
         return self.coordinates_of(vector) is not None
@@ -347,11 +353,10 @@ def quotient_invariants(big: LatticeSubgroup, small: LatticeSubgroup) -> Abelian
     return AbelianInvariants(r - len(nonzero), tuple(d for d in nonzero if d > 1))
 
 
-def integer_kernel(rational_rows, ncols: int) -> LatticeSubgroup:
-    """{x in Z^ncols : A x = 0} for A with int or Fraction entries (saturated
-    lattice)."""
-    ints, _, _, _ = integer_rows([[_rational(x) for x in row] for row in rational_rows])
-    int_rows = [row for row in ints if any(row)]
+def integer_kernel(rows, ncols: int) -> LatticeSubgroup:
+    """{x in Z^ncols : A x = 0} for an integer matrix A given by its rows
+    (saturated lattice)."""
+    int_rows = [list(row) for row in rows if any(row)]
     if not int_rows:
         return LatticeSubgroup.standard(ncols)
     H, U = hermite_normal_form(int_rows)
@@ -365,21 +370,25 @@ def integer_kernel(rational_rows, ncols: int) -> LatticeSubgroup:
 
 
 class GeneratedSubgroup:
-    """Z-span of exact generator vectors in Q(sqrt(r))^n."""
+    """Z-span of exact generator vectors in Q(sqrt(r))^n, kept as their
+    `exact.IntegerRows`."""
 
-    __slots__ = ("field", "ambient_dim", "generators")
+    __slots__ = ("field", "ambient_dim", "rows")
 
     def __init__(self, field: QuadraticField, ambient_dim: int, generators):
-        gens = []
-        for v in generators:
-            w = tuple(field.coerce(x) for x in v)
-            if len(w) != ambient_dim:
-                raise ValueError("generator length does not match ambient dimension")
-            if any(w):
-                gens.append(w)
+        gens = [[field.coerce(x) for x in v] for v in generators]
+        if any(len(v) != ambient_dim for v in gens):
+            raise ValueError("generator length does not match ambient dimension")
         self.field = field
         self.ambient_dim = ambient_dim
-        self.generators = tuple(gens)
+        self.rows = integer_rows(gens)
+
+    @classmethod
+    def from_rows(cls, field: QuadraticField, ambient_dim: int, rows: IntegerRows) -> "GeneratedSubgroup":
+        """The span of generators already in integer rows of ``field``."""
+        out = cls(field, ambient_dim, ())
+        out.rows = rows
+        return out
 
 
 @dataclass(frozen=True)
@@ -388,7 +397,10 @@ class ClosedSubgroupDecomp:
 
     When `closed` is False the input span itself was not closed and the fields
     describe its closure: V is the dense part actually attained.  In both
-    cases the lattice vectors are R-independent and meet V only at 0.
+    cases the lattice vectors are R-independent and meet V only at 0.  The
+    bases are printed from `pivots`, V's `exact.pivot_row`s with their pivot
+    columns, and `lattice`, the lattice vectors as column-HNF integer rows
+    reduced mod V.
     """
 
     field: QuadraticField
@@ -396,22 +408,25 @@ class ClosedSubgroupDecomp:
     closed: bool
     subspace_basis: tuple[tuple[ExactScalar, ...], ...]
     lattice_basis: tuple[tuple[ExactScalar, ...], ...]
+    pivots: tuple[tuple[list[int], int], ...] = dataclasses.field(compare=False, repr=False)
+    lattice: IntegerRows = dataclasses.field(compare=False, repr=False)
 
     def contains_exact(self, vector) -> bool:
-        vec = [self.field.coerce(x) for x in vector]
-        for row in self.subspace_basis:
-            p = next(i for i, x in enumerate(row) if x)
-            if vec[p]:
-                f = vec[p] / row[p]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        if not any(vec):
-            return True
-        if not self.lattice_basis:
+        (vec,), den, _, R = integer_rows([[self.field.coerce(x) for x in vector]])
+        lattice = self.lattice
+        if R != lattice.R:
+            if R:
+                return False  # a sqrt(r) part, and the closure is rational
+            vec += [0] * len(vec)
+        for row, p in self.pivots:
+            vec = clear(vec, row, p, lattice.R)
+        # vec is now den times the pivots' product times v mod V, and the
+        # lattice rows are over lattice.den
+        scale = den * prod(row[p] for row, p in self.pivots)
+        target = [x * lattice.den for x in vec]
+        if any(x % scale for x in target):
             return False
-        rows = [[lam[i] for lam in self.lattice_basis] for i in range(self.ambient_dim)]
-        # the lattice columns are independent, so a solution is the unique one
-        sol = solve_linear(rows, vec)
-        return sol is not None and all(c.is_rational() and c.a.denominator == 1 for c in sol)
+        return _hnf_coordinates(lattice.ints, [x // scale for x in target]) is not None
 
 
 def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
@@ -433,9 +448,7 @@ def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
     """
     field = group.field
     n = group.ambient_dim
-    gens, dens, q, R = integer_rows(group.generators)
-    den = lcm(*dens)
-    gens = [[x * (den // d) for x in g] for g, d in zip(gens, dens)]
+    gens, den, q, R = group.rows
     # the closure's subspace as `pivot_row`s, zero at each other's pivots
     vrows: list[tuple[list[int], int]] = []
 
@@ -483,15 +496,16 @@ def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
         closed=not vrows,
         subspace_basis=tuple(tuple(from_integer_row(row, row[p], q, R, field)) for row, p in vrows),
         lattice_basis=tuple(tuple(from_integer_row(col, den, q, R, field)) for col in lattice),
+        pivots=tuple(vrows),
+        lattice=IntegerRows(lattice, den, q, R),
     )
 
 
-def kernel_lattice(theta_rows, d: int) -> LatticeSubgroup:
-    """{k in Z^d : theta k = 0} for an exact theta, by splitting each equation
-    into its rational and sqrt(r) components."""
-    ints, _, _, R = integer_rows(theta_rows)
-    halves = [half for row in ints for half in ((row[:d], row[d:]) if R else (row,))]
-    return integer_kernel(halves, d)
+def kernel_lattice(columns) -> LatticeSubgroup:
+    """{k in Z^d : sum_a k_a v_a = 0} for d exact vectors v_a given as
+    integer rows over one denominator (`exact.IntegerRows.ints`): each
+    rational and sqrt(r) component of the sum is one integer equation."""
+    return integer_kernel(zip(*columns), len(columns))
 
 
 def subgroup_is_hamiltonian(gamma_n: LatticeSubgroup, gamma_0: LatticeSubgroup) -> bool:

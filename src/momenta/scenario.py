@@ -18,7 +18,7 @@ import numpy as np
 
 from .cylinder import Cylinder
 from .errors import ConfigError, InputError
-from .exact import QuadraticField, echelon, float_row, integer_rows
+from .exact import QuadraticField, echelon, float_row, from_integer_row
 from .groups import GroupModel, GroupPath, circle_count
 from .lattices import (
     CoverDescriptor,
@@ -250,15 +250,18 @@ class Scenario:
         self.n = self.model.n
 
         # one fundamental-group generator per circle coordinate; the loop
-        # around circle a shifts momentum by theta column a
+        # around circle a shifts momentum by theta column a, which is minus
+        # row a of the skew theta
         self.gamma_dim = len(self.group.circles)
         self.gamma = LatticeSubgroup.standard(self.gamma_dim)
         columns = self.theta.columns()
         self.holonomy_generators = tuple(columns[a] for a in self.group.circles)
-        self.subgroup = GeneratedSubgroup(self.field, self.n, self.holonomy_generators)
-        self.decomp = is_closed(self.subgroup)
+        rows = self.theta.rows
+        self._generator_rows = rows._replace(ints=[[-x for x in rows.ints[a]] for a in self.group.circles])
+        self.decomp = is_closed(GeneratedSubgroup.from_rows(self.field, self.n, self._generator_rows))
         self.cylinder = Cylinder(self.decomp)
-        self.gamma0 = self._gamma0()
+        # the deck loops with zero holonomy
+        self.gamma0 = kernel_lattice(self._generator_rows.ints)
         self.cover_descriptor = self._cover_descriptor()
         self.mu_list = config.mu_list
         self.gamma_n = (
@@ -272,13 +275,6 @@ class Scenario:
         )
 
     # -- exact structure ---------------------------------------------------
-
-    def _gamma0(self) -> LatticeSubgroup:
-        if self.kind == "torus":
-            return kernel_lattice(self.theta.matrix, self.gamma_dim)
-        if any(self.theta.sigma):
-            return LatticeSubgroup.zero(1)
-        return LatticeSubgroup.standard(1)
 
     def _cover_descriptor(self) -> CoverDescriptor:
         if self.kind == "torus":
@@ -295,7 +291,8 @@ class Scenario:
         """Rows of an exact basis (reduced row echelon form) of the real span
         of the theta columns, as floats; affine-action orbits on the torus are
         translates of that span.  Computed once per scenario."""
-        ints, _, q, R = integer_rows(self.theta.columns())
+        # the columns of the skew theta span what its rows span
+        ints, _, q, R = self.theta.rows
         red, pivots = echelon(ints, self.n, R)
         rows = [float_row(row, row[c], q, R, self.field.sqrt_r) for row, c in zip(red, pivots)]
         basis = np.array(rows, dtype=float).reshape(len(pivots), self.n)
@@ -308,13 +305,12 @@ class Scenario:
         return self.gamma
 
     def holonomy_of(self, k):
-        """Exact momentum shift of the fundamental-group element k."""
-        out = [self.field.zero] * self.n
-        for c, generator in zip(np.atleast_1d(k), self.holonomy_generators):
-            if c:
-                f = self.field.coerce(int(c))
-                out = [x + f * y for x, y in zip(out, generator)]
-        return tuple(out)
+        """Exact momentum shift of the fundamental-group element k: the
+        integer combination of the generator rows, as exact scalars."""
+        ints, den, q, R = self._generator_rows
+        ks = [int(c) for c in np.atleast_1d(k)]
+        row = [sum(c * x for c, x in zip(ks, col)) for col in zip(*ints)]
+        return tuple(from_integer_row(row, den, q, R, self.field))
 
     def loop_path(self, k) -> GroupPath:
         """Cover path from the identity to the deck translate k: projects to a

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .exact import QuadraticField
+from .exact import QuadraticField, integer_rows
 from .groups import GroupModel
 
 __all__ = [
@@ -40,10 +40,13 @@ class CocycleTheta:
     """Skew matrix theta: g -> g* with exact entries, defining Sigma.
 
     For the Heisenberg family theta is generated by a covector sigma on R^2
-    and assembled as [[0, sigma], [-sigma^T, 0]].
+    and assembled as [[0, sigma], [-sigma^T, 0]].  The entries are parsed
+    once into `rows`, their `exact.IntegerRows`; every exact computation on
+    theta reads those integers, and `matrix` keeps the parsed scalars for
+    printing.
     """
 
-    __slots__ = ("field", "matrix", "sigma", "_float")
+    __slots__ = ("field", "matrix", "sigma", "rows", "_float")
 
     def __init__(self, field: QuadraticField, rows, sigma=None):
         self.field = field
@@ -51,10 +54,12 @@ class CocycleTheta:
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise InputError("theta matrix must be square")
+        self.rows = integer_rows(matrix)
+        ints = self.rows.ints
         for i in range(n):
             for j in range(i, n):
-                x, y = matrix[i][j], matrix[j][i]
-                if x.a != -y.a or x.b != -y.b:
+                # the components of entry (i, j) are ints[i][j::n]
+                if ints[i][j::n] != [-x for x in ints[j][i::n]]:
                     raise InputError(f"theta is not skew at ({i}, {j})")
         self.matrix = matrix
         self.sigma = None if sigma is None else tuple(field.coerce(x) for x in sigma)
@@ -87,28 +92,20 @@ class CocycleTheta:
 
         Only nonzero structure constants contribute: c^k_xy enters the triples
         (x, y, z), (z, x, y) and (y, z, x) with theta[z][k] c^k_xy for every z,
-        so an abelian model needs no arithmetic at all.  A GroupModel's are
-        its bracket pairs, c = 1 at (a, b, k) and -1 at (b, a, k); any other
-        algebra is read from its dense structure constants.
+        so an abelian model needs no arithmetic at all.  A model's are its
+        bracket pairs, c = 1 at (a, b, k) and -1 at (b, a, k); the sums run
+        on the integer components of theta's entries.
         """
         if model.dim != self.dim:
             raise InputError("theta dimension does not match the group")
         n = self.dim
-        if isinstance(model, GroupModel):
-            nonzero = [(x, y, k, c) for a, b, k in model.pairs for x, y, c in ((a, b, 1), (b, a, -1))]
-        else:
-            cs = model.structure_constants()
-            nonzero = [
-                (x, y, k, cs[x][y][k])
-                for x in range(n) for y in range(n) for k in range(n) if cs[x][y][k]
-            ]
         totals = {}
-        for x, y, k, cxyk in nonzero:
-            for z in range(n):
-                term = self.matrix[z][k] * cxyk
-                for triple in ((x, y, z), (z, x, y), (y, z, x)):
-                    totals[triple] = totals.get(triple, self.field.zero) + term
-        return not any(totals.values())
+        for a, b, k in model.pairs:
+            for x, y, c in ((a, b, 1), (b, a, -1)):
+                for z, row in enumerate(self.rows.ints):
+                    for triple in ((x, y, z), (z, x, y), (y, z, x)):
+                        totals[triple] = [t + c * e for t, e in zip(totals.get(triple, (0, 0)), row[k::n])]
+        return not any(any(t) for t in totals.values())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +18,16 @@ ALL_MODELS = [
     GroupModel("heisenberg"),
     GroupModel("central_extension"),
 ]
+
+
+def pair_constants(model):
+    """c[a][b][k] with [e_a, e_b] = sum_k c[a][b][k] e_k, read off the
+    model's bracket pairs as integers."""
+    n = model.dim
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, b, k in model.pairs:
+        c[a][b][k], c[b][a][k] = 1, -1
+    return c
 
 
 def random_elements(model, count):
@@ -185,12 +194,12 @@ class TestAdjoint:
 
 class TestTwoStepClosedForms:
     """Every operation against the 2-step nilpotent formulas, computed from
-    the exact structure constants alone."""
+    the structure constants alone."""
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
     def test_operations_match_formulas(self, model):
         n = model.dim
-        c = np.array(model.structure_constants(), dtype=float)
+        c = model.structure
         gs, hs = random_elements(model, 200), random_elements(model, 200)
         bracket = np.einsum("abk,ra,rb->rk", c, gs, hs)
         ad = np.einsum("abk,ra->rkb", c, gs)  # ad_g[k, b] = <[g, e_b], e^k>
@@ -207,7 +216,7 @@ class TestTwoStepClosedForms:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + str(m.dim))
     def test_structure_tensor_and_centre(self, model):
         n = model.dim
-        c = model.structure_constants()
+        c = pair_constants(model)
         assert not model.structure.flags.writeable
         assert np.array_equal(model.structure, np.array(c, dtype=float))
         # every bracket is central, which is what stops BCH after one term
@@ -238,11 +247,10 @@ class TestTwoStepClosedForms:
 class TestAlgebra:
     def test_structure_constants_exact_properties(self):
         for model in [GroupModel("heisenberg"), GroupModel("universal_torus", 3)]:
-            c = model.structure_constants()
+            c = pair_constants(model)
             n = model.dim
             for a, b, k in itertools.product(range(n), repeat=3):
-                assert c[a][b][k] == -c[b][a][k]
-                assert isinstance(c[a][b][k], Fraction)
+                assert c[a][b][k] == -c[b][a][k] == -model.structure[b, a, k]
             # Jacobi: sum_m (c[a][b][m] c[m][k][l] + cyclic) = 0, exactly
             for a, b, k, l in itertools.product(range(n), repeat=4):
                 total = sum(

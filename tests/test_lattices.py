@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momenta.exact import QuadraticField, nullspace, rank
+from field_reference import Elt, exact, lift
+from momenta.exact import QuadraticField, integer_rows, nullspace, rank
 from momenta.lattices import (
     AbelianInvariants,
     GeneratedSubgroup,
@@ -24,6 +25,12 @@ from momenta.lattices import (
 )
 
 F2 = QuadraticField(2)
+AL = Elt(0, 1)  # sqrt(2)
+
+
+def theta_kernel(theta):
+    """{k : theta k = 0} through `kernel_lattice` of theta's columns."""
+    return kernel_lattice(integer_rows(list(zip(*theta))).ints)
 
 
 def integer_determinant(A) -> int:
@@ -220,24 +227,24 @@ class TestKernelLattice:
     def test_theta_zero(self):
         field = F2
         theta = [[field.zero] * 3 for _ in range(3)]
-        assert kernel_lattice(theta, 3) == LatticeSubgroup.standard(3)
+        assert theta_kernel(theta) == LatticeSubgroup.standard(3)
 
     def test_theta_invertible(self):
         field = F2
         theta = [tuple(field.coerce(e) for e in r) for r in [["0", "1"], ["-1", "0"]]]
-        assert kernel_lattice(theta, 2) == LatticeSubgroup.zero(2)
+        assert theta_kernel(theta) == LatticeSubgroup.zero(2)
 
     def test_irrational_kernel_has_no_rational_points(self):
         # skew theta with 1-dimensional real kernel spanned by (0,-al,1); the
         # split rational system forces x2 = x3 = 0, then x1 = 0
         field = F2
         theta = [tuple(field.coerce(e) for e in r) for r in [["0", "1", "1*al"], ["-1", "0", "0"], ["-1*al", "0", "0"]]]
-        assert kernel_lattice(theta, 3) == LatticeSubgroup.zero(3)
+        assert theta_kernel(theta) == LatticeSubgroup.zero(3)
 
     def test_rank_two_rational(self):
         field = F2
         theta = [tuple(field.coerce(e) for e in r) for r in [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]]
-        L = kernel_lattice(theta, 3)
+        L = theta_kernel(theta)
         assert L == LatticeSubgroup(3, [(0, 0, 1)])
 
     def test_exhaustive_small_box(self):
@@ -245,12 +252,13 @@ class TestKernelLattice:
         # Z-span of the output, and each output column is in the kernel
         field = F2
         theta = [tuple(field.coerce(e) for e in r) for r in [["0", "2", "0"], ["-2", "0", "0"], ["0", "0", "0"]]]
-        L = kernel_lattice(theta, 3)
+        L = theta_kernel(theta)
+        theta = lift(theta)
         for col in L.columns:
             for row in theta:
-                assert sum(e * int(c) for e, c in zip(row, col)) == field.zero
+                assert sum(e * int(c) for e, c in zip(row, col)) == 0
         for k in itertools.product(range(-5, 6), repeat=3):
-            in_kernel = all(sum(e * c for e, c in zip(row, k)) == field.zero for row in theta)
+            in_kernel = all(sum(e * c for e, c in zip(row, k)) == 0 for row in theta)
             if in_kernel:
                 assert L.contains(k)
 
@@ -290,11 +298,11 @@ def brute_force_min_norm(vectors, bound):
     return best
 
 
-def reference_is_closed(group):
-    """The closure decomposition computed in ExactScalar arithmetic, with a
-    separate split-rank test: the oracle for the integer-row `is_closed`."""
-    field, n = group.field, group.ambient_dim
-    gens = [list(v) for v in group.generators]
+def reference_is_closed(field, n, gens):
+    """The closure decomposition of the span of ``gens`` in R^n computed in
+    Fraction arithmetic (`Elt`), with a separate split-rank test: the oracle
+    for the integer-row `is_closed`."""
+    gens = lift(gens, field.r)
     vrows = []
 
     def reduce_mod_v(vec):
@@ -310,7 +318,7 @@ def reference_is_closed(group):
         if not images:
             lattice = ()
             break
-        cols_matrix = [[v[i] for v in images] for i in range(n)]
+        cols_matrix = exact([[v[i] for v in images] for i in range(n)], field)
         split_rows = [[x.a for x in v] + [x.b for x in v] for v in images]
         if rank(split_rows) == rank(cols_matrix):
             den = 1
@@ -328,7 +336,7 @@ def reference_is_closed(group):
             break
         u = None
         for c in nullspace(cols_matrix):
-            cand = [field.zero] * n
+            cand = [Elt(0, 0, field.r)] * n
             for ci, v in zip(c, images):
                 if ci.b:
                     cand = [x + ci.b * y for x, y in zip(cand, v)]
@@ -340,7 +348,7 @@ def reference_is_closed(group):
         vrows = [([x - row[p] * y for x, y in zip(row, urow)] if row[p] else row, rp) for row, rp in vrows]
         vrows.append((urow, p))
         vrows.sort(key=lambda item: item[1])
-    subspace = tuple(tuple(row) for row, _ in vrows)
+    subspace = tuple(tuple(exact(row, field)) for row, _ in vrows)
     return not subspace, subspace, lattice
 
 
@@ -350,60 +358,60 @@ closure_entries = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-6, max
 
 @st.composite
 def generator_sets(draw):
-    """Generators over Q, Q(sqrt2) or Q(sqrt(8/3)), with rational and field
-    dependencies (the latter make the span dense) and zero vectors."""
+    """(field, n, generators in R^n) over Q, Q(sqrt2) or Q(sqrt(8/3)), with
+    rational and field dependencies (the latter make the span dense) and
+    zero vectors."""
     field = draw(st.sampled_from(CLOSURE_FIELDS))
     rational = draw(st.booleans())
     n, k = draw(st.integers(1, 4)), draw(st.integers(0, 4))
-    entry = st.builds(field.scalar, closure_entries, st.just(0) if rational else closure_entries)
+    entry = st.builds(lambda a, b: Elt(a, b, field.r), closure_entries, st.just(0) if rational else closure_entries)
     gens = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
     if gens and draw(st.booleans()):
         # a rational combination: dependent over Q, the span stays discrete
         cs = draw(st.lists(closure_entries, min_size=len(gens), max_size=len(gens)))
-        gens.append([sum((c * g[i] for c, g in zip(cs, gens)), field.zero) for i in range(n)])
+        gens.append([sum((c * g[i] for c, g in zip(cs, gens)), Elt(0, 0, field.r)) for i in range(n)])
     if gens and draw(st.booleans()):
         # (a + sqrt(r)) times a generator: dependent over the field only
-        f = field.scalar(draw(closure_entries), 1)
+        f = Elt(draw(closure_entries), 1, field.r)
         gens.insert(draw(st.integers(0, len(gens))), [f * x for x in gens[0]])
     if len(gens) > 1 and draw(st.booleans()):
         # a field combination of two generators: its dependency has sqrt
         # parts on two pivot rows
-        f0, f1 = (field.scalar(draw(closure_entries), draw(closure_entries)) for _ in range(2))
+        f0, f1 = (Elt(draw(closure_entries), draw(closure_entries), field.r) for _ in range(2))
         gens.append([f0 * x + f1 * y for x, y in zip(gens[0], gens[1])])
     if draw(st.booleans()):
-        gens.append([field.zero] * n)
-    return GeneratedSubgroup(field, n, gens)
+        gens.append([0] * n)
+    return field, n, exact(gens, field)
 
 
 class TestClosureOracle:
     @settings(max_examples=150, deadline=None)
     @given(generator_sets())
-    def test_matches_exact_scalar_closure(self, group):
-        d = is_closed(group)
-        closed, subspace, lattice = reference_is_closed(group)
+    def test_matches_exact_scalar_closure(self, drawn):
+        field, n, gens = drawn
+        d = is_closed(GeneratedSubgroup(field, n, gens))
+        closed, subspace, lattice = reference_is_closed(field, n, gens)
         assert (d.closed, d.subspace_basis, d.lattice_basis) == (closed, subspace, lattice)
         for v in d.subspace_basis + d.lattice_basis:
             for x in v:
-                assert x.field == group.field and type(x.a) is Fraction and type(x.b) is Fraction
+                assert x.field == field and type(x.a) is Fraction and type(x.b) is Fraction
 
     def test_dense_line_from_two_pivot_rows(self):
         # (1+al)(1,1,0) is a field combination of (2,0,0) and (0,3,0) whose
         # dependency weighs the two by 1/2 and 1/3: the closure is the line
         # R(1,1,0) plus Z(0,1,0) (the images (0,-2,0) and (0,3,0)), not the
         # whole plane
-        al = F2.scalar(0, 1)
-        g = GeneratedSubgroup(F2, 3, [[2, 0, 0], [0, 3, 0], [1 + al, 1 + al, 0]])
-        d = is_closed(g)
-        assert (d.closed, d.subspace_basis, d.lattice_basis) == reference_is_closed(g)
+        gens = exact([[2, 0, 0], [0, 3, 0], [1 + AL, 1 + AL, 0]], F2)
+        d = is_closed(GeneratedSubgroup(F2, 3, gens))
+        assert (d.closed, d.subspace_basis, d.lattice_basis) == reference_is_closed(F2, 3, gens)
         assert [[x.format() for x in v] for v in d.subspace_basis] == [["1", "1", "0"]]
         assert [[x.format() for x in v] for v in d.lattice_basis] == [["0", "1", "0"]]
 
     def test_dense_after_rational_dependency(self):
         # (1, 0), (2, 0) and (sqrt2, 1): a rational and an irrational relation
-        al = F2.scalar(0, 1)
-        g = GeneratedSubgroup(F2, 2, [[1, 0], [2, 0], [al, 1], [0, 1]])
-        d = is_closed(g)
-        assert (d.closed, d.subspace_basis, d.lattice_basis) == reference_is_closed(g)
+        gens = exact([[1, 0], [2, 0], [AL, 1], [0, 1]], F2)
+        d = is_closed(GeneratedSubgroup(F2, 2, gens))
+        assert (d.closed, d.subspace_basis, d.lattice_basis) == reference_is_closed(F2, 2, gens)
         assert not d.closed
 
 
@@ -460,7 +468,7 @@ class TestClosure:
     def test_brute_force_oracle_dense(self):
         vs = [[F2.one], [F2.scalar(0, 1)]]
         assert not is_closed(GeneratedSubgroup(F2, 1, vs)).closed
-        assert brute_force_min_norm(vs, 50) < Fraction(1, 50)
+        assert brute_force_min_norm(lift(vs), 50) < Fraction(1, 50)
 
     def test_exact_membership(self):
         al = F2.scalar(0, 1)
@@ -475,9 +483,9 @@ class TestClosure:
 class TestIntegerKernel:
     def test_kernel_of_rational_rows(self):
         # x1 + x2/2 = 0 over Z: (1, -2)
-        L = integer_kernel([[Fraction(1), Fraction(1, 2)]], 2)
+        L = integer_kernel(integer_rows([[Fraction(1), Fraction(1, 2)]]).ints, 2)
         assert L == LatticeSubgroup(2, [(1, -2)])
 
     def test_kernel_saturated(self):
-        L = integer_kernel([[Fraction(2), Fraction(-2)]], 2)
+        L = integer_kernel([[2, -2]], 2)
         assert L.contains((1, 1))

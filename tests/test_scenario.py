@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from field_reference import FIELDS, Elt, elements, exact, gauss_jordan, lift
 from momenta.errors import ConfigError
+from momenta.exact import QuadraticField
 from momenta.lattices import LatticeSubgroup
 from momenta.scenario import build_scenario, parse_config
 
@@ -58,6 +62,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse('{"group":"torus","dim":2,"theta":[["0","1??"],["-1","0"]]}')
         assert err.value.field == "theta[0][1]"
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"group":"torus","dim":2,"theta":[[false,true],[-1,false]]}', "theta[0][0]"),
+            ('{"group":"torus","dim":2,"theta":[["0",true],["-1","0"]]}', "theta[0][1]"),
+            ('{"group":"heisenberg","sigma":[true,0]}', "sigma[0]"),
+            ('{"group":"heisenberg","sigma":["1",false]}', "sigma[1]"),
+            ('{"group":"torus","dim":1,"field":true,"theta":[["0"]]}', "field"),
+        ],
+    )
+    def test_boolean_is_not_an_exact_scalar(self, text, field):
+        # JSON true and false are not the numbers 1 and 0
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        assert err.value.field == field
 
     @pytest.mark.parametrize("r", ["4", '"9/4"', "0", "-2"])
     def test_bad_field_descriptor(self, r):
@@ -201,13 +221,13 @@ class TestBuildScenario:
         combo = sc.holonomy_of([2, -3])
         want = [
             2 * a + (-3) * b
-            for a, b in zip(sc.theta.columns()[0], sc.theta.columns()[1])
+            for a, b in zip(lift(sc.theta.columns()[0]), lift(sc.theta.columns()[1]))
         ]
         assert list(combo) == want
         # one generator per circle coordinate: the central circle of S^1 x R^2
         heis = build_scenario(parse('{"group":"heisenberg","sigma":["1/2","1*al"],"field":2}'))
         assert heis.gamma_dim == 1 and heis.holonomy_generators == (heis.theta.columns()[0],)
-        s1, s2 = heis.theta.sigma
+        s1, s2 = lift(heis.theta.sigma)
         assert heis.holonomy_of([-2]) == (heis.field.zero, 2 * s1, 2 * s2)
 
     def test_loop_path_endpoints(self):
@@ -242,3 +262,60 @@ class TestBuildScenario:
         assert s["theta"][0][1] == "1"
         assert s["verify"]["sampleCount"] == 50
         json.dumps(s)  # must be JSON-ready as-is
+
+
+@st.composite
+def scenario_inputs(draw):
+    """(config text, theta as Elts): a torus of dimension 1 to 4 or a
+    Heisenberg sigma, over Q, Q(sqrt2) or Q(sqrt3)."""
+    _, r, rational = draw(st.sampled_from(FIELDS))
+    field, entry, zero = QuadraticField(r), elements(r, rational), Elt(0, 0, r)
+    if draw(st.booleans()):
+        s1, s2 = draw(entry), draw(entry)
+        theta = [[zero, s1, s2], [-s1, zero, zero], [-s2, zero, zero]]
+        cfg = {"group": "heisenberg", "field": r, "sigma": [x.exact(field).format() for x in (s1, s2)]}
+    else:
+        d = draw(st.integers(1, 4))
+        theta = [[zero] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                theta[i][j] = draw(entry)
+                theta[j][i] = -theta[i][j]
+        cfg = {"group": "torus", "dim": d, "field": r, "theta": [[x.exact(field).format() for x in row] for row in theta]}
+    return json.dumps(cfg), theta
+
+
+def reference_contains(decomp, v) -> bool:
+    """Membership in V + Z-span(L) by Gauss-Jordan in Fraction arithmetic on
+    the printed bases.  V's and L's vectors are independent together, so the
+    coordinates are unique; those on L must be rational integers."""
+    basis = lift(decomp.subspace_basis + decomp.lattice_basis)
+    red, pivots = gauss_jordan([[b[i] for b in basis] + [x] for i, x in enumerate(lift(v))])
+    if len(basis) in pivots:
+        return False  # v is not even in the span
+    coords = [row[-1] for row in red]
+    return all(not c.b and c.a.denominator == 1 for c in coords[len(decomp.subspace_basis) : len(basis)])
+
+
+class TestIntegerRowsAgainstFractions:
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_inputs(), st.data())
+    def test_holonomy_and_membership(self, drawn, data):
+        text, theta = drawn
+        sc = build_scenario(parse(text))
+        k = data.draw(st.lists(st.integers(-4, 4), min_size=sc.gamma_dim, max_size=sc.gamma_dim))
+        h = sc.holonomy_of(k)
+        # the loop around circle a shifts momentum by theta column a
+        want = [sum((c * theta[i][a] for c, a in zip(k, sc.group.circles)), Elt(0, 0, sc.field.r)) for i in range(sc.n)]
+        assert list(h) == want
+        assert sc.decomp.contains_exact(h) and reference_contains(sc.decomp, h)
+        for lam in lift(sc.decomp.lattice_basis):
+            # half a lattice vector off: just outside the closure
+            outside = exact([x + y / 2 for x, y in zip(want, lam)], sc.field)
+            assert not sc.decomp.contains_exact(outside) and not reference_contains(sc.decomp, outside)
+        w = data.draw(st.lists(elements(sc.field.r), min_size=sc.n, max_size=sc.n))
+        v = exact([x + y for x, y in zip(want, w)], sc.field)
+        assert sc.decomp.contains_exact(v) == reference_contains(sc.decomp, v)
+        # gamma0 is the set of deck loops with zero holonomy
+        for col in sc.gamma0.columns:
+            assert not any(sc.holonomy_of(col))

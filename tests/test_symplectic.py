@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from field_reference import FIELDS, Elt, elements, exact, lift
 from momenta.errors import InputError
 from momenta.exact import QuadraticField
 from momenta.groups import GroupModel
@@ -46,23 +49,22 @@ class H3PlusR:
     not cocycles: the identity on (e1, e2, e3) reads theta(e0, e3) = 0."""
 
     dim = 4
-
-    def structure_constants(self):
-        c = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(4)]
-        c[1][2][0], c[2][1][0] = Fraction(1), Fraction(-1)
-        return c
+    pairs = ((1, 2, 0),)
 
 
 def dense_is_cocycle(theta, model) -> bool:
-    """Oracle: the cocycle identity summed over every basis triple and every
-    structure constant, zero or not."""
-    c = model.structure_constants()
+    """Oracle: the cocycle identity summed in Fraction arithmetic over every
+    basis triple and every structure constant, zero or not."""
     n = theta.dim
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, b, k in model.pairs:
+        c[a][b][k], c[b][a][k] = 1, -1
+    matrix = lift(theta.matrix)
     for a, b, d in itertools.product(range(n), repeat=3):
-        total = theta.field.zero
+        total = 0
         for x, y, z in ((a, b, d), (b, d, a), (d, a, b)):
             for k in range(n):
-                total = total + theta.matrix[z][k] * c[x][y][k]
+                total = total + matrix[z][k] * c[x][y][k]
         if total:
             return False
     return True
@@ -135,6 +137,22 @@ class TestCocycleTheta:
         theta = CocycleTheta(F2, rows)
         assert not theta.is_cocycle_for(H3PlusR())
         assert not dense_is_cocycle(theta, H3PlusR())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FIELDS), st.data())
+    def test_integer_identity_matches_fraction_oracle(self, fields_entry, data):
+        _, r, rational = fields_entry
+        field = QuadraticField(r)
+        model = data.draw(st.sampled_from([GroupModel("torus", 3), GroupModel("heisenberg"), H3PlusR()]))
+        n = model.dim
+        upper = data.draw(st.lists(elements(r, rational), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        rows = [[Elt(0, 0, r)] * n for _ in range(n)]
+        for (i, j), x in zip(itertools.combinations(range(n), 2), upper):
+            rows[i][j], rows[j][i] = x, -x
+        theta = CocycleTheta(field, exact(rows, field))
+        assert theta.is_cocycle_for(model) == dense_is_cocycle(theta, model)
+        # h3 + R: a cocycle exactly when theta(e0, e3) = 0
+        assert theta.is_cocycle_for(model) == (not isinstance(model, H3PlusR) or not rows[0][3])
 
     def test_model_rejects_dimension_mismatch(self):
         theta = CocycleTheta(F2, THETA_2D)
