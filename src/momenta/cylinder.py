@@ -261,17 +261,15 @@ def heisenberg_casimir(sigma, psi, nu):
     return 0.5 * psi * psi - nu @ w
 
 
-def _kinetic_field(model: MagneticCotangent):
-    """Hamiltonian vector field of h = |mu|^2 / 2 in chart coordinates, as a
-    function of y = (g, mu) (or of stacked rows of states), built once from
-    precomputed arrays.
+def _kinetic_field(model: MagneticCotangent) -> tuple[np.ndarray, np.ndarray]:
+    """Hamiltonian vector field of h = |mu|^2 / 2 in chart coordinates: the
+    A and Q of y' = A y + Q(y, y), Q(y, y)_k = sum Q[k, a, b] y_a y_b.
 
     omega(X, .) = dh is solved in closed form: the form's block matrix
     [[s C(mu) - Sigma, s I], [-s I, 0]] inverts to xi = s mu and
     nu = s C(mu)^T mu - Sigma^T mu, with s the canonical sign read when the
-    field is built.  In chart coordinates the field is quadratic,
-    y' = A y + Q (y x y): A holds xi = s mu and -Sigma^T mu; Q holds
-    (C(mu)^T mu)_b = sum c^k_ab mu_a mu_k and the chart velocity
+    field is built.  For y = (g, mu), A holds xi = s mu and -Sigma^T mu; Q
+    holds (C(mu)^T mu)_b = sum c^k_ab mu_a mu_k and the chart velocity
     [g, xi] / 2 that a body velocity xi adds to the central coordinates,
     Q[k, a, n + b] = s c^k_ab / 2."""
     s = _sym._CANON_SIGN
@@ -283,38 +281,47 @@ def _kinetic_field(model: MagneticCotangent):
     Q = np.zeros((2 * n, 2 * n, 2 * n))
     Q[n:, n:, n:] = s * c.transpose(1, 0, 2)
     Q[:n, :n, n:] = 0.5 * s * c.transpose(2, 0, 1)
-    At = A.T
-    if not Q.any():
-        return lambda y: y @ At
-    Qt = Q.reshape(2 * n, 4 * n * n).T
-    return lambda y: y @ At + (y[..., :, None] * y[..., None, :]).reshape(y.shape[:-1] + (-1,)) @ Qt
+    return A, Q
 
 
-def _kinetic_flow(model: MagneticCotangent, y0, T: float, h: float) -> np.ndarray:
-    """RK4 samples of the kinetic flow from y0 = (g, mu) in chart coordinates
-    (or from each row of stacked states, integrated as one state), at equal
-    steps over [0, T], ceil(T / h) of them rounded up to a multiple of 10 so
-    that every tenth of T is a sample; shape (steps + 1,) + y0.shape.  The
-    field is built once per flow (``_kinetic_field``)."""
-    rhs = _kinetic_field(model)
-    y0 = np.asarray(y0, dtype=float)
-    steps = max(1, int(np.ceil(T / h)))
-    steps += -steps % 10
-    h = T / steps
-    ys = np.empty((steps + 1,) + y0.shape)
-    ys[0] = y0
-    for i in range(steps):
-        y = ys[i]
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        ys[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return ys
+# Taylor terms per step; the size, relative to the state, that sets the step; the most steps
+_TERMS, _TERM_TOL, _STEP_BUDGET = 30, 1e-16, 1000
 
 
-# RK4 step of the kinetic flow; the step-halving check reruns it at twice this
-_FLOW_STEP = 1e-3
+def _kinetic_flow(model: MagneticCotangent, y: np.ndarray, T: float) -> np.ndarray:
+    """The kinetic flow from the state y = (g, mu) in chart coordinates (or
+    from each row of stacked states, as one state) at 0, T/10, ..., T, shape
+    (11,) + y.shape, in equal Taylor steps sized by the decay of the last two
+    terms at y (Jorba and Zou 2005).  The field is quadratic, so its terms are
+    exact: c_{k+1} = (A c_k + sum_{i+j=k} Q(c_i, c_j)) / (k + 1).  A step's
+    last term is what one term fewer would miss; summed over the flow it must
+    stay within 1e-8 * max(1, largest |state| at the checkpoints)."""
+    A, Q = _kinetic_field(model)
+    c = np.empty((_TERMS + 1,) + y.shape)
+
+    def expand(y):
+        c[0] = y
+        for k in range(_TERMS):
+            pairs = np.einsum("i...a,i...b->...ab", c[: k + 1], c[k::-1]).reshape(y.shape[:-1] + (-1,))
+            c[k + 1] = (c[k] @ A.T + pairs @ Q.reshape(len(A), -1).T) / (k + 1)
+
+    expand(y)
+    last = np.abs(c[-2:]).reshape(2, -1).max(axis=1) / (_TERM_TOL * max(1.0, np.abs(y).max()))
+    rate = np.max(last ** (1.0 / np.array([_TERMS - 1, _TERMS])))
+    if not T * rate <= _STEP_BUDGET:  # also fails on a NaN rate, from coefficients that overflowed
+        raise NumericalError(f"kinetic flow needs more than {_STEP_BUDGET} Taylor steps")
+    per = max(1, int(np.ceil(T * rate / 10)))
+    powers = (T / (10 * per)) ** np.arange(_TERMS + 1)
+    ys, gap = [y], 0.0
+    for _ in range(10):
+        for _ in range(per):
+            expand(y)
+            y = (powers @ c.reshape(len(c), -1)).reshape(y.shape)
+            gap = gap + powers[-1] * np.abs(c[-1]).max(axis=-1)
+        ys.append(y)
+    if not np.all(gap <= 1e-8 * np.maximum(1.0, np.abs(ys).max(axis=(0, -1)))):
+        raise NumericalError("kinetic flow failed its accuracy check")
+    return np.array(ys)
 
 
 def noether_check(model: MagneticCotangent, cylinder: Cylinder, x: PhasePath, T: float):
@@ -325,24 +332,16 @@ def noether_check(model: MagneticCotangent, cylinder: Cylinder, x: PhasePath, T:
     K at time t is project(J(x) + the momentum integral along the flow up to
     t).  J is single-valued on the simply connected cover, so that integral
     depends only on the flow's states at 0 and t, not on the path between
-    them: the path through the 11 checkpoint states gives the same drift as
-    the RK4 samples between them, and the running sums of its 10 segment
-    integrals give every checkpoint.
+    them: the path through the 11 checkpoint states of the Taylor flow
+    gives the same drift as any finer sampling of it, and the running sums
+    of its 10 segment integrals give every checkpoint.
     """
     if T < 0:
         raise InputError("flow time must be nonnegative")
     J0 = np.atleast_2d(momentum_of_path(model, x))
     paths, n = len(J0), model.n
     y0 = np.concatenate([x.base.ends(), x.end_momenta()], axis=1)
-
-    ys = _kinetic_flow(model, y0, T, _FLOW_STEP)
-    check = _kinetic_flow(model, y0, T, 2.0 * _FLOW_STEP)
-    scale = np.maximum(1.0, np.abs(ys).max(axis=(0, 2)))
-    # written to fail on NaN, which an overflowing flow produces
-    if not np.all(np.abs(check[-1] - ys[-1]).max(axis=1) <= 1e-8 * scale):
-        raise NumericalError("kinetic flow integration failed its step-halving check")
-
-    states = ys[:: (len(ys) - 1) // 10].transpose(1, 0, 2).reshape(-1, 2 * n)  # path after path
+    states = _kinetic_flow(model, y0, T).transpose(1, 0, 2).reshape(-1, 2 * n)  # path after path
     times = np.tile(np.linspace(0.0, 1.0, 11), paths)
     flow_base = GroupPath.from_samples(model.cover, times, states[:, :n], np.full(paths, 11))
     segments = momentum_segments(model, PhasePath(flow_base, states[:, n:]))

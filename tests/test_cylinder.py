@@ -374,14 +374,15 @@ class TestNoether:
         assert noether_check(SC_TORUS.model, SC_TORUS.cylinder, x, 0.0) == 0.0
 
     def test_short_flow_time_is_checked(self, monkeypatch):
-        # a field pushing the first momentum coordinate moves K at once; a
-        # flow shorter than the checkpoint spacing must still read it
+        # a field pushing the first momentum coordinate (at the rate of that
+        # coordinate) moves K at once; a flow shorter than the checkpoint
+        # spacing must still read it
         n = SC_HEIS.n
-        push = np.eye(2 * n)[n]
 
         def pushing(model):
-            field = _kinetic_field(model)
-            return lambda y: field(y) + push
+            A, Q = _kinetic_field(model)
+            A[n, n] += 1.0
+            return A, Q
 
         monkeypatch.setattr(cylinder, "_kinetic_field", pushing)
         x = PhasePath.to_point(SC_HEIS.model, [0.2, 0.1, -0.3], [0.4, 0.2, 0.1])
@@ -406,20 +407,23 @@ class TestNoether:
         # chart-to-body map takes back to the body frame
         for sc in (SC_TORUS, SC_FLAT, SC_HEIS, SC_TORUS3, SC_DENSE):
             n = sc.n
-            field = _kinetic_field(sc.model)
+            A, Q = _kinetic_field(sc.model)
             for _ in range(20):
                 z = PhasePoint(RNG.uniform(-1.0, 1.0, n), RNG.uniform(-2.0, 2.0, n))
                 want = np.linalg.solve(sc.model.omega_matrix(z).T, np.concatenate([np.zeros(n), z.mu]))
-                dy = field(np.concatenate([z.g, z.mu]))
+                y = np.concatenate([z.g, z.mu])
+                dy = A @ y + np.einsum("kab,a,b->k", Q, y, y)
                 got = np.concatenate([sc.cover.chart_to_body(z.g) @ dy[:n], dy[n:]])
                 assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
     def test_torus_flow_is_a_rotation(self):
         # Sigma = J: mu rotates at unit speed and g integrates it,
-        # g(t) = g0 + [[sin t, cos t - 1], [1 - cos t, sin t]] mu0
+        # g(t) = g0 + [[sin t, cos t - 1], [1 - cos t, sin t]] mu0, read at
+        # the 11 checkpoints
         g0, mu0 = np.array([0.3, 0.1]), np.array([0.4, -0.2])
-        ys = _kinetic_flow(SC_TORUS.model, np.concatenate([g0, mu0]), 1.0, 1e-3)
-        t = np.linspace(0.0, 1.0, len(ys))[:, None]
+        ys = _kinetic_flow(SC_TORUS.model, np.concatenate([g0, mu0]), 1.0)
+        assert ys.shape == (11, 4)
+        t = np.linspace(0.0, 1.0, 11)[:, None]
         c, s = np.cos(t), np.sin(t)
         mu = np.hstack([c * mu0[0] - s * mu0[1], s * mu0[0] + c * mu0[1]])
         g = g0 + np.hstack([s * mu0[0] + (c - 1.0) * mu0[1], (1.0 - c) * mu0[0] + s * mu0[1]])

@@ -167,14 +167,36 @@ class TestRunChecks:
             assert r.passed, f"{r.check_name}: {r.max_error} > {r.tolerance} ({r.notes})"
 
     def test_overflowing_kinetic_flow_is_a_numerical_failure(self):
-        # theta = 1e5 J: the RK4 state overflows to NaN, which used to slip
-        # through the step-halving test and report maxError NaN
+        # theta = 1e5 J: the flow would need far more Taylor steps than its
+        # budget, and fails before it takes one; an RK4 flow that overflowed
+        # to NaN here once slipped through its accuracy check
         text = TORUS_TEXT.replace('[["0","1"],["-1","0"]]', '[["0","100000"],["-100000","0"]]')
         sc = build_scenario(parse_config(text.replace('"sampleCount": 25', '"sampleCount": 20')))
         with np.errstate(all="ignore"):
             (rep,) = run_checks(sc, names={"noether_drift"})
         assert math.isinf(rep.max_error) and not rep.passed
         assert rep.notes.startswith("numerical failure")
+
+    @pytest.mark.parametrize(
+        "text, old, new",
+        [
+            (TORUS_TEXT, '[["0","1"],["-1","0"]]', '[["0","100"],["-100","0"]]'),
+            (TORUS_TEXT, '[["0","1"],["-1","0"]]', '[["0","1000"],["-1000","0"]]'),
+            (HEIS_TEXT, '["1", "0"]', '["50", "-30"]'),
+            (HEIS_TEXT, '["1", "0"]', '["100", "0"]'),
+            (HEIS_TEXT, '["1", "0"]', '["1000", "0"]'),
+            (HEIS_TEXT, "[0.5, 0.1, -0.4]", "[50, 10, -40]"),
+            (HEIS_TEXT, "[0.5, 0.1, -0.4]", "[500, 100, -400]"),
+        ],
+        ids=["theta100", "theta1000", "sigma50,-30", "sigma100", "sigma1000", "mu1e2", "mu1e3"],
+    )
+    def test_high_frequency_kinetic_flow_passes(self, text, old, new):
+        # fast flows and far-scale momenta: the data sets the number of
+        # Taylor steps, and the drift stays inside the unchanged gate (a
+        # fixed RK4 step of 1e-3 failed its accuracy check on each)
+        sc = build_scenario(parse_config(text.replace(old, new)))
+        (rep,) = run_checks(sc, names={"noether_drift"}, samples=20)
+        assert rep.passed and rep.tolerance == 1e-6, f"{rep.max_error} ({rep.notes})"
 
     def test_nan_over_settings_is_not_swallowed(self):
         # mu = 1e300 overflows the Casimir to inf - inf = NaN; combining the

@@ -79,7 +79,7 @@ class TestParseConfig:
             parse(text)
         assert err.value.field == field
 
-    @pytest.mark.parametrize("r", ["4", '"9/4"', "0", "-2"])
+    @pytest.mark.parametrize("r", ["4", '"9/4"', "0", "-2", "2.0"])
     def test_bad_field_descriptor(self, r):
         with pytest.raises(ConfigError) as err:
             parse(f'{{"group":"torus","dim":1,"field":{r},"theta":[["0"]]}}')
