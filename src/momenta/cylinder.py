@@ -305,7 +305,9 @@ def _kinetic_flow(model: MagneticCotangent, y: np.ndarray, T: float) -> np.ndarr
             pairs = np.einsum("i...a,i...b->...ab", c[: k + 1], c[k::-1]).reshape(y.shape[:-1] + (-1,))
             c[k + 1] = (c[k] @ A.T + pairs @ Q.reshape(len(A), -1).T) / (k + 1)
 
-    expand(y)
+    # far from unit scale the terms overflow to inf and NaN, which the rate check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        expand(y)
     last = np.abs(c[-2:]).reshape(2, -1).max(axis=1) / (_TERM_TOL * max(1.0, np.abs(y).max()))
     rate = np.max(last ** (1.0 / np.array([_TERMS - 1, _TERMS])))
     if not T * rate <= _STEP_BUDGET:  # also fails on a NaN rate, from coefficients that overflowed

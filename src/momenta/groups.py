@@ -17,7 +17,9 @@ each operation is one closed form, written once as a loop over the pairs
 
 Group elements are flat coordinate arrays in this chart; circle coordinates
 are normalized to [0, 1).  Elements may be stacked in rows: every GroupModel
-operation serves one element or many through one body.
+operation serves one element or many through one body.  Rows are gathered
+with ``ndarray.take``: numpy indexes rows with an index array several times
+more slowly.
 
 Paths carry a constant left-trivialized velocity on each segment, so the left
 logarithm of the velocity is exact and every path integrand downstream is
@@ -236,8 +238,8 @@ def _interleave(a, a_starts, a_counts, b, b_starts, b_counts) -> np.ndarray:
     sizes = a_counts + b_counts
     firsts = np.cumsum(sizes) - sizes
     out = np.empty((sizes.sum(),) + a.shape[1:])
-    out[_ranges(firsts, a_counts)] = a[_ranges(a_starts, a_counts)]
-    out[_ranges(firsts + a_counts, b_counts)] = b[_ranges(b_starts, b_counts)]
+    out[_ranges(firsts, a_counts)] = a.take(_ranges(a_starts, a_counts), axis=0)
+    out[_ranges(firsts + a_counts, b_counts)] = b.take(_ranges(b_starts, b_counts), axis=0)
     return out
 
 
@@ -381,20 +383,24 @@ class GroupPath:
             raise InputError("sample times must increase from 0 to 1")
         lasts = sizes.cumsum() - 1
         firsts = lasts - sizes + 1
-        ends = abs(ts[firsts]).max() <= 1e-12 and abs(ts[lasts] - 1.0).max() <= 1e-12
+        ends = abs(ts.take(firsts)).max() <= 1e-12 and abs(ts.take(lasts) - 1.0).max() <= 1e-12
         ts[firsts], ts[lasts] = 0.0, 1.0
+        # a step joins each two consecutive samples; the one from a path's
+        # last sample to the next path's first is dropped
+        steps = np.ones(len(ts) - 1, dtype=bool)
+        steps[lasts[:-1]] = False
         path = cls.__new__(cls)
         path.model, path.batched = model, counts is not None
         path.offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
-        (sizes - 1).cumsum(out=path.offsets[1:])
-        path._first = first = _ranges(firsts, sizes - 1)  # the sample starting each segment
+        path.offsets[1:] = lasts - np.arange(len(sizes))  # path b ends after lasts[b] - b segments
+        path._first = first = steps.nonzero()[0]  # the sample starting each segment
         path._points = None
-        path.durations = ts[first + 1] - ts[first]
+        path.durations = (ts[1:] - ts[:-1]).take(first)
         if not (ends and path.durations.min() > 0):  # NaN fails
             raise InputError("sample times must increase from 0 to 1")
-        path.times, path.nodes, path.bases = ts, gs, gs[firsts]
+        path.times, path.nodes, path.bases = ts, gs, gs.take(firsts, axis=0)
         # g_i^{-1} g_{i+1} is its own logarithm in the exponential chart
-        path.directions = model.multiply(-gs[first], gs[first + 1]) / path.durations[:, None]
+        path.directions = model.multiply(-gs[:-1], gs[1:]).take(first, axis=0) / path.durations[:, None]
         return path
 
     # -- batch structure ---------------------------------------------------
@@ -423,7 +429,7 @@ class GroupPath:
 
     def ends(self) -> np.ndarray:
         """Endpoint of each path, shape (B, n) also for a single path."""
-        return self.nodes[self.offsets[1:] + np.arange(len(self))]
+        return self.nodes.take(self.offsets[1:] + np.arange(len(self)), axis=0)
 
     def sum_segments(self, rows) -> np.ndarray:
         """Per-path sums of per-segment rows (a kernel's output), each added
@@ -459,9 +465,9 @@ class GroupPath:
 
     def at_segments(self, ks, ts) -> np.ndarray:
         """Path points at parameters ``ts`` known to lie in segments ``ks``."""
-        first = self._first[ks]
-        s = (ts - self.times[first])[:, None]
-        return self.model.multiply(self.nodes[first], s * self.directions[ks])
+        first = self._first.take(ks)
+        s = (ts - self.times.take(first))[:, None]
+        return self.model.multiply(self.nodes.take(first, axis=0), s * self.directions.take(ks, axis=0))
 
     def midpoints(self) -> np.ndarray:
         """Path point at the middle of each segment, in table order.  A path
@@ -470,7 +476,7 @@ class GroupPath:
         is not a circle.  A wrapped circle coordinate has no such midpoint,
         but no circle is the input of a bracket pair, so Ad* never reads
         one."""
-        f = self._first  # take gathers rows several times faster than indexing
+        f = self._first
         return 0.5 * (self.nodes.take(f, axis=0) + self.nodes.take(f + 1, axis=0))
 
     def evaluate(self, t: float) -> np.ndarray:
@@ -498,6 +504,14 @@ class GroupPath:
         return f"GroupPath({self.model!r}, {len(self.durations)} segments)"
 
 
+def _run_ends(a) -> np.ndarray:
+    """Mask of the entries that differ from the next one, and of the last."""
+    out = np.empty(len(a), dtype=bool)
+    out[-1] = True
+    np.not_equal(a[1:], a[:-1], out=out[:-1])
+    return out
+
+
 def _refined_grids(p: GroupPath, q: GroupPath):
     """Sample times for each pair of paths of p and q: the union of both
     paths' breakpoints, each interval split into equal parts so that there
@@ -510,27 +524,27 @@ def _refined_grids(p: GroupPath, q: GroupPath):
     # starts included; a pair ends at 1 and the next starts at 0, so a run
     # stays in its pair
     order = np.lexsort((grid, owner))
-    grid, owner = grid[order], owner[order]
-    at_p = np.cumsum(order < len(p.times)) - 1  # last breakpoint of p passed
-    kp = np.minimum(at_p - owner, p.offsets[1:][owner] - 1)
-    kq = np.minimum(np.arange(len(grid)) - at_p - 1 - owner, q.offsets[1:][owner] - 1)
-    last = np.append(grid[1:] != grid[:-1], True)
+    grid, owner = grid.take(order), owner.take(order)
+    at_p = (order < len(p.times)).cumsum() - 1  # last breakpoint of p passed
+    kp = np.minimum(at_p - owner, p.offsets[1:].take(owner) - 1)
+    kq = np.minimum(np.arange(len(grid)) - at_p - 1 - owner, q.offsets[1:].take(owner) - 1)
+    last = _run_ends(grid)
     # each distinct time is followed in place by the times added inside the
     # interval it starts, which lie on the same segments
-    split = np.maximum(1, -(-32 // (np.bincount(owner[last]) - 1)))
-    starts = last & np.append(owner[1:] == owner[:-1], False)
+    split = -(-32 // (np.bincount(owner[last]) - 1))  # every pair has the distinct times 0 and 1: split >= 1
+    starts = last & ~_run_ends(owner)
     reps = last.astype(np.intp)
-    reps[starts] = split[owner[starts]]
-    src = np.repeat(np.arange(len(grid)), reps)
-    part = _ranges(np.zeros(len(reps)), reps)
-    ts, sub = grid[src], part > 0
+    reps[starts] = split.take(owner[starts])
+    src = np.arange(len(grid)).repeat(reps)
+    part = np.arange(len(src)) - (reps.cumsum() - reps).take(src)
+    ts, sub = grid.take(src), part > 0
     added = src[sub]
-    ts[sub] += (grid[added + 1] - grid[added]) * (part[sub] / split[owner[added]])
+    ts[sub] += (grid.take(added + 1) - grid.take(added)) * (part[sub] / split.take(owner.take(added)))
     # an interval a few ulps wide repeats its ends: the later copy lies on the
     # segments that start there
-    keep = np.append(ts[1:] != ts[:-1], True)
+    keep = _run_ends(ts)
     src = src[keep]
-    return ts[keep], kp[src], kq[src], np.bincount(owner[src])
+    return ts[keep], kp.take(src), kq.take(src), np.bincount(owner.take(src))
 
 
 # endpoint bound of path_product: absolute at unit scale, relative beyond

@@ -59,7 +59,7 @@ class PhasePath:
         self.base = base
         self.momenta = momenta
         first = base._first
-        self.slopes = (momenta[first + 1] - momenta[first]) / base.durations[:, None]
+        self.slopes = (momenta.take(first + 1, axis=0) - momenta.take(first, axis=0)) / base.durations[:, None]
 
     @classmethod
     def with_linear_momentum(cls, base: GroupPath, mu_end, mu_start=None) -> "PhasePath":
@@ -69,7 +69,7 @@ class PhasePath:
         mu0 = np.zeros(n) if mu_start is None else np.asarray(mu_start, dtype=float)
         mu1 = np.asarray(mu_end, dtype=float)
         owner = base.point_paths()
-        mu0, d = np.broadcast_to(mu0, rows)[owner], np.broadcast_to(mu1 - mu0, rows)[owner]
+        mu0, d = np.broadcast_to(mu0, rows).take(owner, axis=0), np.broadcast_to(mu1 - mu0, rows).take(owner, axis=0)
         return cls(base, mu0 + base.times[:, None] * d)
 
     @classmethod
@@ -87,9 +87,9 @@ class PhasePath:
         return self._at_segments(ks, ts)
 
     def _at_segments(self, ks, ts) -> np.ndarray:
-        first = self.base._first[ks]
-        s = (ts - self.base.times[first])[:, None]
-        return self.momenta[first] + s * self.slopes[ks]
+        first = self.base._first.take(ks)
+        s = (ts - self.base.times.take(first))[:, None]
+        return self.momenta.take(first, axis=0) + s * self.slopes.take(ks, axis=0)
 
     def midpoints(self) -> np.ndarray:
         """Momentum at the middle of each segment, in table order: the curve
@@ -99,7 +99,7 @@ class PhasePath:
 
     def end_momenta(self) -> np.ndarray:
         """Final momentum of each path, shape (B, n) also for a single path."""
-        return self.momenta[self.base.offsets[1:] + np.arange(len(self.base))]
+        return self.momenta.take(self.base.offsets[1:] + np.arange(len(self.base)), axis=0)
 
     def endpoint(self) -> PhasePoint:
         return PhasePoint(self.base.endpoint(), self.base._shaped(self.end_momenta()))
@@ -165,7 +165,7 @@ def _check_phase_path(model: MagneticCotangent, x: PhasePath, at_base: bool):
         raise InputError("phase paths must live on the universal-cover model")
     if at_base:
         _require_identity_based(x.base)
-        starts = x.momenta[x.base.offsets[:-1] + np.arange(len(x.base))]
+        starts = x.momenta.take(x.base.offsets[:-1] + np.arange(len(x.base)), axis=0)
         if np.any(np.linalg.norm(starts, axis=1) > 1e-12):
             raise InputError("path must start at the base point (e, 0)")
 
@@ -242,7 +242,8 @@ def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     s = _sym._CANON_SIGN
     struct, sig = model.group.structure, model.sigma_matrix
     base, n = x.base, model.n
-    xid, nud, mu0, push = base.directions, x.slopes, x.momenta[base._first], base.directions @ sig.T
+    first = base._first
+    xid, nud, mu0, push = base.directions, x.slopes, x.momenta.take(first, axis=0), base.directions @ sig.T
     # the velocity is constant on a segment, so the bracket term is one
     # matrix per segment, and the covector is affine in the offset d into
     # the segment: cov0 + d cov1
@@ -250,12 +251,12 @@ def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     cov0 = np.einsum("sak,sk->sa", brackets, mu0) + (s * nud - push)
     cov1 = np.einsum("sak,sk->sa", brackets, nud)
     ds = np.outer(base.durations, 0.25 * np.arange(5))[..., None]  # offsets of the 5 rows
-    gs = base.model.multiply(base.nodes[base._first][:, None], ds * xid[:, None])
+    gs = base.model.multiply(base.nodes.take(first, axis=0)[:, None], ds * xid[:, None])
     covs = cov0[:, None] + ds * cov1[:, None]
     vals = base.model.coadjoint_inv_apply(gs.reshape(-1, n), covs.reshape(-1, n)).reshape(-1, 5, n)
     coarse, fine = (base.sum_segments(v) for v in _simpson_sweeps(vals, base.durations))
     ends = np.abs(x.momenta).max(axis=1)
-    size = np.max([np.abs(vals).max(axis=(1, 2)), np.abs(push).max(axis=1), ends[base._first], ends[base._first + 1]], axis=0)
+    size = np.max([np.abs(vals).max(axis=(1, 2)), np.abs(push).max(axis=1), ends.take(first), ends.take(first + 1)], axis=0)
     size = np.maximum.reduceat(size, base.offsets[:-1])  # per path
     gaps = np.atleast_1d(np.abs(fine - coarse).max(axis=-1))
     failed = np.flatnonzero(~(gaps <= np.maximum(1e-7, 1e-10 * size)))  # NaN fails

@@ -169,9 +169,10 @@ class TestBatchMatchesPathByPath:
         for b, (pb, qb) in enumerate(zip(p, q)):
             want = path_product(GroupPath(sc.cover, zip(*pb)), GroupPath(sc.cover, zip(*qb)))
             lo, hi = got.offsets[b], got.offsets[b + 1]
+            assert np.array_equal(got.times[lo + b : hi + b + 1], want.times)
+            assert np.array_equal(got.nodes[lo + b : hi + b + 1], want.nodes)
+            assert np.array_equal(got.directions[lo:hi], want.directions)
             assert np.array_equal(got.durations[lo:hi], want.durations)
-            assert_rows_close(got.directions[lo:hi], want.directions)
-            assert_rows_close(got.ends()[b], want.endpoint())
         # 3 distinct intervals split 11 times against 4 split 8 times elsewhere
         assert list(got.counts()[-2:]) == [33, 11 + 1 + 11] and 32 in got.counts()
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -400,6 +402,16 @@ class TestNoether:
     def test_heisenberg_drift(self):
         x = PhasePath.to_point(SC_HEIS.model, [0.2, 0.1, -0.3], [0.4, 0.2, 0.1])
         assert noether_check(SC_HEIS.model, SC_HEIS.cylinder, x, 1.0) <= 1e-6
+
+    def test_overflowing_terms_fail_without_a_warning(self):
+        # at |mu| = 1e12 the first Taylor terms overflow to inf and NaN; the
+        # rate check rejects them, and numpy must not warn on the way
+        sc = scenario('{"group":"heisenberg","sigma":["1","0"],"muList":[[1e12,0,0]]}')
+        x = PhasePath.to_point(sc.model, [0.2, 0.1, -0.3], [1e12, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                noether_check(sc.model, sc.cylinder, x, 1.0)
 
     def test_kinetic_field_solves_the_form(self):
         # reference: solve omega(X, .) = d(|mu|^2 / 2) with the assembled
