@@ -53,8 +53,11 @@ def _load_scenario(path: str) -> Scenario:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

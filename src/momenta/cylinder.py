@@ -163,8 +163,7 @@ def affine_cylinder_action(
     if lift_path is None:
         lift_path = _canonical_lift(model, g)
     _check_lift(model, g, lift_path)
-    coad = lift_path._shaped(lift_path.model.coadjoint_inv_apply(lift_path.ends(), point.representative))
-    return cylinder.project(coad + sigma_J(model, lift_path))
+    return cylinder.project(affine_action(model, lift_path, point.representative))
 
 
 # -- scenario-level reduction data ------------------------------------------

@@ -227,7 +227,7 @@ class GroupModel:
 def _ranges(starts, counts) -> np.ndarray:
     """The index ranges starts[i] : starts[i] + counts[i], one after another."""
     counts = np.asarray(counts, dtype=np.intp)
-    firsts = np.cumsum(counts) - counts
+    firsts = counts.cumsum() - counts
     return np.arange(counts.sum()) + np.repeat(np.asarray(starts, dtype=np.intp) - firsts, counts)
 
 
@@ -236,7 +236,7 @@ def _interleave(a, a_starts, a_counts, b, b_starts, b_counts) -> np.ndarray:
     block after block."""
     a_counts, b_counts = np.asarray(a_counts), np.asarray(b_counts)
     sizes = a_counts + b_counts
-    firsts = np.cumsum(sizes) - sizes
+    firsts = sizes.cumsum() - sizes
     out = np.empty((sizes.sum(),) + a.shape[1:])
     out[_ranges(firsts, a_counts)] = a.take(_ranges(a_starts, a_counts), axis=0)
     out[_ranges(firsts + a_counts, b_counts)] = b.take(_ranges(b_starts, b_counts), axis=0)
@@ -361,7 +361,9 @@ class GroupPath:
         stacks several directions (rows)."""
         xi = np.asarray(xi, dtype=float)
         if xi.ndim == 2:
-            return cls.from_table(model, xi, np.ones(len(xi)), base, np.ones(len(xi), dtype=np.intp))
+            ones = np.empty(len(xi), dtype=np.intp)
+            ones.fill(1)
+            return cls.from_table(model, xi, ones, base, ones)
         return cls(model, [(xi, 1.0)], base)
 
     @classmethod
@@ -387,7 +389,8 @@ class GroupPath:
         ts[firsts], ts[lasts] = 0.0, 1.0
         # a step joins each two consecutive samples; the one from a path's
         # last sample to the next path's first is dropped
-        steps = np.ones(len(ts) - 1, dtype=bool)
+        steps = np.empty(len(ts) - 1, dtype=bool)
+        steps.fill(True)
         steps[lasts[:-1]] = False
         path = cls.__new__(cls)
         path.model, path.batched = model, counts is not None
@@ -460,7 +463,7 @@ class GroupPath:
         order = np.lexsort((np.concatenate([self.times, ts]), np.concatenate([self.point_paths(), paths])))
         is_param = order >= npts
         below = np.empty(len(ts), dtype=np.intp)
-        below[order[is_param] - npts] = np.flatnonzero(is_param) - np.arange(len(ts))
+        below[order[is_param] - npts] = is_param.nonzero()[0] - np.arange(len(ts))
         return np.minimum(below - paths - 1, self.offsets[1:][paths] - 1)
 
     def at_segments(self, ks, ts) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Column Hermite and Smith normal forms over Z with unimodular transforms,
 membership/quotient computations, and the discreteness decision with closure
-decomposition for Z-spans of Q(sqrt(r))-vectors.  Everything in this module is
-exact big-integer/rational arithmetic; no floating point.
+decomposition for Z-spans of Q(sqrt(r))-vectors.  One Bezout elimination,
+the row Hermite step, serves both forms: the Smith form is rounds of it on
+a matrix and its transpose.  Everything in this module is exact
+big-integer/rational arithmetic; no floating point.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
 
 from .exact import (
@@ -63,40 +66,54 @@ def _transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
-def _row_hermite(A):
+def _row_hermite(A, U=None):
     """Row HNF: (H, U) with H = U A; upper echelon, positive pivots, entries
-    above each pivot reduced into [0, pivot)."""
+    above each pivot reduced into [0, pivot).  The row steps also update a
+    given U in place (default the identity).
+
+    Below a pivot, an entry the pivot divides is cleared by a shear, which
+    leaves the pivot row as it is; any other takes a Bezout step, which
+    lowers the pivot to the gcd.  So `smith_normal_form`'s alternating
+    rounds on D and its transpose terminate by descent: from the second
+    round on, the leading entry is positive and never grows, and a round
+    that does not lower it clears its line with shears and leaves the line
+    the round before cleared alone.  Both stay clear, and the argument
+    repeats on the trailing block, on which the rounds act as on a matrix
+    of its own.
+    """
     m = len(A)
     n = len(A[0]) if m else 0
     H = [[int(x) for x in row] for row in A]
-    U = _eye(m)
+    U = _eye(m) if U is None else U
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, m) if H[i][c]), None)
         if piv is None:
             continue
-        H[r], H[piv] = H[piv], H[r]
-        U[r], U[piv] = U[piv], U[r]
+        for M in (H, U):
+            M[r], M[piv] = M[piv], M[r]
         for i in range(r + 1, m):
-            if H[i][c]:
-                g, x, y = xgcd(H[r][c], H[i][c])
-                ar, ai = H[r][c] // g, H[i][c] // g
-                H[r], H[i] = (
-                    [x * p + y * q for p, q in zip(H[r], H[i])],
-                    [-ai * p + ar * q for p, q in zip(H[r], H[i])],
-                )
-                U[r], U[i] = (
-                    [x * p + y * q for p, q in zip(U[r], U[i])],
-                    [-ai * p + ar * q for p, q in zip(U[r], U[i])],
-                )
+            a, b = H[r][c], H[i][c]
+            if b % a:
+                g, x, y = xgcd(a, b)
+                ar, ai = a // g, b // g
+                for M in (H, U):
+                    M[r], M[i] = (
+                        [x * p + y * q for p, q in zip(M[r], M[i])],
+                        [-ai * p + ar * q for p, q in zip(M[r], M[i])],
+                    )
+            elif b:
+                q = b // a
+                for M in (H, U):
+                    M[i] = [p - q * s for p, s in zip(M[i], M[r])]
         if H[r][c] < 0:
-            H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
+            for M in (H, U):
+                M[r] = [-x for x in M[r]]
         for i in range(r):
             q = H[i][c] // H[r][c]
             if q:
-                H[i] = [p - q * s for p, s in zip(H[i], H[r])]
-                U[i] = [p - q * s for p, s in zip(U[i], U[r])]
+                for M in (H, U):
+                    M[i] = [p - q * s for p, s in zip(M[i], M[r])]
         r += 1
         if r == m:
             break
@@ -114,90 +131,38 @@ def hermite_normal_form(A):
 
 
 def smith_normal_form(A):
-    """Smith normal form: (D, S, T) with D = S A T diagonal, d_i | d_{i+1}."""
+    """Smith normal form: (D, S, T) with D = S A T diagonal, d_i | d_{i+1}.
+
+    Row Hermite rounds on D, carrying S, and on its transpose, carrying the
+    transpose of T, alternate until D is diagonal (see `_row_hermite` for
+    why they stop); its diagonal is then positive, zeros last.  Each pair
+    of entries a = d_i, b = d_j (i < j) then becomes (g, a b / g), with
+    g = x a + y b = gcd(a, b), by one unimodular step: rows i, j times
+    [[x, y], [-b/g, a/g]] and columns i, j times [[1, -y b/g], [1, x a/g]].
+    """
     m = len(A)
     n = len(A[0]) if m else 0
-    D = [[int(x) for x in row] for row in A]
-    S, T = _eye(m), _eye(n)
-
-    def row_comb(i1, i2, x, y, u, v):
-        D[i1], D[i2] = (
-            [x * p + y * q for p, q in zip(D[i1], D[i2])],
-            [u * p + v * q for p, q in zip(D[i1], D[i2])],
+    D, S = _row_hermite(A)
+    Tt = _eye(n)
+    while any(x for i, row in enumerate(D) for j, x in enumerate(row) if i != j):
+        Dt, Tt = _row_hermite(_transpose(D), Tt)
+        D, S = _row_hermite(_transpose(Dt), S)
+    for i, j in combinations(range(min(m, n)), 2):
+        a, b = D[i][i], D[j][j]
+        if not b or b % a == 0:
+            continue  # zeros trail, so a is nonzero here
+        g, x, y = xgcd(a, b)
+        ar, bg = a // g, b // g
+        S[i], S[j] = (
+            [x * p + y * q for p, q in zip(S[i], S[j])],
+            [-bg * p + ar * q for p, q in zip(S[i], S[j])],
         )
-        S[i1], S[i2] = (
-            [x * p + y * q for p, q in zip(S[i1], S[i2])],
-            [u * p + v * q for p, q in zip(S[i1], S[i2])],
+        Tt[i], Tt[j] = (
+            [p + q for p, q in zip(Tt[i], Tt[j])],
+            [-y * bg * p + x * ar * q for p, q in zip(Tt[i], Tt[j])],
         )
-
-    def col_comb(j1, j2, x, y, u, v):
-        for M in (D, T):
-            for row in M:
-                row[j1], row[j2] = x * row[j1] + y * row[j2], u * row[j1] + v * row[j2]
-
-    t = 0
-    while t < min(m, n):
-        entries = [(abs(D[i][j]), i, j) for i in range(t, m) for j in range(t, n) if D[i][j]]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        if pi != t:
-            D[t], D[pi] = D[pi], D[t]
-            S[t], S[pi] = S[pi], S[t]
-        if pj != t:
-            for M in (D, T):
-                for row in M:
-                    row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, m):
-                b = D[i][t]
-                if not b:
-                    continue
-                a = D[t][t]
-                if b % a == 0:
-                    # shear: leaves the pivot row alone, cannot refill
-                    q = b // a
-                    D[i] = [p - q * s for p, s in zip(D[i], D[t])]
-                    S[i] = [p - q * s for p, s in zip(S[i], S[t])]
-                else:
-                    g, x, y = xgcd(a, b)
-                    row_comb(t, i, x, y, -(b // g), a // g)
-            if any(D[t][j] for j in range(t + 1, n)):
-                for j in range(t + 1, n):
-                    b = D[t][j]
-                    if not b:
-                        continue
-                    a = D[t][t]
-                    if b % a == 0:
-                        q = b // a
-                        for M in (D, T):
-                            for row in M:
-                                row[j] -= q * row[t]
-                    else:
-                        g, x, y = xgcd(a, b)
-                        col_comb(t, j, x, y, -(b // g), a // g)
-                if any(D[i][t] for i in range(t + 1, m)):
-                    # a Bezout step refilled the column, but it also strictly
-                    # shrank the pivot, so this loop terminates
-                    continue
-            break
-        d = D[t][t]
-        bad = next(
-            ((i, j) for i in range(t + 1, m) for j in range(t + 1, n) if D[i][j] % d),
-            None,
-        )
-        if bad is not None:
-            # fold a non-multiple into row t; the next elimination round
-            # strictly shrinks the pivot, so this terminates
-            i = bad[0]
-            D[t] = [p + q for p, q in zip(D[t], D[i])]
-            S[t] = [p + q for p, q in zip(S[t], S[i])]
-            continue
-        if d < 0:
-            D[t] = [-x for x in D[t]]
-            S[t] = [-x for x in S[t]]
-        t += 1
-    return D, S, T
+        D[i][i], D[j][j] = g, ar * b
+    return D, S, _transpose(Tt)
 
 
 def _as_int(x) -> int:
@@ -316,12 +281,7 @@ class AbelianInvariants:
         return self.free_rank == 0 and not self.torsion
 
     def order(self):
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return None if self.free_rank else prod(self.torsion)
 
     def describe(self) -> str:
         parts = []
@@ -348,8 +308,7 @@ def quotient_invariants(big: LatticeSubgroup, small: LatticeSubgroup) -> Abelian
         return AbelianInvariants(r, ())
     Y = [[coord_cols[j][i] for j in range(len(coord_cols))] for i in range(r)]
     D, _, _ = smith_normal_form(Y)
-    diag = [D[t][t] for t in range(min(r, len(coord_cols)))]
-    nonzero = [d for d in diag if d]
+    nonzero = [D[t][t] for t in range(min(r, len(coord_cols))) if D[t][t]]
     return AbelianInvariants(r - len(nonzero), tuple(d for d in nonzero if d > 1))
 
 

@@ -259,7 +259,7 @@ def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
     size = np.max([np.abs(vals).max(axis=(1, 2)), np.abs(push).max(axis=1), ends.take(first), ends.take(first + 1)], axis=0)
     size = np.maximum.reduceat(size, base.offsets[:-1])  # per path
     gaps = np.atleast_1d(np.abs(fine - coarse).max(axis=-1))
-    failed = np.flatnonzero(~(gaps <= np.maximum(1e-7, 1e-10 * size)))  # NaN fails
+    failed = (~(gaps <= np.maximum(1e-7, 1e-10 * size))).nonzero()[0]  # NaN fails
     if len(failed):
         gap = gaps[failed[0]]
         raise NumericalError(f"transport Richardson check failed: step halving moved result by {gap:.3e}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -172,6 +173,8 @@ def _parse_verify(raw) -> VerifySettings:
     tol = raw.get("tolerance", 1e-8)
     if not (_is_finite_number(tol) and tol > 0):
         raise ConfigError("verify.tolerance", "must be a finite positive number")
+    if not math.isfinite(tol / 1e-8):  # the scale of every stated check tolerance
+        raise ConfigError("verify.tolerance", "scales the check tolerances past the float range")
     count = _config_int(raw.get("sampleCount", 100), "verify.sampleCount", 1)
     seed = _config_int(raw.get("seed", 42), "verify.seed", 0)
     return VerifySettings(tolerance=float(tol), sample_count=count, seed=seed)
@@ -207,7 +210,7 @@ def parse_config(text: str) -> ScenarioConfig:
     else:
         if "theta" in raw:
             raise ConfigError("theta", "theta is derived from sigma for the Heisenberg family")
-        dim = raw.get("dim", 3)
+        dim = _config_int(raw.get("dim", 3), "dim", 1)
         if dim != 3:
             raise ConfigError("dim", "the Heisenberg family is three-dimensional")
         sig = raw.get("sigma")

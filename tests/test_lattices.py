@@ -14,6 +14,7 @@ from momenta.lattices import (
     AbelianInvariants,
     GeneratedSubgroup,
     LatticeSubgroup,
+    _row_hermite,
     classify_cover,
     hermite_normal_form,
     integer_kernel,
@@ -62,10 +63,10 @@ def mat_mul(A, B):
 small_ints = st.integers(min_value=-9, max_value=9)
 
 
-def matrices(max_dim=4):
+def matrices(max_dim=4, entries=small_ints):
     return st.integers(min_value=1, max_value=max_dim).flatmap(
         lambda m: st.integers(min_value=1, max_value=max_dim).flatmap(
-            lambda k: st.lists(st.lists(small_ints, min_size=k, max_size=k), min_size=m, max_size=m)
+            lambda k: st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m)
         )
     )
 
@@ -102,6 +103,21 @@ class TestHermite:
             if pivots and pivots[-1] is not None:
                 assert nz[0] > pivots[-1]
             pivots.append(nz[0])
+
+    @pytest.mark.parametrize(
+        "A,H,U",
+        [
+            ([[2], [2]], [[2], [0]], [[1, 0], [-1, 1]]),
+            ([[-2], [4]], [[2], [0]], [[-1, 0], [2, 1]]),
+            ([[3], [6], [-9], [3]], [[3], [0], [0], [0]], [[1, 0, 0, 0], [-2, 1, 0, 0], [3, 0, 1, 0], [-1, 0, 0, 1]]),
+        ],
+    )
+    def test_divided_column_cleared_by_shears(self, A, H, U):
+        # an entry the pivot divides, an equal one included, is cleared by a
+        # shear: the pivot row stays (its sign aside), as the Smith form's
+        # termination argument needs
+        assert _row_hermite(A) == (H, U)
+        assert mat_mul(U, A) == H
 
     def test_membership_reduction(self):
         # columns (2,0),(1,1) generate {(a,b): a+b even}... actually Z^2: det -2?
@@ -152,8 +168,24 @@ class TestSmith:
         D, S, T = smith_normal_form([[0, 0], [0, 0]])
         assert D == [[0, 0], [0, 0]]
 
+    @pytest.mark.parametrize(
+        "A,diag",
+        [
+            ([[2, 2], [2, 2]], [2, 0]),
+            ([[3, 3, 3], [3, 3, 3]], [3, 0]),
+            ([[0, 2], [2, 0]], [2, 2]),
+            ([[4, 6], [6, 9]], [1, 0]),
+            ([[u * v for v in (3, 0, 6, -9, 3)] for u in (2, 4, -6, 0)], [6, 0, 0, 0]),  # rank 1
+        ],
+    )
+    def test_repeated_entries(self, A, diag):
+        D, S, T = smith_normal_form(A)
+        assert [D[t][t] for t in range(len(diag))] == diag
+        assert mat_mul(mat_mul(S, A), T) == D
+        assert abs(integer_determinant(S)) == abs(integer_determinant(T)) == 1
+
     @settings(max_examples=80, deadline=None)
-    @given(matrices())
+    @given(matrices(6, st.integers(min_value=-50, max_value=50)))
     def test_transforms_and_divisibility(self, A):
         D, S, T = smith_normal_form(A)
         assert mat_mul(mat_mul(S, A), T) == D

@@ -450,6 +450,17 @@ class TestCLI:
         assert cli.main(["verify", "--config", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "orbit"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        # a usage error, not exit 1, which means a failed check
+        cfg = write_config(tmp_path, TORUS_TEXT.replace('"sampleCount": 25', '"sampleCount": 2'))
+        out = str(tmp_path / "missing" / "x.out")
+        args = ["--mu", "0", "--samples", "2"] if command == "orbit" else []
+        assert cli.main([command, "--config", cfg, "--out", out] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"cannot write {out}: " in captured.err
+
 
 class TestLogging:
     @pytest.mark.parametrize("level,expect_logs", [("off", False), ("info", True)])

@@ -127,6 +127,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse('{"group":"heisenberg","sigma":["1"]}')
 
+    @pytest.mark.parametrize("mu", ["", ',"muList":[[1,0,0]]'])
+    @pytest.mark.parametrize("dim", ["3.0", '"3"', "true"])
+    def test_heisenberg_dim_is_an_integer(self, dim, mu):
+        # 3.0 == 3, but a float dim is echoed as 3.0 and, without a muList,
+        # reaches numpy as an array size
+        assert parse('{"group":"heisenberg","sigma":["1","0"],"dim":3%s}' % mu).dim == 3
+        with pytest.raises(ConfigError) as err:
+            parse('{"group":"heisenberg","sigma":["1","0"],"dim":%s%s}' % (dim, mu))
+        assert err.value.field == "dim"
+
     def test_bad_mu_list(self):
         with pytest.raises(ConfigError) as err:
             parse('{"group":"torus","dim":2,"theta":[["0","0"],["0","0"]],"muList":[[1.0]]}')
@@ -169,8 +179,9 @@ class TestParseConfig:
 
     def test_bad_verify_values(self):
         base = '{"group":"torus","dim":1,"theta":[["0"]],"verify":%s}'
+        # 1e301 is finite, but its scale 1e301 / 1e-8 of the check tolerances is not
         for block in ['{"tolerance":0}', '{"tolerance":Infinity}', '{"tolerance":NaN}', '{"tolerance":1e400}',
-                      '{"sampleCount":0}', '{"seed":-1}', '[1]']:
+                      '{"tolerance":1e301}', '{"sampleCount":0}', '{"seed":-1}', '[1]']:
             with pytest.raises(ConfigError):
                 parse(base % block)
 
