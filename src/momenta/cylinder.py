@@ -197,6 +197,9 @@ class OrbitDescriptor:
     basis: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     casimir_value: float | None = None
     validated_samples: int = 0
+    # orthonormal columns spanning the rows of basis (`Scenario.orbit_frame`),
+    # which the affine residual projects onto
+    frame: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def summary(self) -> str:
         if self.kind == "affineSubspace":
@@ -210,15 +213,14 @@ class OrbitDescriptor:
         mus = np.atleast_2d(np.asarray(mus, dtype=float))
         if self.kind == "affineSubspace":
             diff = mus - self.basepoint
-            if self.basis.size:
-                coeffs, *_ = np.linalg.lstsq(self.basis.T, diff.T, rcond=None)
-                diff = diff - (self.basis.T @ coeffs).T
+            diff = diff - (diff @ self.frame) @ self.frame.T
             return np.linalg.norm(diff, axis=1)
         sigma = self.basepoint  # stored sigma covector for the level set
         return np.abs(heisenberg_casimir(sigma, mus[:, 0], mus[:, 1:]) - self.casimir_value)
 
     def contains(self, mu, tol: float = 1e-8) -> bool:
-        return bool(self.residuals(mu)[0] <= tol)
+        """Whether ``mu``, one point or every stacked row, lies on the orbit."""
+        return bool(np.all(self.residuals(mu) <= tol))
 
 
 def orbit_descriptor(scenario, mu, rng=None, samples: int = 200) -> OrbitDescriptor:
@@ -230,7 +232,7 @@ def orbit_descriptor(scenario, mu, rng=None, samples: int = 200) -> OrbitDescrip
     model = scenario.model
     if scenario.kind == "torus":
         desc = OrbitDescriptor(
-            "affineSubspace", mu.copy(), scenario.orbit_basis, validated_samples=samples
+            "affineSubspace", mu.copy(), scenario.orbit_basis, validated_samples=samples, frame=scenario.orbit_frame
         )
         bound = 1e-8
     else:

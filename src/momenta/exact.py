@@ -1,20 +1,22 @@
 """Exact scalars a + b*sqrt(r) and linear algebra over the field Q(sqrt(r)).
 
-An `ExactScalar` holds two `fractions.Fraction` components.  It is a value
-to parse from a config, compare, negate, print and read as a float; it has
-no field arithmetic.  The descriptor r must not be a rational square:
-irrationality of sqrt(r) is what makes equality decidable from the
-components alone.
+An `ExactScalar` holds its two rational components as integer pairs in
+lowest terms, (an, ad) and (bn, bd) with positive denominators.  It is a
+value to parse from a config, compare, negate, print and read as a float;
+it has no field arithmetic, and none of those steps builds a
+`fractions.Fraction` (the components `a` and `b` are read as Fractions only
+on request).  The descriptor r must not be a rational square: irrationality
+of sqrt(r) is what makes equality decidable from the components alone.
 
 Exact computation runs on integer rows: `integer_rows` scales rows of exact
 entries once to integers [A..., B...] over a common denominator, standing
 for A + B*sqrt(R), and `echelon` eliminates fraction-free on them in
 Z[sqrt(R)], removing each row's gcd as it goes (see Bareiss 1968 and Cohen,
 A Course in Computational Algebraic Number Theory, 2.2).  Fractions appear
-only at the edges: at parse, at print (`from_integer_row`), and in the rows
-that `rref` returns (and through it `nullspace` and `solve_linear`).  Those
-equal the rows of Gauss-Jordan over Q(sqrt(r)), because the reduced row
-echelon form of a matrix is unique."""
+only in the rows of rational entries that `from_integer_row` returns, and
+so in the rows that `rref` returns (and through it `nullspace` and
+`solve_linear`).  Those equal the rows of Gauss-Jordan over Q(sqrt(r)),
+because the reduced row echelon form of a matrix is unique."""
 
 from __future__ import annotations
 
@@ -61,18 +63,34 @@ def _is_rational_square(r: Fraction) -> bool:
 # Config text format: "a/b" or "a/b+c/d*al" (no spaces); integer numerators and
 # pure "c/d*al" terms are accepted as degenerate cases.  In the two-term form
 # the alpha coefficient must carry an explicit sign, which keeps the split of
-# e.g. "1/10*al" unambiguous.
-_A = r"(?P<a>[+-]?\d+)(?:/(?P<ad>\d+))?"
-_TWO_TERM_RE = re.compile(_A + r"(?P<b>[+-]\d+)(?:/(?P<bd>\d+))?\*al")
-_ALPHA_RE = re.compile(r"(?P<b>[+-]?\d+)(?:/(?P<bd>\d+))?\*al")
-_RAT_RE = re.compile(_A)
+# e.g. "1/10*al" unambiguous: the rational term is present only where it is
+# not followed by a digit, a slash or the "*" of an alpha term.  The leading
+# lookahead rejects the empty string.
+_SCALAR_RE = re.compile(
+    r"(?=.)(?:(?P<a>[+-]?\d+)(?:/(?P<ad>\d+))?(?![\d/*]))?(?:(?P<b>[+-]?\d+)(?:/(?P<bd>\d+))?\*al)?"
+)
 
 
-def _ratio(num, den) -> Fraction:
-    """num/den from digit strings; an absent num is 0, an absent den 1."""
-    if den is not None and int(den) == 0:
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    g = math.gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _ratio(num, den) -> tuple[int, int]:
+    """num/den from digit strings, in lowest terms; an absent num is 0, an
+    absent den 1."""
+    if den is None:
+        return int(num or 0), 1
+    d = int(den)
+    if d == 0:
         raise ValueError(f"zero denominator in {num}/{den}")
-    return Fraction(int(num or 0), int(den or 1))
+    return _reduced(int(num), d)
+
+
+def _rational_str(num: int, den: int) -> str:
+    """num/den printed as str(Fraction(num, den)) prints it."""
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 class QuadraticField:
@@ -90,24 +108,24 @@ class QuadraticField:
         self.sqrt_r = math.sqrt(r)
 
     def scalar(self, a, b=0) -> ExactScalar:
-        return ExactScalar(_fraction(a), _fraction(b), self)
+        a, b = _fraction(a), _fraction(b)
+        return ExactScalar(a.numerator, a.denominator, b.numerator, b.denominator, self)
 
     @property
     def zero(self) -> ExactScalar:
-        return self.scalar(0)
+        return ExactScalar(0, 1, 0, 1, self)
 
     @property
     def one(self) -> ExactScalar:
-        return self.scalar(1)
+        return ExactScalar(1, 1, 0, 1, self)
 
     def parse(self, text: str) -> ExactScalar:
-        if not isinstance(text, str) or " " in text:
-            raise ValueError(f"malformed exact scalar: {text!r}")
-        m = _TWO_TERM_RE.fullmatch(text) or _ALPHA_RE.fullmatch(text) or _RAT_RE.fullmatch(text)
+        m = _SCALAR_RE.fullmatch(text) if isinstance(text, str) else None
         if m is None:
-            raise ValueError(f"malformed exact scalar: {text!r} (expected 'a/b' or 'a/b+c/d*al')")
-        g = m.groupdict()
-        return ExactScalar(_ratio(g.get("a"), g.get("ad")), _ratio(g.get("b"), g.get("bd")), self)
+            hint = " (expected 'a/b' or 'a/b+c/d*al')" if isinstance(text, str) and " " not in text else ""
+            raise ValueError(f"malformed exact scalar: {text!r}{hint}")
+        a, ad, b, bd = m.groups()
+        return ExactScalar(*_ratio(a, ad), *_ratio(b, bd), self)
 
     def coerce(self, x) -> ExactScalar:
         if isinstance(x, ExactScalar):
@@ -116,7 +134,7 @@ class QuadraticField:
             return x
         if isinstance(x, str):
             return self.parse(x)
-        return self.scalar(_fraction(x))
+        return self.scalar(x)
 
     def __eq__(self, other):
         return isinstance(other, QuadraticField) and self.r == other.r
@@ -129,43 +147,59 @@ class QuadraticField:
 
 
 class ExactScalar:
-    """a + b*sqrt(r) with rational a, b: a value that is parsed, compared,
+    """a + b*sqrt(r) with rational a = an/ad and b = bn/bd, each in lowest
+    terms with a positive denominator: a value that is parsed, compared,
     negated, printed and read as a float.  Arithmetic on exact data runs on
     the integer rows of `integer_rows`."""
 
-    __slots__ = ("a", "b", "field")
+    __slots__ = ("an", "ad", "bn", "bd", "field")
 
-    def __init__(self, a: Fraction, b: Fraction, field: QuadraticField):
-        self.a = a
-        self.b = b
+    def __init__(self, an: int, ad: int, bn: int, bd: int, field: QuadraticField):
+        self.an, self.ad, self.bn, self.bd = an, ad, bn, bd
         self.field = field
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.an, self.ad)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.bn, self.bd)
+
     def __neg__(self):
-        return ExactScalar(-self.a, -self.b, self.field)
+        return ExactScalar(-self.an, self.ad, -self.bn, self.bd, self.field)
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.an != 0 or self.bn != 0
 
     def __eq__(self, other):
         if isinstance(other, ExactScalar):
-            return self.field == other.field and self.a == other.a and self.b == other.b
+            return (
+                self.field == other.field
+                and (self.an, self.ad, self.bn, self.bd) == (other.an, other.ad, other.bn, other.bd)
+            )
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self.bn == 0 and (self.an, self.ad) == (other.numerator, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.field.r))
+        # a scalar with no sqrt part equals, and so hashes as, its rational
+        if self.bn == 0:
+            return hash(self.an) if self.ad == 1 else hash(Fraction(self.an, self.ad))
+        return hash((self.an, self.ad, self.bn, self.bd, self.field.r))
 
     def __float__(self):
-        return float(self.a) + float(self.b) * self.field.sqrt_r
+        # int / int is correctly rounded, as in Fraction.__float__
+        return self.an / self.ad + (self.bn / self.bd) * self.field.sqrt_r
 
     def format(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        tail = f"{self.b}*al" if self.b < 0 else f"+{self.b}*al"
-        if self.a == 0:
-            return f"{self.b}*al"
-        return f"{self.a}{tail}"
+        a = _rational_str(self.an, self.ad)
+        if self.bn == 0:
+            return a
+        b = _rational_str(self.bn, self.bd)
+        if self.an == 0:
+            return f"{b}*al"
+        return f"{a}{b}*al" if self.bn < 0 else f"{a}+{b}*al"
 
     def __repr__(self):
         return f"ExactScalar({self.format()!r}, r={self.field.r})"
@@ -200,15 +234,22 @@ class IntegerRows(NamedTuple):
     R: int
 
 
+def _pairs(x) -> tuple[int, int, int, int]:
+    """(an, ad, bn, bd) of an int, Fraction or ExactScalar entry."""
+    if isinstance(x, ExactScalar):
+        return x.an, x.ad, x.bn, x.bd
+    return x.numerator, x.denominator, 0, 1
+
+
 def integer_rows(rows) -> IntegerRows:
     """The `IntegerRows` of rows of int, Fraction or ExactScalar entries,
     over the least common denominator."""
-    parts = [[(x.a, x.b) if isinstance(x, ExactScalar) else (x, 0) for x in row] for row in rows]
-    split = any(b for row in parts for _, b in row)
+    parts = [[_pairs(x) for x in row] for row in rows]
+    split = any(p[2] for row in parts for p in row)
     field = _field_of(rows) if split else None
     q = field.r.denominator if split else 1
     fracs = [
-        [(a.numerator, a.denominator) for a, _ in row] + [(b.numerator, b.denominator * q) for _, b in row if split]
+        [(an, ad) for an, ad, _, _ in row] + [(bn, bd * q) for _, _, bn, bd in row if split]
         for row in parts
     ]
     den = math.lcm(*(d for row in fracs for _, d in row))
@@ -220,11 +261,10 @@ def from_integer_row(row, den: int, q: int, R: int, field):
     """The entries (A_j + B_j*sqrt(R)) / den of an integer row [A..., B...]
     ([A...] when R is 0) as Fractions, or as ExactScalars of ``field``."""
     n = len(row) // 2 if R else len(row)
-    a = [Fraction(x, den) for x in row[:n]]
     if field is None:
-        return a
-    b = [Fraction(q * x, den) for x in row[n:]] if R else [Fraction(0)] * n
-    return [ExactScalar(x, y, field) for x, y in zip(a, b)]
+        return [Fraction(x, den) for x in row[:n]]
+    b = [_reduced(q * x, den) for x in row[n:]] if R else [(0, 1)] * n
+    return [ExactScalar(*_reduced(x, den), *y, field) for x, y in zip(row[:n], b)]
 
 
 def float_row(row, den: int, q: int, R: int, sqrt_r: float):

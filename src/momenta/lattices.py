@@ -294,9 +294,14 @@ class AbelianInvariants:
 
 
 def quotient_invariants(big: LatticeSubgroup, small: LatticeSubgroup) -> AbelianInvariants:
-    """Invariants of big/small via the SNF of small written in big's basis."""
+    """Invariants of big/small via the SNF of small written in big's basis.
+    Equal lattices have equal canonical HNF bases (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4), so their quotient is
+    trivial with no Smith form."""
     if big.ambient_dim != small.ambient_dim:
         raise ValueError("ambient dimension mismatch")
+    if big.columns == small.columns:
+        return AbelianInvariants(0, ())
     coord_cols = []
     for col in small.columns:
         y = big.coordinates_of(col)

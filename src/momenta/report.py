@@ -5,12 +5,22 @@ from a "numeric" section (sampled checks with max errors).  Exact scalars are
 serialized as strings so that round-tripping a report never corrupts lattice
 data.  The only non-deterministic fields are the timestamp and the per-check
 wall times, isolated in the header so reports are comparable by stripping it.
+
+`AnalysisReport.to_json` writes the bytes of ``json.dumps(data, indent=2,
+sort_keys=True)`` plus a newline itself: with an indent, the json module
+falls back to its pure-Python encoder, which costs more than the report
+takes to build.  Strings are escaped by the json module's own
+`encode_basestring_ascii`, floats printed by `float.__repr__` (NaN and
+Infinity as json spells them), and each list or object is one join of its
+items' texts.  Keys are strings, as in every report and every parsed JSON
+object (`encode_basestring_ascii` refuses any other).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -23,6 +33,8 @@ __all__ = ["AnalysisReport", "build_analysis"]
 
 log = logging.getLogger("momenta.report")
 
+_escape = json.encoder.encode_basestring_ascii
+
 SCHEMA_VERSION = 1
 
 
@@ -34,7 +46,7 @@ class AnalysisReport:
     data: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
+        return _text(self.data, "\n") + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
@@ -52,6 +64,45 @@ class AnalysisReport:
 
     def without_header(self) -> dict:
         return {k: v for k, v in self.data.items() if k != "header"}
+
+
+def _float_text(o: float) -> str:
+    if math.isfinite(o):
+        return float.__repr__(o)
+    return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
+
+
+# JSON text of a leaf by its exact type; subclasses of str, int and float
+# are read as their base, as json.dumps reads them
+_LEAF = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
+
+
+def _text(o, newline: str) -> str:
+    """The indented JSON text of ``o``; ``newline`` is a newline and the
+    indent of the line ``o`` starts on."""
+    leaf = _LEAF.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    inner = newline + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_escape(k) + ": " + _text(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_text(x, inner) for x in o]) + newline + "]"
+    for base in (str, int, float):
+        if isinstance(o, base):
+            return _LEAF[base](o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _exact_vectors(vectors) -> list[list[str]]:

@@ -302,6 +302,15 @@ class Scenario:
         basis.flags.writeable = False  # shared by every orbit descriptor
         return basis
 
+    @cached_property
+    def orbit_frame(self) -> np.ndarray:
+        """Orthonormal columns spanning the rows of `orbit_basis` (the Q of
+        its transpose's QR): the frame that orbit residuals project onto.
+        Computed once per scenario."""
+        frame = np.linalg.qr(self.orbit_basis.T)[0]
+        frame.flags.writeable = False
+        return frame
+
     def gamma_prime(self) -> LatticeSubgroup:
         """Stabilizer-image subgroup at the base point; all of gamma for T*G
         (the identity coset is fixed by every deck translation's stabilizer)."""

@@ -282,6 +282,28 @@ class TestOrbits:
         assert desc.contains(mu)
         assert not desc.contains(mu + np.array([0.0, 0.0, 0.1]))
 
+    def test_stacked_points_all_on_the_orbit(self):
+        # a stack is on the orbit only when every row is, whichever row is off
+        plane = orbit_descriptor(SC_TORUS3, [0.1, 0.2, 0.3], rng=np.random.default_rng(13))
+        on, off = [0.7, -0.4, 0.3], [0.1, 0.2, 0.4]
+        assert plane.contains([on, on, [0.1, 0.2, 0.3]])
+        assert not plane.contains([on, off]) and not plane.contains([off, on])
+        mu = np.array([0.5, 0.1, -0.4])
+        level = orbit_descriptor(SC_HEIS, mu, rng=np.random.default_rng(14))
+        moved = affine_action(SC_HEIS.model, SC_HEIS.draw_paths(RNG, 5, "cover")[0], mu)
+        assert level.contains(moved)
+        assert not level.contains(np.vstack([moved, mu + np.array([0.0, 0.0, 0.1])]))
+
+    def test_residual_is_the_distance_to_the_plane(self):
+        # the orbit frame is orthonormal and spans the orbit basis rows
+        desc = orbit_descriptor(SC_TORUS3, [0.1, 0.2, 0.3], rng=np.random.default_rng(13))
+        frame = SC_TORUS3.orbit_frame
+        assert desc.frame is frame and frame.shape == (3, 2)
+        np.testing.assert_allclose(frame.T @ frame, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(desc.basis - (desc.basis @ frame) @ frame.T, 0.0, atol=1e-15)
+        np.testing.assert_allclose(desc.residuals([[0.1, 0.2, 0.3], [2.0, -1.0, 0.55]]), [0.0, 0.25], atol=1e-15)
+        assert SC_FLAT.orbit_frame.shape == (2, 0)
+
     def test_casimir_gap_bound_scales_with_mu(self):
         # at mu x 1e6 the sampled Casimir gap is about 1.5e-5: inside
         # 1e-8 * |mu|^2 but not the absolute residual the checks read

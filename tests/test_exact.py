@@ -130,6 +130,92 @@ class TestFieldAxioms:
         assert F2.parse(x.format()) == x
 
 
+def fraction_format(a: Fraction, b: Fraction) -> str:
+    """The printed form of a + b*al, written with Fraction's own str."""
+    if b == 0:
+        return str(a)
+    if a == 0:
+        return f"{b}*al"
+    return f"{a}{b}*al" if b < 0 else f"{a}+{b}*al"
+
+
+def scalar_text(an, ad, bn, bd) -> str:
+    """Config text with the components as given, unreduced; a zero part is
+    dropped where the grammar allows it."""
+    a = f"{an}/{ad}"
+    b = f"{bn}/{bd}*al"
+    if bn == 0:
+        return a
+    if an == 0:
+        return b
+    return a + b if bn < 0 else f"{a}+{b}"
+
+
+components = st.tuples(
+    st.integers(-10**30, 10**30), st.integers(1, 10**20), st.integers(-10**30, 10**30), st.integers(1, 10**20)
+)
+
+
+class TestScalarValue:
+    """Parse, print, float, negation and equality of the integer-pair
+    scalar, against Fraction and the `Elt` reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(components, st.sampled_from([QuadraticField(2), QuadraticField(3), QuadraticField("8/3")]))
+    def test_matches_fractions(self, parts, field):
+        an, ad, bn, bd = parts
+        a, b = Fraction(an, ad), Fraction(bn, bd)
+        x = field.parse(scalar_text(an, ad, bn, bd))
+        assert (x.a, x.b) == (a, b)
+        assert (x.an, x.ad, x.bn, x.bd) == (a.numerator, a.denominator, b.numerator, b.denominator)
+        assert x.format() == fraction_format(a, b)
+        assert field.parse(x.format()) == x
+        # bit for bit the float that Fraction components give
+        want = float(a) + float(b) * field.sqrt_r
+        assert np.float64(float(x)).tobytes() == np.float64(want).tobytes()
+        assert float(x) == pytest.approx(float(lift(x)), rel=1e-12, abs=1e-300)
+        assert -x == field.scalar(-a, -b) and lift(-x) == -lift(x)
+        assert -(-x) == x and bool(x) == bool(a or b)
+        assert x == field.scalar(a, b) and x != field.scalar(a, b + 1)
+        assert (x == a) == (b == 0) and (hash(x) == hash(a) if b == 0 else x != a)
+        if b == 0 and a.denominator == 1:
+            assert x == a.numerator and hash(x) == hash(a.numerator)
+
+    def test_unreduced_input_prints_reduced(self):
+        assert F2.parse("4/6+2/4*al").format() == "2/3+1/2*al"
+        assert F2.parse("-6/4").format() == "-3/2"
+        assert F2.parse("0/7-3/9*al").format() == "-1/3*al"
+
+    def test_negative_zero(self):
+        for text in ["-0", "+0", "-0/5", "-0*al", "0-0*al"]:
+            x = F2.parse(text)
+            assert x.format() == "0" and x == 0 and not x
+            assert np.float64(float(x)).tobytes() == np.float64(0.0).tobytes()
+
+    def test_messages(self):
+        with pytest.raises(ValueError, match=r"^zero denominator in 1/0$"):
+            F2.parse("1/0")
+        with pytest.raises(ValueError, match=r"^zero denominator in \+2/0$"):
+            F2.parse("1/2+2/0*al")
+        with pytest.raises(ValueError, match=r"^malformed exact scalar: '1\?\?' \(expected 'a/b' or 'a/b\+c/d\*al'\)$"):
+            F2.parse("1??")
+        with pytest.raises(ValueError, match=r"^malformed exact scalar: '1 \+ 1\*al'$"):
+            F2.parse("1 + 1*al")
+        with pytest.raises(ValueError, match=r"^malformed exact scalar: 1.5$"):
+            F2.parse(1.5)
+
+    def test_hash_agrees_with_equality(self):
+        # a scalar with no sqrt part equals its rational, so it hashes as it
+        three, half = F2.parse("3"), F2.parse("2/4")
+        assert three == 3 and hash(three) == hash(3)
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert len({three, 3, Fraction(3)}) == 1
+        assert {3: "int"}[three] == "int" and {half: "half"}[Fraction(1, 2)] == "half"
+        assert QuadraticField(3).parse("3") == 3 and hash(QuadraticField(3).parse("3")) == hash(three)
+        x = F2.parse("1/2+1/3*al")
+        assert hash(x) == hash(F2.scalar(Fraction(1, 2), Fraction(1, 3))) and len({x, F2.parse("2/4+2/6*al")}) == 1
+
+
 class TestLinearAlgebra:
     def test_rank_rational(self):
         rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from field_reference import Elt, exact, lift
+from momenta import lattices
 from momenta.exact import QuadraticField, integer_rows, nullspace, rank
 from momenta.lattices import (
     AbelianInvariants,
@@ -210,6 +211,23 @@ class TestQuotients:
         inv = quotient_invariants(L, L)
         assert inv.is_trivial
         assert inv.describe() == "trivial"
+
+    def test_equal_lattices_need_no_smith_form(self, monkeypatch):
+        # one basis and a unimodular change of it (det U = 1): the same
+        # lattice, so the same canonical HNF basis and the early exit
+        B = [(2, 1, 0), (0, 3, 1), (1, 0, 5)]
+        U = [[1, 2, 0], [0, 1, 3], [0, 0, 1]]
+        changed = [tuple(sum(U[j][k] * B[j][i] for j in range(3)) for i in range(3)) for k in range(3)]
+        first, second = LatticeSubgroup(3, B), LatticeSubgroup(3, changed + [B[0]])
+        assert set(changed) != set(B) and first == second
+
+        calls = []
+        monkeypatch.setattr(lattices, "smith_normal_form", lambda A: calls.append(A) or smith_normal_form(A))
+        assert quotient_invariants(first, second) == AbelianInvariants(0, ())
+        assert calls == []
+        # the synthetic Z/2 still reads its torsion off a Smith form
+        inv = quotient_invariants(LatticeSubgroup.standard(2), LatticeSubgroup(2, [(2, 0), (0, 1)]))
+        assert inv.torsion == (2,) and len(calls) == 1
 
     def test_index_six(self):
         big = LatticeSubgroup.standard(2)

@@ -11,12 +11,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momenta.cli as cli
 from momenta.errors import ConfigError, MomentaError, NumericalError
 from momenta.report import AnalysisReport, build_analysis
 from momenta.scenario import build_scenario, parse_config
 from momenta.verification import CheckReport, CheckSpec, registry, run_check, run_checks
+from test_acceptance import DENSE3_TEXT, FLAT2_TEXT, TORUS2_TEXT, TORUS3_TEXT
+from test_acceptance import HEIS_TEXT as ACCEPT_HEIS_TEXT
 
 TORUS_TEXT = """
 {
@@ -216,6 +220,76 @@ class TestRunChecks:
         sc = build_scenario(parse_config(text))
         (rep,) = run_checks(sc, names={"momentum_condition"})
         assert rep.tolerance == pytest.approx(1e-3)  # stated 1e-5 scaled by 1e-6/1e-8
+
+
+def dumps(data) -> str:
+    """The bytes AnalysisReport.to_json must write."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 0.1]
+SPECIAL_INTS = [0, -1, 2**64, 2**64 + 1, -(2**70), 10**40]
+SPECIAL_TEXT = ["", "\x00\x1f\x7f", "é ü 漢字", "\u2028\U0001f600", '"\\/\b\f\n\r\t', "\ud800"]
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(SPECIAL_INTS),
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.text(),
+    st.sampled_from(SPECIAL_TEXT),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.sampled_from(SPECIAL_TEXT)), kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+def canonical_text(text: str, seed: int) -> str:
+    cfg = json.loads(text)
+    cfg["verify"]["seed"] = seed
+    return json.dumps(cfg)
+
+
+class TestToJson:
+    """to_json writes the report itself; its bytes are json.dumps's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_trees)
+    def test_matches_json_dumps(self, data):
+        assert AnalysisReport(data).to_json() == dumps(data)
+
+    def test_special_values(self):
+        data = {
+            "floats": SPECIAL_FLOATS,
+            "ints": SPECIAL_INTS + [True, False, None],
+            "text": SPECIAL_TEXT,
+            SPECIAL_TEXT[2]: {"": [], "b": {}, "a": [[], [{}], [[1.5, "x"]]]},
+            # subclasses are written as their base, as json.dumps writes them
+            "subclasses": [np.float64(0.1), np.float64("nan"), np.float64(-0.0), type("S", (str,), {})("é")],
+        }
+        assert AnalysisReport(data).to_json() == dumps(data)
+        assert AnalysisReport([]).to_json() == "[]\n" and AnalysisReport({}).to_json() == "{}\n"
+
+    def test_unserializable_values_raise(self):
+        with pytest.raises(TypeError):
+            AnalysisReport({"x": object()}).to_json()
+        with pytest.raises(TypeError):
+            AnalysisReport({1: "non-string key"}).to_json()
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_canonical_reports(self, seed):
+        texts = [TORUS2_TEXT, FLAT2_TEXT, TORUS3_TEXT, DENSE3_TEXT, ACCEPT_HEIS_TEXT]
+        for text in texts:
+            sc = build_scenario(parse_config(canonical_text(text, seed)))
+            rep = build_analysis(sc)
+            assert rep.to_json() == dumps(rep.data)
 
 
 class TestReport:
