@@ -174,9 +174,10 @@ class ExactScalar:
 
     def __eq__(self, other):
         if isinstance(other, ExactScalar):
-            return (
-                self.field == other.field
-                and (self.an, self.ad, self.bn, self.bd) == (other.an, other.ad, other.bn, other.bd)
+            # a rational scalar is the same number in every field, so the
+            # fields are compared only where a sqrt part is nonzero
+            return (self.an, self.ad, self.bn, self.bd) == (other.an, other.ad, other.bn, other.bd) and (
+                self.bn == 0 or self.field == other.field
             )
         if isinstance(other, (int, Fraction)):
             return self.bn == 0 and (self.an, self.ad) == (other.numerator, other.denominator)

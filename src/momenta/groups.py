@@ -213,12 +213,13 @@ class GroupModel:
         covectors (a single covector is applied to every element), without
         building the matrices."""
         gs, mus = np.atleast_2d(np.asarray(gs, dtype=float)), np.asarray(mus, dtype=float)
-        if mus.shape != gs.shape:
-            shape = np.broadcast_shapes(gs.shape, mus.shape)
-            gs, mus = np.broadcast_to(gs, shape), np.broadcast_to(mus, shape)
-        out = mus.copy()
+        if mus.shape == gs.shape:
+            out = mus.copy()
+        else:  # one side is a single row, against which the products broadcast
+            out = np.empty(np.broadcast(gs, mus).shape)
+            out[...] = mus
         for a, b, k in self.pairs:
-            psi = mus[:, k]
+            psi = mus[..., k]
             out[:, a] += psi * gs[:, b]
             out[:, b] -= psi * gs[:, a]
         return out

@@ -323,14 +323,18 @@ def integer_kernel(rows, ncols: int) -> LatticeSubgroup:
     int_rows = [list(row) for row in rows if any(row)]
     if not int_rows:
         return LatticeSubgroup.standard(ncols)
-    H, U = hermite_normal_form(int_rows)
-    m = len(int_rows)
-    cols = [
-        [U[i][j] for i in range(ncols)]
-        for j in range(ncols)
-        if all(H[i][j] == 0 for i in range(m))
-    ]
-    return LatticeSubgroup(ncols, cols)
+    return LatticeSubgroup(ncols, _span_and_kernel(int_rows)[1])
+
+
+def _span_and_kernel(A):
+    """One column HNF H = A U of an integer matrix A, read two ways: the
+    nonzero columns of H, the canonical basis of the lattice spanned by A's
+    columns, and the columns of U over H's zero columns, a basis of the
+    saturated lattice {x : A x = 0} (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4)."""
+    H, U = hermite_normal_form(A)
+    cols = list(zip(*H))
+    return [c for c in cols if any(c)], [u for c, u in zip(cols, zip(*U)) if not any(c)]
 
 
 class GeneratedSubgroup:
@@ -364,7 +368,11 @@ class ClosedSubgroupDecomp:
     cases the lattice vectors are R-independent and meet V only at 0.  The
     bases are printed from `pivots`, V's `exact.pivot_row`s with their pivot
     columns, and `lattice`, the lattice vectors as column-HNF integer rows
-    reduced mod V.
+    reduced mod V.  Two by-products of the decision come with it:
+    `relations`, the lattice of integer relations sum k_a v_a = 0 among the
+    generators (their `kernel_lattice`), and `generator_echelon`, the
+    `exact.echelon` (pivot rows, pivot columns) of the n x k matrix whose
+    columns are the generators, or None when no generator has a sqrt part.
     """
 
     field: QuadraticField
@@ -374,6 +382,8 @@ class ClosedSubgroupDecomp:
     lattice_basis: tuple[tuple[ExactScalar, ...], ...]
     pivots: tuple[tuple[list[int], int], ...] = dataclasses.field(compare=False, repr=False)
     lattice: IntegerRows = dataclasses.field(compare=False, repr=False)
+    relations: LatticeSubgroup = dataclasses.field(compare=False, repr=False)
+    generator_echelon: tuple[list[list[int]], list[int]] | None = dataclasses.field(compare=False, repr=False)
 
     def contains_exact(self, vector) -> bool:
         (vec,), den, _, R = integer_rows([[self.field.coerce(x) for x in vector]])
@@ -409,12 +419,23 @@ def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
     lie in the span, so the closure contains the whole line R·u.  The line is
     split off and the procedure repeats on the quotient, which is exact
     coordinate elimination.
+
+    Each elimination of the raw generators runs once.  The first round
+    eliminates them all, zero ones included (a zero column is a free column
+    whose u is 0, so it changes no decision), and its echelon is returned as
+    `generator_echelon`: for a skew matrix whose rows are minus the
+    generators, as on the torus, it is the echelon of that matrix's rows.  One column HNF H = G U of the split generator
+    matrix G gives the relations among the generators, U's columns over H's
+    zero columns, and, when the span is discrete, its lattice, H's nonzero
+    columns.  Otherwise the lattice is read off a second HNF, of the
+    generators reduced mod V.
     """
     field = group.field
     n = group.ambient_dim
     gens, den, q, R = group.rows
     # the closure's subspace as `pivot_row`s, zero at each other's pivots
     vrows: list[tuple[list[int], int]] = []
+    first = None  # the first round's echelon, of the raw generators
 
     def reduce_mod_v(vec):
         # scaled by every pivot, so the images share the denominator den
@@ -423,12 +444,12 @@ def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
             vec = clear(vec, row, p, R)
         return vec
 
-    while True:
-        images = [v for v in map(reduce_mod_v, gens) if any(v)]
-        if not (R and images):
-            break
+    images = gens
+    while R and images:
         k = len(images)
         red, pivots = echelon([[v[i] for v in images] + [v[n + i] for v in images] for i in range(n)], k, R)
+        if first is None:
+            first = red, pivots
         # free column f gives the dependency c with c_f = 1 and, at pivot
         # row i, c = -(A_i[f] + B_i[f]*sqrt(R)) / P_i; its u (the sqrt(r)
         # parts of c times the images) is -q/L times this sum, L the lcm of
@@ -447,13 +468,13 @@ def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
         vrows = [(primitive(clear(row, u, p, R)), rp) for row, rp in vrows]
         vrows.append((u, p))
         vrows.sort(key=lambda item: item[1])
+        images = [v for v in map(reduce_mod_v, gens) if any(v)]
 
     for row, p in vrows:
         den *= row[p]
-    lattice = []
-    if images:
-        H, _ = hermite_normal_form([list(x) for x in zip(*images)])
-        lattice = [col for col in zip(*H) if any(col)]
+    lattice, relations = _span_and_kernel(list(zip(*gens)))
+    if vrows:
+        lattice = _span_and_kernel(list(zip(*images)))[0]
     return ClosedSubgroupDecomp(
         field=field,
         ambient_dim=n,
@@ -462,6 +483,8 @@ def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
         lattice_basis=tuple(tuple(from_integer_row(col, den, q, R, field)) for col in lattice),
         pivots=tuple(vrows),
         lattice=IntegerRows(lattice, den, q, R),
+        relations=LatticeSubgroup(len(gens), relations),
+        generator_echelon=first,
     )
 
 

@@ -27,7 +27,6 @@ from .lattices import (
     LatticeSubgroup,
     classify_cover,
     is_closed,
-    kernel_lattice,
 )
 from .momentum import PhasePath
 from .symplectic import CocycleTheta, MagneticCotangent
@@ -263,8 +262,8 @@ class Scenario:
         self._generator_rows = rows._replace(ints=[[-x for x in rows.ints[a]] for a in self.group.circles])
         self.decomp = is_closed(GeneratedSubgroup.from_rows(self.field, self.n, self._generator_rows))
         self.cylinder = Cylinder(self.decomp)
-        # the deck loops with zero holonomy
-        self.gamma0 = kernel_lattice(self._generator_rows.ints)
+        # the deck loops with zero holonomy: the generators' relations
+        self.gamma0 = self.decomp.relations
         self.cover_descriptor = self._cover_descriptor()
         self.mu_list = config.mu_list
         self.gamma_n = (
@@ -293,10 +292,18 @@ class Scenario:
     def orbit_basis(self) -> np.ndarray:
         """Rows of an exact basis (reduced row echelon form) of the real span
         of the theta columns, as floats; affine-action orbits on the torus are
-        translates of that span.  Computed once per scenario."""
-        # the columns of the skew theta span what its rows span
+        translates of that span.  Computed once per scenario.
+
+        The columns of the skew theta span what its rows span, so this is
+        the echelon of theta's integer rows.  On the torus every coordinate
+        is a circle and generator a is minus row a of theta, so the matrix
+        whose columns are the generators, which `is_closed` eliminates
+        first, is theta itself: when theta has a sqrt part, that echelon
+        (`ClosedSubgroupDecomp.generator_echelon`) is this one, and theta is
+        not eliminated again."""
         ints, _, q, R = self.theta.rows
-        red, pivots = echelon(ints, self.n, R)
+        form = self.decomp.generator_echelon if self.kind == "torus" else None
+        red, pivots = echelon(ints, self.n, R) if form is None else form
         rows = [float_row(row, row[c], q, R, self.field.sqrt_r) for row, c in zip(red, pivots)]
         basis = np.array(rows, dtype=float).reshape(len(pivots), self.n)
         basis.flags.writeable = False  # shared by every orbit descriptor

@@ -1,5 +1,5 @@
 """The classify benchmark's byte-identity gate, in Tier-1: the exact sections
-of one generator seed's inputs against the references recorded in
+of every recorded generator seed's inputs against the references in
 ``benchmarks/refs/classify_exact.json``.  Where the recorded outcome is an
 error, the same error must still be raised.  ``benchmarks/workloads.py`` is
 loaded read-only for its input generator and digests."""
@@ -30,6 +30,13 @@ def load_workloads():
 WL = load_workloads()
 REFS = WL.load_ref("classify_exact.json")
 CONFIGS = WL.classify_configs(SEED)
+# every input of every recorded seed; SEED's inputs are named by their bare
+# labels, the others carry their seed
+CASES = [
+    (label if seed == SEED else f"{label} seed={seed}", text)
+    for seed in range(WL.CLASSIFY_REF_SEEDS)
+    for label, text in WL.classify_configs(seed)
+]
 
 
 def exact_digest(text: str) -> str:
@@ -42,7 +49,7 @@ def test_seed_covers_every_crash_kind():
     assert crashed == {f"torus d={d} {f} #0" for d in (7, 9) for f in ("Q(sqrt2)", "Q(sqrt3)")}
 
 
-@pytest.mark.parametrize("label, text", CONFIGS, ids=[label for label, _ in CONFIGS])
+@pytest.mark.parametrize("label, text", CASES, ids=[label for label, _ in CASES])
 def test_exact_section_matches_reference(label, text):
     ref = REFS[WL.digest(text)]
     if ref.startswith("error: "):

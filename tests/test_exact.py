@@ -215,6 +215,15 @@ class TestScalarValue:
         x = F2.parse("1/2+1/3*al")
         assert hash(x) == hash(F2.scalar(Fraction(1, 2), Fraction(1, 3))) and len({x, F2.parse("2/4+2/6*al")}) == 1
 
+    def test_rational_equality_is_transitive(self):
+        # a rational scalar is the same number in every field; a sqrt part
+        # names its field
+        three2, three3 = F2.parse("3"), QuadraticField(3).parse("3")
+        assert three2 == three3 and three2 == 3 and three3 == 3
+        assert len({three2, three3, 3}) == len({3, three2, three3}) == len({three3, 3, three2}) == 1
+        assert F2.parse("3+1*al") != QuadraticField(3).parse("3+1*al")
+        assert F2.parse("3+1*al") != three2 and F2.parse("1*al") != F2.zero
+
 
 class TestLinearAlgebra:
     def test_rank_rational(self):

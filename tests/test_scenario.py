@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from field_reference import FIELDS, Elt, elements, exact, gauss_jordan, lift
+from momenta import lattices, scenario
 from momenta.errors import ConfigError
-from momenta.exact import QuadraticField
-from momenta.lattices import LatticeSubgroup
+from momenta.exact import QuadraticField, echelon, float_row, integer_rows
+from momenta.lattices import LatticeSubgroup, kernel_lattice
 from momenta.scenario import build_scenario, parse_config
 
 TORUS_TEXT = """
@@ -330,3 +331,67 @@ class TestIntegerRowsAgainstFractions:
         # gamma0 is the set of deck loops with zero holonomy
         for col in sc.gamma0.columns:
             assert not any(sc.holonomy_of(col))
+
+
+def torus_text(field, theta) -> str:
+    return json.dumps({"group": "torus", "dim": len(theta), "field": field, "theta": theta})
+
+
+class TestEliminationsOnce:
+    """Each elimination of the holonomy generator matrix runs once per
+    scenario: `is_closed`'s first echelon is the torus orbit basis, and one
+    Hermite form of the generators gives both their lattice and gamma_0."""
+
+    @pytest.mark.parametrize(
+        "text, echelons, hermites",
+        [
+            # over Q the closure test needs no echelon, so the orbit basis
+            # makes its own; gamma_0 = 0 needs no canonical basis
+            (torus_text(2, [["0", "1"], ["-1", "0"]]), 1, 1),
+            # closed, gamma_0 of rank 1: the generators' form and gamma_0's
+            (torus_text(2, [["0", "1*al", "1*al"], ["-1*al", "0", "1*al"], ["-1*al", "-1*al", "0"]]), 1, 2),
+            # a zero generator, kept as a free column of the first echelon
+            (torus_text(3, [["0", "1+1*al", "0"], ["-1-1*al", "0", "0"], ["0", "0", "0"]]), 1, 2),
+            # not closed: two echelon rounds; the generators' form and the
+            # lattice part's, of the generators reduced mod the dense line
+            (torus_text(2, [["0", "1", "1*al"], ["-1", "0", "1"], ["-1*al", "-1", "0"]]), 2, 2),
+            ('{"group": "heisenberg", "field": 2, "sigma": ["1", "1*al"]}', 1, 1),
+        ],
+        ids=["Q closed", "sqrt2 closed", "sqrt3 closed", "sqrt2 dense", "heis"],
+    )
+    def test_eliminations_per_build(self, monkeypatch, text, echelons, hermites):
+        calls = []
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((lattices, "echelon"), (scenario, "echelon"), (lattices, "hermite_normal_form")):
+            count(module, name)
+        sc = build_scenario(parse(text))
+        if sc.kind == "torus":
+            assert sc.orbit_basis.shape[1] == sc.n
+        assert (calls.count("echelon"), calls.count("hermite_normal_form")) == (echelons, hermites)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_by_products_match_standalone_eliminations(self, data):
+        r, rational = data.draw(st.sampled_from([(2, True), (2, False), (3, False)]))
+        d = data.draw(st.integers(1, 5))
+        part = st.integers(-3, 3)
+        theta = [["0"] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                a, b = data.draw(part), 0 if rational else data.draw(part)
+                theta[i][j], theta[j][i] = f"{a}{b:+d}*al", f"{-a}{-b:+d}*al"
+        sc = build_scenario(parse(torus_text(r, theta)))
+        assert sc.gamma0 == kernel_lattice(integer_rows(sc.holonomy_generators).ints)
+        ints, _, q, R = sc.theta.rows
+        red, pivots = echelon(ints, sc.n, R)
+        rows = [float_row(row, row[c], q, R, sc.field.sqrt_r) for row, c in zip(red, pivots)]
+        assert sc.orbit_basis.tobytes() == np.array(rows, dtype=float).reshape(len(pivots), sc.n).tobytes()
