@@ -90,9 +90,6 @@ class Cylinder:
         _, b, c = self.coords(mu)
         return CylinderPoint(self, self._assemble(np.mod(b, 1.0), c))
 
-    def zero(self) -> "CylinderPoint":
-        return CylinderPoint(self, np.zeros(self.n))
-
     def distance(self, p: "CylinderPoint", q: "CylinderPoint"):
         """Distance of two points, or row by row of stacked ones."""
         a, b, c = self.coords(p.representative - q.representative)
@@ -110,9 +107,6 @@ class CylinderPoint:
 
     cylinder: Cylinder
     representative: np.ndarray
-
-    def close_to(self, other: "CylinderPoint", tol: float = 1e-9) -> bool:
-        return self.cylinder.distance(self, other) <= tol
 
     def translate(self, mu) -> "CylinderPoint":
         return self.cylinder.project(self.representative + np.asarray(mu, dtype=float))
@@ -146,22 +140,16 @@ def sigma_K(model: MagneticCotangent, cylinder: Cylinder, g, lift_path: GroupPat
     return cylinder.project(sigma_J(model, lift_path))
 
 
-def _canonical_lift(model: MagneticCotangent, g) -> GroupPath:
-    return GroupPath.straight(model.cover, model.cover.log(g))
-
-
 def affine_cylinder_action(
     model: MagneticCotangent,
     cylinder: Cylinder,
     g,
     point: CylinderPoint,
-    lift_path: GroupPath | None = None,
+    lift_path: GroupPath,
 ) -> CylinderPoint:
     """Cylinder affine action: coadjoint part descends because H-bar is
     pointwise fixed, and the cocycle part is sigma_K.  A batch of lifts
     moves one row of ``point`` (and of g) each."""
-    if lift_path is None:
-        lift_path = _canonical_lift(model, g)
     _check_lift(model, g, lift_path)
     return cylinder.project(affine_action(model, lift_path, point.representative))
 

@@ -23,7 +23,10 @@ more slowly.
 
 Paths carry a constant left-trivialized velocity on each segment, so the left
 logarithm of the velocity is exact and every path integrand downstream is
-piecewise-analytic.
+piecewise-analytic.  A product path (``path_product``) adds no sample times:
+it hits p(t) q(t) at the union of its factors' breakpoints and takes one
+exponential step between them.  The cover is simply connected, so that
+fixes its homotopy class, which is all a product path is read for.
 """
 
 from __future__ import annotations
@@ -186,9 +189,6 @@ class GroupModel:
             d[..., mask] = np.mod(d[..., mask] + 0.5, 1.0) - 0.5
         dist = np.sqrt((d * d).sum(axis=-1))
         return float(dist) if dist.ndim == 0 else dist
-
-    def equal(self, g, h, tol: float = 1e-10):
-        return self.distance(g, h) <= tol
 
     # -- algebra structure -------------------------------------------------
 
@@ -353,10 +353,6 @@ class GroupPath:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def trivial(cls, model: GroupModel, base=None) -> "GroupPath":
-        return cls(model, [(np.zeros(model.dim), 1.0)], base)
-
-    @classmethod
     def straight(cls, model: GroupModel, xi, base=None) -> "GroupPath":
         """t -> base * exp(t xi); a batch of one-segment paths when ``xi``
         stacks several directions (rows)."""
@@ -483,9 +479,6 @@ class GroupPath:
         f = self._first
         return 0.5 * (self.nodes.take(f, axis=0) + self.nodes.take(f + 1, axis=0))
 
-    def evaluate(self, t: float) -> np.ndarray:
-        return self.evaluate_many(np.array([t], dtype=float))[0]
-
     def evaluate_many(self, ts, paths=None) -> np.ndarray:
         """Points at parameters ``ts``; ``paths`` names the path of each when
         there are several."""
@@ -496,11 +489,6 @@ class GroupPath:
 
     def endpoint(self) -> np.ndarray:
         return self._shaped(self.ends())
-
-    # -- derived paths -----------------------------------------------------
-
-    def reversed(self) -> "GroupPath":
-        return GroupPath.from_table(self.model, -self.directions[::-1], self.durations[::-1], self.endpoint())
 
     def __repr__(self):
         if self.batched:
@@ -516,11 +504,10 @@ def _run_ends(a) -> np.ndarray:
     return out
 
 
-def _refined_grids(p: GroupPath, q: GroupPath):
-    """Sample times for each pair of paths of p and q: the union of both
-    paths' breakpoints, each interval split into equal parts so that there
-    are at least 32 intervals.  Returns the times, the segment rows of p and
-    of q holding each, and the number of times per pair."""
+def _union_grids(p: GroupPath, q: GroupPath):
+    """Sample times for each pair of paths of p and q: the sorted, distinct
+    union of both paths' breakpoints.  Returns the times, the segment rows of
+    p and of q holding each, and the number of times per pair."""
     grid = np.concatenate([p.times, q.times])
     owner = np.concatenate([p.point_paths(), q.point_paths()])
     # one stable merge by (pair, time), p before q on ties.  The last of a run
@@ -533,22 +520,7 @@ def _refined_grids(p: GroupPath, q: GroupPath):
     kp = np.minimum(at_p - owner, p.offsets[1:].take(owner) - 1)
     kq = np.minimum(np.arange(len(grid)) - at_p - 1 - owner, q.offsets[1:].take(owner) - 1)
     last = _run_ends(grid)
-    # each distinct time is followed in place by the times added inside the
-    # interval it starts, which lie on the same segments
-    split = -(-32 // (np.bincount(owner[last]) - 1))  # every pair has the distinct times 0 and 1: split >= 1
-    starts = last & ~_run_ends(owner)
-    reps = last.astype(np.intp)
-    reps[starts] = split.take(owner[starts])
-    src = np.arange(len(grid)).repeat(reps)
-    part = np.arange(len(src)) - (reps.cumsum() - reps).take(src)
-    ts, sub = grid.take(src), part > 0
-    added = src[sub]
-    ts[sub] += (grid.take(added + 1) - grid.take(added)) * (part[sub] / split.take(owner.take(added)))
-    # an interval a few ulps wide repeats its ends: the later copy lies on the
-    # segments that start there
-    keep = _run_ends(ts)
-    src = src[keep]
-    return ts[keep], kp.take(src), kq.take(src), np.bincount(owner.take(src))
+    return grid[last], kp[last], kq[last], np.bincount(owner[last])
 
 
 # endpoint bound of path_product: absolute at unit scale, relative beyond
@@ -560,10 +532,13 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
     for batches of the same size.
 
     Both paths must be based at the identity of the same simply connected
-    model.  The pointwise product is sampled on the union of breakpoints
-    refined to at least 32 sub-intervals, and each step is re-expressed
-    through the left logarithm.  The representative hits every sample, so
-    its endpoint differs from p(1) q(1) by rounding only.  A gap above
+    model.  The pointwise product is sampled at the union of both paths'
+    breakpoints, and each step between samples is re-expressed through the
+    left logarithm.  The representative hits p(t) q(t) at every sample.  On
+    a torus cover it is the pointwise product; on a nonabelian model it is
+    homotopic to it with the ends fixed, which is all that the momentum
+    map, the cocycle and the lifted action read.  Its endpoint differs from
+    p(1) q(1) by rounding only.  A gap above
     max(1e-10, 1e-13 times the largest endpoint coordinate) raises
     NumericalError: the relative part covers coordinates far from unit scale,
     whose rounding alone exceeds an absolute bound.
@@ -579,7 +554,7 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
     if bases.any() and model.distance(bases, model.identity()).max() > 1e-10:
         raise InputError("path_product needs identity-based paths")
 
-    ts, kp, kq, counts = _refined_grids(p, q)
+    ts, kp, kq, counts = _union_grids(p, q)
     prods = model.multiply(p.at_segments(kp, ts), q.at_segments(kq, ts))
     out = GroupPath.from_samples(model, ts, prods, counts if p.batched else None)
     target = model.multiply(p.ends(), q.ends())

@@ -32,7 +32,6 @@ __all__ = [
     "xgcd",
     "hermite_normal_form",
     "smith_normal_form",
-    "integer_kernel",
     "LatticeSubgroup",
     "AbelianInvariants",
     "quotient_invariants",
@@ -66,10 +65,11 @@ def _transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 
 
-def _row_hermite(A, U=None):
-    """Row HNF: (H, U) with H = U A; upper echelon, positive pivots, entries
-    above each pivot reduced into [0, pivot).  The row steps also update a
-    given U in place (default the identity).
+def _row_hermite(A, T=None):
+    """Row HNF: (H, U T) with H = U A; upper echelon, positive pivots,
+    entries above each pivot reduced into [0, pivot).  T defaults to the
+    identity, so the second is U.  Each row of A is carried with its row of
+    T as one augmented row, so every row step is one list operation.
 
     Below a pivot, an entry the pivot divides is cleared by a shear, which
     leaves the pivot row as it is; any other takes a Bezout step, which
@@ -83,41 +83,35 @@ def _row_hermite(A, U=None):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    H = [[int(x) for x in row] for row in A]
-    U = _eye(m) if U is None else U
+    M = [[int(x) for x in a] + t for a, t in zip(A, _eye(m) if T is None else T)]
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if H[i][c]), None)
+        piv = next((i for i in range(r, m) if M[i][c]), None)
         if piv is None:
             continue
-        for M in (H, U):
-            M[r], M[piv] = M[piv], M[r]
+        M[r], M[piv] = M[piv], M[r]
         for i in range(r + 1, m):
-            a, b = H[r][c], H[i][c]
+            a, b = M[r][c], M[i][c]
             if b % a:
                 g, x, y = xgcd(a, b)
                 ar, ai = a // g, b // g
-                for M in (H, U):
-                    M[r], M[i] = (
-                        [x * p + y * q for p, q in zip(M[r], M[i])],
-                        [-ai * p + ar * q for p, q in zip(M[r], M[i])],
-                    )
+                M[r], M[i] = (
+                    [x * p + y * q for p, q in zip(M[r], M[i])],
+                    [-ai * p + ar * q for p, q in zip(M[r], M[i])],
+                )
             elif b:
                 q = b // a
-                for M in (H, U):
-                    M[i] = [p - q * s for p, s in zip(M[i], M[r])]
-        if H[r][c] < 0:
-            for M in (H, U):
-                M[r] = [-x for x in M[r]]
+                M[i] = [p - q * s for p, s in zip(M[i], M[r])]
+        if M[r][c] < 0:
+            M[r] = [-x for x in M[r]]
         for i in range(r):
-            q = H[i][c] // H[r][c]
+            q = M[i][c] // M[r][c]
             if q:
-                for M in (H, U):
-                    M[i] = [p - q * s for p, s in zip(M[i], M[r])]
+                M[i] = [p - q * s for p, s in zip(M[i], M[r])]
         r += 1
         if r == m:
             break
-    return H, U
+    return [row[:n] for row in M], [row[n:] for row in M]
 
 
 def hermite_normal_form(A):
@@ -208,13 +202,7 @@ class LatticeSubgroup:
                 raise ValueError("column length does not match ambient dimension")
         cols = [c for c in cols if any(c)]
         if cols:
-            A = [[c[i] for c in cols] for i in range(ambient_dim)]
-            H, _ = hermite_normal_form(A)
-            cols = [
-                tuple(H[i][j] for i in range(ambient_dim))
-                for j in range(len(cols))
-                if any(H[i][j] for i in range(ambient_dim))
-            ]
+            cols = _span_and_kernel([[c[i] for c in cols] for i in range(ambient_dim)])[0]
         self.ambient_dim = ambient_dim
         self.columns = tuple(cols)
 
@@ -280,9 +268,6 @@ class AbelianInvariants:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def order(self):
-        return None if self.free_rank else prod(self.torsion)
-
     def describe(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -315,15 +300,6 @@ def quotient_invariants(big: LatticeSubgroup, small: LatticeSubgroup) -> Abelian
     D, _, _ = smith_normal_form(Y)
     nonzero = [D[t][t] for t in range(min(r, len(coord_cols))) if D[t][t]]
     return AbelianInvariants(r - len(nonzero), tuple(d for d in nonzero if d > 1))
-
-
-def integer_kernel(rows, ncols: int) -> LatticeSubgroup:
-    """{x in Z^ncols : A x = 0} for an integer matrix A given by its rows
-    (saturated lattice)."""
-    int_rows = [list(row) for row in rows if any(row)]
-    if not int_rows:
-        return LatticeSubgroup.standard(ncols)
-    return LatticeSubgroup(ncols, _span_and_kernel(int_rows)[1])
 
 
 def _span_and_kernel(A):
@@ -491,8 +467,13 @@ def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
 def kernel_lattice(columns) -> LatticeSubgroup:
     """{k in Z^d : sum_a k_a v_a = 0} for d exact vectors v_a given as
     integer rows over one denominator (`exact.IntegerRows.ints`): each
-    rational and sqrt(r) component of the sum is one integer equation."""
-    return integer_kernel(zip(*columns), len(columns))
+    rational and sqrt(r) component of the sum is one integer equation.  The
+    lattice is saturated, and all of Z^d when every v_a is zero."""
+    columns = list(columns)
+    rows = [row for row in zip(*columns) if any(row)]
+    if not rows:
+        return LatticeSubgroup.standard(len(columns))
+    return LatticeSubgroup(len(columns), _span_and_kernel(rows)[1])
 
 
 def subgroup_is_hamiltonian(gamma_n: LatticeSubgroup, gamma_0: LatticeSubgroup) -> bool:

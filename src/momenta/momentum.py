@@ -3,7 +3,7 @@
 The momentum value of a homotopy class is the line integral of the contraction
 of the symplectic form with the infinitesimal generators along any
 representing path from the base point z0 = (e, 0).  This module provides that
-quadrature, the group cocycle integral Theta with its Heisenberg closed form,
+quadrature, the group cocycle integral Theta with its closed form,
 the closed-form momentum map, an independent transport oracle, the
 non-equivariance cocycle, and a finite-difference validator for the momentum
 condition.
@@ -33,7 +33,7 @@ from .symplectic import CocycleTheta, MagneticCotangent, PhasePoint
 __all__ = [
     "PhasePath",
     "theta_integral",
-    "theta_closed_form_heisenberg",
+    "theta_closed_form",
     "momentum_of_path",
     "momentum_segments",
     "momentum_closed_form",
@@ -138,16 +138,13 @@ def theta_integral(model: GroupModel, theta: CocycleTheta, p: GroupPath) -> np.n
     return _coadjoint_integral(p, theta.float_matrix())
 
 
-def theta_closed_form_heisenberg(model: GroupModel, sigma, endpoint) -> np.ndarray:
-    """Theta at (alpha, u): (sigma(u); -alpha sigma - sigma(u)/2 * i_u w),
-    with the row-covector convention i_u w = (-u2, u1)."""
-    if model.kind not in ("heisenberg", "central_extension"):
-        raise InputError(f"closed form is specific to the Heisenberg family, not {model.kind}")
-    s = np.array([float(x) for x in sigma])
-    alpha, u = float(endpoint[0]), np.asarray(endpoint[1:], dtype=float)
-    su = float(s @ u)
-    iota = np.array([-u[1], u[0]])
-    return np.concatenate([[su], -alpha * s - 0.5 * su * iota])
+def theta_closed_form(model: GroupModel, theta: CocycleTheta, g) -> np.ndarray:
+    """Theta at g (at each row of stacked elements): the integral along the
+    straight path t -> t g, whose velocity is g.  Ad*_{h^{-1}} = (I - ad_h)^T
+    is affine in h, so the integral of Ad*_{(t g)^{-1}} theta(g) over [0, 1]
+    is Ad*_{(g/2)^{-1}} theta(g), for every 2-step model."""
+    g = np.asarray(g, dtype=float)
+    return model.coadjoint_inv_apply(0.5 * g, g @ theta.float_matrix().T).reshape(g.shape)
 
 
 def _momentum_rows(model: MagneticCotangent, gs, mus, xid, nud) -> np.ndarray:
@@ -276,8 +273,13 @@ def sigma_J(model: MagneticCotangent, g_path: GroupPath) -> np.ndarray:
 
 
 def lifted_action_on_path(g_path: GroupPath, x: PhasePath) -> PhasePath:
-    """Pointwise action t -> g(t) x(t): product base path, body momentum curve
-    carried over unchanged (resampled on the product's breakpoints)."""
+    """Pointwise action t -> g(t) x(t): the product base path, which hits
+    g(t) x(t) at the union of both paths' breakpoints (``path_product``), and
+    the body momentum curve carried over unchanged.  That curve is affine
+    between x's breakpoints, all of which the product keeps, so resampling
+    it on the product's breakpoints is exact.  The result has the ends of
+    the pointwise action and is homotopic to it, so J reads the same on
+    both."""
     product = path_product(g_path, x.base)
     return PhasePath(product, x.momentum_many(product.times, product.point_paths()))
 

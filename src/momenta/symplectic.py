@@ -72,10 +72,6 @@ class CocycleTheta:
         rows = ((zero, s1, s2), (-s1, zero, zero), (-s2, zero, zero))
         return cls(field, rows, sigma=(s1, s2))
 
-    @classmethod
-    def zero(cls, field: QuadraticField, n: int) -> "CocycleTheta":
-        return cls(field, [[field.zero] * n for _ in range(n)])
-
     @property
     def dim(self) -> int:
         return len(self.matrix)

@@ -52,7 +52,7 @@ from .momentum import (
     momentum_closed_form,
     momentum_of_path,
     sigma_J,
-    theta_integral,
+    theta_closed_form,
     verify_momentum_condition,
 )
 
@@ -236,7 +236,7 @@ def _chk_momentum_condition(sc, rng, samples):
 def _chk_cocycle_matches_theta(sc, rng, samples):
     used = min(samples, 50)
     (p,) = sc.draw_paths(rng, used, "cover")
-    gap = sigma_J(sc.model, p) - theta_integral(sc.cover, sc.theta, p)
+    gap = sigma_J(sc.model, p) - theta_closed_form(sc.cover, sc.theta, p.ends())
     return _worst(gap), used, "cotangent-lift cocycle equals the magnetic term"
 
 

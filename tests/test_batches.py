@@ -157,15 +157,16 @@ class TestBatchMatchesPathByPath:
         rng = np.random.default_rng(5)
         p = [draw_segments(sc, rng, m) for m in SEGMENTS]
         q = [draw_segments(sc, rng, m) for m in reversed(SEGMENTS)]
-        # a pair with coincident breakpoints gives a shorter grid, and so does
-        # one with breakpoints 0.5 and the next double: the times added inside
-        # that interval one ulp wide repeat its ends and are dropped
+        # a pair with coincident breakpoints samples each once, and one with
+        # breakpoints 0.5 and the next double keeps both ends of that interval
+        # one ulp wide
         p.append((rng.uniform(-1.5, 1.5, (2, sc.n)), np.array([0.25, 0.75])))
         q.append((rng.uniform(-1.5, 1.5, (3, sc.n)), np.array([0.25, 0.5, 0.25])))
         mid = np.nextafter(0.5, 1.0)
         p.append((rng.uniform(-1.5, 1.5, (2, sc.n)), np.array([0.5, 0.5])))
         q.append((rng.uniform(-1.5, 1.5, (2, sc.n)), np.array([mid, 1.0 - mid])))
-        got = path_product(cover_batch(sc, p), cover_batch(sc, q))
+        pp, qq = cover_batch(sc, p), cover_batch(sc, q)
+        got = path_product(pp, qq)
         for b, (pb, qb) in enumerate(zip(p, q)):
             want = path_product(GroupPath(sc.cover, zip(*pb)), GroupPath(sc.cover, zip(*qb)))
             lo, hi = got.offsets[b], got.offsets[b + 1]
@@ -173,8 +174,11 @@ class TestBatchMatchesPathByPath:
             assert np.array_equal(got.nodes[lo + b : hi + b + 1], want.nodes)
             assert np.array_equal(got.directions[lo:hi], want.directions)
             assert np.array_equal(got.durations[lo:hi], want.durations)
-        # 3 distinct intervals split 11 times against 4 split 8 times elsewhere
-        assert list(got.counts()[-2:]) == [33, 11 + 1 + 11] and 32 in got.counts()
+        # one segment per gap between the distinct breakpoints of the pair
+        owners = pp.point_paths(), qq.point_paths()
+        distinct = [len(np.union1d(pp.times[owners[0] == b], qq.times[owners[1] == b])) for b in range(len(p))]
+        assert np.array_equal(got.counts(), np.array(distinct) - 1)
+        assert list(got.counts()[-2:]) == [3, 3]
 
     def test_merge_rows_match_segment_index(self, name):
         # the one merge in path_product gives each grid time its segment of p
@@ -190,7 +194,7 @@ class TestBatchMatchesPathByPath:
         for b, k, ulps in cases:
             pt, qt = p.times[p.offsets[b] + b + k], q.times[q.offsets[b] + b + k]
             assert qt == (np.nextafter(pt, ulps * np.inf) if ulps else pt)
-        ts, kp, kq, counts = groups._refined_grids(p, q)
+        ts, kp, kq, counts = groups._union_grids(p, q)
         pairs = np.repeat(np.arange(len(p)), counts)
         assert np.array_equal(p.at_segments(kp, ts), p.evaluate_many(ts, pairs))
         assert np.array_equal(q.at_segments(kq, ts), q.evaluate_many(ts, pairs))

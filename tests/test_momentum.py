@@ -16,7 +16,7 @@ from momenta.momentum import (
     momentum_of_path,
     momentum_segments,
     sigma_J,
-    theta_closed_form_heisenberg,
+    theta_closed_form,
     theta_integral,
     verify_momentum_condition,
 )
@@ -31,7 +31,7 @@ THETA_3D = [["0", "1", "0"], ["-1", "0", "1/2"], ["0", "-1/2", "0"]]
 
 
 def torus_model(rows=THETA_2D, d=2):
-    theta = CocycleTheta.zero(F2, d) if rows is None else CocycleTheta(F2, rows)
+    theta = CocycleTheta(F2, [["0"] * d] * d if rows is None else rows)
     return MagneticCotangent(GroupModel("torus", d), theta)
 
 
@@ -64,7 +64,7 @@ class TestThetaIntegral:
 
     def test_trivial_path_zero(self):
         model = heisenberg_model()
-        got = theta_integral(model.cover, model.theta, GroupPath.trivial(model.cover))
+        got = theta_integral(model.cover, model.theta, GroupPath.straight(model.cover, np.zeros(model.n)))
         assert np.allclose(got, 0.0, atol=1e-14)
 
     def test_heisenberg_central_path(self):
@@ -87,44 +87,59 @@ class TestThetaIntegral:
             theta_integral(model.cover, model.theta, path)
 
 
+def heisenberg_theta(sigma, g):
+    """Theta at g = (alpha, u) on the Heisenberg family:
+    (sigma(u); -alpha sigma - sigma(u)/2 * i_u w), with the row-covector
+    convention i_u w = (-u2, u1)."""
+    s = np.asarray(sigma, dtype=float)
+    alpha, u = g[0], np.asarray(g[1:])
+    su = s @ u
+    return np.concatenate([[su], -alpha * s - 0.5 * su * np.array([-u[1], u[0]])])
+
+
 class TestThetaClosedForm:
     def test_frozen_examples(self):
-        H = GroupModel("heisenberg")
-        got = theta_closed_form_heisenberg(H, ("1", "0"), [0.0, 1.0, 0.0])
+        H, theta = GroupModel("heisenberg"), CocycleTheta.from_sigma(F2, ("1", "0"))
+        got = theta_closed_form(H, theta, [0.0, 1.0, 0.0])
         assert np.allclose(got, [1.0, 0.0, -0.5], atol=1e-15)
-        got = theta_closed_form_heisenberg(H, ("1", "0"), [1.0, 0.0, 0.0])
+        got = theta_closed_form(H, theta, [1.0, 0.0, 0.0])
         assert np.allclose(got, [0.0, -1.0, 0.0], atol=1e-15)
-        assert np.allclose(theta_closed_form_heisenberg(H, ("1", "0"), [0.0, 0.0, 0.0]), 0.0)
+        assert np.allclose(theta_closed_form(H, theta, [0.0, 0.0, 0.0]), 0.0)
 
-    def test_wrong_model_rejected(self):
-        with pytest.raises(InputError):
-            theta_closed_form_heisenberg(GroupModel("torus", 3), ("1", "0"), [0.0, 1.0, 0.0])
+    def test_heisenberg_formula(self):
+        H, sigma = GroupModel("heisenberg"), (0.5, -1.25)
+        theta = CocycleTheta.from_sigma(F2, ("1/2", "-5/4"))
+        gs = RNG.uniform(-2.0, 2.0, (20, 3))
+        got = theta_closed_form(H, theta, gs)
+        assert got.shape == gs.shape
+        for g, row in zip(gs, got):
+            assert np.array_equal(row, heisenberg_theta(sigma, g))
+            assert np.array_equal(theta_closed_form(H, theta, g), row)
 
     def test_agrees_with_quadrature_on_random_paths(self):
-        sigma = (0.5, -1.25)
-        model = heisenberg_model(("1/2", "-5/4"))
-        for _ in range(10):
-            path = random_cover_path(model, nseg=4)
-            via_integral = theta_integral(model.cover, model.theta, path)
-            via_form = theta_closed_form_heisenberg(model.cover, sigma, path.endpoint())
-            assert np.allclose(via_integral, via_form, atol=1e-10)
+        for model in (heisenberg_model(("1/2", "-5/4")), torus_model(THETA_3D, 3)):
+            for _ in range(10):
+                path = random_cover_path(model, nseg=4)
+                via_integral = theta_integral(model.cover, model.theta, path)
+                via_form = theta_closed_form(model.cover, model.theta, path.endpoint())
+                assert np.allclose(via_integral, via_form, atol=1e-10)
 
 
 class TestMomentumOfPath:
     def test_trivial_path_zero(self):
         model = torus_model()
-        x = PhasePath.with_linear_momentum(GroupPath.trivial(model.cover), np.zeros(2))
+        x = PhasePath.with_linear_momentum(GroupPath.straight(model.cover, np.zeros(model.n)), np.zeros(2))
         assert np.allclose(momentum_of_path(model, x), 0.0, atol=1e-14)
 
     def test_fiber_only_path_gives_mu(self):
         # base pinned at e: only the <nu-dot, xi> term survives, J = mu
         model = torus_model()
         mu = np.array([0.8, -0.3])
-        x = PhasePath.with_linear_momentum(GroupPath.trivial(model.cover), mu)
+        x = PhasePath.with_linear_momentum(GroupPath.straight(model.cover, np.zeros(model.n)), mu)
         assert np.allclose(momentum_of_path(model, x), mu, atol=1e-12)
         model_h = heisenberg_model()
         mu3 = np.array([0.4, 1.0, -2.0])
-        xh = PhasePath.with_linear_momentum(GroupPath.trivial(model_h.cover), mu3)
+        xh = PhasePath.with_linear_momentum(GroupPath.straight(model_h.cover, np.zeros(3)), mu3)
         assert np.allclose(momentum_of_path(model_h, xh), mu3, atol=1e-12)
 
     def test_base_point_enforced(self):
@@ -133,7 +148,7 @@ class TestMomentumOfPath:
         with pytest.raises(InputError):
             momentum_of_path(model, PhasePath.with_linear_momentum(off_base, np.zeros(2)))
         bad_mu = PhasePath.with_linear_momentum(
-            GroupPath.trivial(model.cover), np.ones(2), mu_start=np.ones(2)
+            GroupPath.straight(model.cover, np.zeros(model.n)), np.ones(2), mu_start=np.ones(2)
         )
         with pytest.raises(InputError):
             momentum_of_path(model, bad_mu)
@@ -206,7 +221,7 @@ class TestMomentumOfPath:
 class TestTransportOracle:
     def test_trivial_path_zero(self):
         model = heisenberg_model()
-        x = PhasePath.with_linear_momentum(GroupPath.trivial(model.cover), np.zeros(3))
+        x = PhasePath.with_linear_momentum(GroupPath.straight(model.cover, np.zeros(model.n)), np.zeros(3))
         assert np.allclose(horizontal_transport(model, x), 0.0, atol=1e-12)
 
     def test_torus_single_segment_reduces_to_theta(self):
@@ -324,7 +339,7 @@ class TestAdditivityAndEquivariance:
     def test_lifted_action_trivial(self):
         model = heisenberg_model()
         x = random_phase_path(model)
-        moved = lifted_action_on_path(GroupPath.trivial(model.cover), x)
+        moved = lifted_action_on_path(GroupPath.straight(model.cover, np.zeros(model.n)), x)
         assert np.linalg.norm(
             momentum_of_path(model, moved) - momentum_of_path(model, x)
         ) <= 1e-9
@@ -344,7 +359,7 @@ class TestAdditivityAndEquivariance:
 class TestSigmaJ:
     def test_trivial_zero(self):
         model = heisenberg_model()
-        assert np.allclose(sigma_J(model, GroupPath.trivial(model.cover)), 0.0, atol=1e-14)
+        assert np.allclose(sigma_J(model, GroupPath.straight(model.cover, np.zeros(model.n))), 0.0, atol=1e-14)
 
     def test_equals_theta_in_cotangent_scenarios(self):
         for model in [torus_model(), heisenberg_model(), heisenberg_model(("1/2", "1*al"))]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from momenta import cylinder, symplectic
+from momenta.groups import GroupPath
 from momenta.scenario import build_scenario, parse_config
 from momenta.verification import run_checks
 
@@ -30,6 +31,11 @@ def drop_quadratic_field(m):
     m.setattr(cylinder, "_kinetic_field", linear)
 
 
+def read_segment_starts(m):
+    # the path kernels read each segment at its start node, not its midpoint
+    m.setattr(GroupPath, "midpoints", lambda self: self.nodes.take(self._first, axis=0))
+
+
 def flip_canonical_sign(m):
     m.setattr(symplectic, "_CANON_SIGN", -1.0)
 
@@ -39,6 +45,7 @@ MATRIX = [
     ("kinetic field without its quadratic term", drop_quadratic_field, "heis", {"noether_drift"}),
     ("canonical sign flipped", flip_canonical_sign, "torus2", {"noether_drift"}),
     ("canonical sign flipped", flip_canonical_sign, "heis", {"noether_drift"}),
+    ("path kernel at segment starts", read_segment_starts, "heis", {"cocycle_matches_theta"}),
 ]
 
 

@@ -19,11 +19,7 @@ F2 = QuadraticField(2)
 
 
 def torus_model(theta_rows=None, d=2):
-    theta = (
-        CocycleTheta.zero(F2, d)
-        if theta_rows is None
-        else CocycleTheta(F2, theta_rows)
-    )
+    theta = CocycleTheta(F2, [["0"] * d] * d if theta_rows is None else theta_rows)
     return MagneticCotangent(GroupModel("torus", d), theta)
 
 
