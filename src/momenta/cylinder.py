@@ -2,9 +2,11 @@
 
 The holonomy subgroup H of dual-space momentum shifts has a closed closure
 H-bar = V + Z-span(Lambda); the cylinder is the quotient of the dual space by
-H-bar.  Points are stored by canonical representative: the V component is
-removed, lattice coordinates are reduced to [0,1) in the Lambda basis, and the
-complement coordinates pass through unchanged.
+H-bar.  Points are stored by canonical representative: a dual vector mu with
+coordinates (a, b) along V and Lambda is stored as mu - a V - floor(b) Lambda,
+so its V coordinates are 0 and its Lambda coordinates lie in [0, 1).  The
+coordinates come from the pseudo-inverse of one thin SVD of the stacked V and
+Lambda rows, whose rank cut is the only float decision.
 """
 
 from __future__ import annotations
@@ -49,55 +51,32 @@ class Cylinder:
     def __init__(self, decomp: ClosedSubgroupDecomp):
         self.decomp = decomp
         n = decomp.ambient_dim
-        self.n = n
         V = np.array([[float(x) for x in v] for v in decomp.subspace_basis], dtype=float)
         L = np.array([[float(x) for x in v] for v in decomp.lattice_basis], dtype=float)
         self.V = V.reshape(len(decomp.subspace_basis), n)
         self.L = L.reshape(len(decomp.lattice_basis), n)
-        VL = np.vstack([self.V, self.L])
-        if VL.size:
-            # complement: right singular vectors past the numerical rank, with
-            # the rank cut at max(s) * eps * max(VL.shape)
-            _, s, vh = np.linalg.svd(VL, full_matrices=True)
-            rank = int(np.sum(s > s.max() * np.finfo(float).eps * max(VL.shape)))
-            W = vh[rank:]
-        else:
-            W = np.eye(n)
-        self.W = W.reshape(-1, n)
-        basis = np.vstack([self.V, self.L, self.W])
-        if basis.shape != (n, n):
+        self._VL = np.vstack([self.V, self.L])
+        u, s, vh = np.linalg.svd(self._VL, full_matrices=False)
+        if np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(self._VL.shape)) < len(self._VL):
             raise InputError("subspace, lattice, and complement do not fill the dual space")
-        self._to_coords = np.linalg.inv(basis.T)
-        self._nv, self._nl = self.V.shape[0], self.L.shape[0]
-
-    def coords(self, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(subspace, lattice, complement) coordinates of a dual vector, or
-        of each row of stacked ones."""
-        c = np.asarray(mu, dtype=float) @ self._to_coords.T
-        return c[..., : self._nv], c[..., self._nv : self._nv + self._nl], c[..., self._nv + self._nl :]
-
-    def _assemble(self, b, c) -> np.ndarray:
-        out = np.zeros(b.shape[:-1] + (self.n,))
-        if self._nl:
-            out += b @ self.L
-        if self.W.shape[0]:
-            out += c @ self.W
-        return out
+        self._pinv = (vh.T / s) @ u.T
+        self._nv = self.V.shape[0]
 
     def project(self, mu) -> "CylinderPoint":
         """The point of a dual vector, or one point holding the rows of
-        stacked ones."""
-        _, b, c = self.coords(mu)
-        return CylinderPoint(self, self._assemble(np.mod(b, 1.0), c))
+        stacked ones: mu - a V - floor(b) Lambda, for (a, b) its coordinates
+        along V and Lambda."""
+        mu = np.asarray(mu, dtype=float)
+        ab = mu @ self._pinv
+        ab[..., self._nv :] = np.floor(ab[..., self._nv :])
+        return CylinderPoint(self, mu - ab @ self._VL)
 
     def distance(self, p: "CylinderPoint", q: "CylinderPoint"):
-        """Distance of two points, or row by row of stacked ones."""
-        a, b, c = self.coords(p.representative - q.representative)
-        b = np.mod(b + 0.5, 1.0) - 0.5
-        resid = self._assemble(b, c)
-        if self._nv:
-            resid = resid + a @ self.V  # should be ~0 for canonical reps
-        dist = np.linalg.norm(resid, axis=-1)
+        """Distance of two points, or row by row of stacked ones: the norm of
+        d - round(b) Lambda, for d = p - q and b its Lambda coordinates."""
+        d = p.representative - q.representative
+        b = d @ self._pinv[:, self._nv :]
+        dist = np.linalg.norm(d - np.floor(b + 0.5) @ self.L, axis=-1)
         return float(dist) if dist.ndim == 0 else dist
 
 
@@ -126,31 +105,21 @@ def affine_action(model: MagneticCotangent, g_path: GroupPath, mu) -> np.ndarray
     return coad + sigma_J(model, g_path)
 
 
-def _check_lift(model: MagneticCotangent, g, lift_path: GroupPath):
-    group = model.group
-    if np.any(group.distance(group.normalize(lift_path.ends()), group.normalize(g)) > 1e-10):
-        raise InputError("lift path does not end over the given group element")
-
-
-def sigma_K(model: MagneticCotangent, cylinder: Cylinder, g, lift_path: GroupPath) -> CylinderPoint:
-    """Projected non-equivariance cocycle; lift-independent because two lifts
-    differ by a fundamental-group loop whose sigma_J value lies in H.  A
-    batch of lifts takes one row of g per lift."""
-    _check_lift(model, g, lift_path)
+def sigma_K(model: MagneticCotangent, cylinder: Cylinder, lift_path: GroupPath) -> CylinderPoint:
+    """Projected non-equivariance cocycle at the group element where the lift
+    ends; lift-independent because two lifts differ by a fundamental-group
+    loop whose sigma_J value lies in H.  A batch of lifts gives one point
+    each."""
     return cylinder.project(sigma_J(model, lift_path))
 
 
 def affine_cylinder_action(
-    model: MagneticCotangent,
-    cylinder: Cylinder,
-    g,
-    point: CylinderPoint,
-    lift_path: GroupPath,
+    model: MagneticCotangent, cylinder: Cylinder, point: CylinderPoint, lift_path: GroupPath
 ) -> CylinderPoint:
-    """Cylinder affine action: coadjoint part descends because H-bar is
-    pointwise fixed, and the cocycle part is sigma_K.  A batch of lifts
-    moves one row of ``point`` (and of g) each."""
-    _check_lift(model, g, lift_path)
+    """Cylinder affine action of the group element where the lift ends: the
+    coadjoint part descends because H-bar is pointwise fixed, and the
+    cocycle part is sigma_K.  A batch of lifts moves one row of ``point``
+    each."""
     return cylinder.project(affine_action(model, lift_path, point.representative))
 
 

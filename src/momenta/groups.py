@@ -564,8 +564,8 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
     return out
 
 
-def concat_paths(p: GroupPath, q: GroupPath, split: float = 0.5) -> GroupPath:
-    """First traverse p on [0, split], then q on [split, 1], pair by pair for
+def concat_paths(p: GroupPath, q: GroupPath) -> GroupPath:
+    """First traverse p on [0, 1/2], then q on [1/2, 1], pair by pair for
     batches of the same size.
 
     The result starts at p's base and carries q's velocities, which is q
@@ -573,16 +573,14 @@ def concat_paths(p: GroupPath, q: GroupPath, split: float = 0.5) -> GroupPath:
     must already agree there up to that translation for the result to
     represent concatenation in the base group.
     """
-    if not 0.0 < split < 1.0:
-        raise InputError(f"split {split} outside (0, 1)")
     model = p.model
     if q.model != model:
         raise InputError("concat_paths needs paths in the same model")
     if p.batched != q.batched or len(p) != len(q):
         raise InputError("concat_paths needs two single paths or two batches of the same size")
-    # compressing a leg into a shorter parameter window scales its velocity up
+    # compressing a leg into half the parameter window doubles its velocity
     # so each segment still covers the same arc
     cp, cq = p.counts(), q.counts()
-    directions = _interleave(p.directions / split, p.offsets[:-1], cp, q.directions / (1.0 - split), q.offsets[:-1], cq)
-    durations = _interleave(p.durations * split, p.offsets[:-1], cp, q.durations * (1.0 - split), q.offsets[:-1], cq)
+    directions = _interleave(2.0 * p.directions, p.offsets[:-1], cp, 2.0 * q.directions, q.offsets[:-1], cq)
+    durations = _interleave(0.5 * p.durations, p.offsets[:-1], cp, 0.5 * q.durations, q.offsets[:-1], cq)
     return GroupPath.from_table(model, directions, durations, p.base, cp + cq if p.batched else None)

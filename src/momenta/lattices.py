@@ -35,7 +35,6 @@ __all__ = [
     "LatticeSubgroup",
     "AbelianInvariants",
     "quotient_invariants",
-    "GeneratedSubgroup",
     "ClosedSubgroupDecomp",
     "is_closed",
     "kernel_lattice",
@@ -313,28 +312,6 @@ def _span_and_kernel(A):
     return [c for c in cols if any(c)], [u for c, u in zip(cols, zip(*U)) if not any(c)]
 
 
-class GeneratedSubgroup:
-    """Z-span of exact generator vectors in Q(sqrt(r))^n, kept as their
-    `exact.IntegerRows`."""
-
-    __slots__ = ("field", "ambient_dim", "rows")
-
-    def __init__(self, field: QuadraticField, ambient_dim: int, generators):
-        gens = [[field.coerce(x) for x in v] for v in generators]
-        if any(len(v) != ambient_dim for v in gens):
-            raise ValueError("generator length does not match ambient dimension")
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.rows = integer_rows(gens)
-
-    @classmethod
-    def from_rows(cls, field: QuadraticField, ambient_dim: int, rows: IntegerRows) -> "GeneratedSubgroup":
-        """The span of generators already in integer rows of ``field``."""
-        out = cls(field, ambient_dim, ())
-        out.rows = rows
-        return out
-
-
 @dataclass(frozen=True)
 class ClosedSubgroupDecomp:
     """A closed subgroup of R^n as V + Z-span(lattice_basis).
@@ -379,12 +356,14 @@ class ClosedSubgroupDecomp:
         return _hnf_coordinates(lattice.ints, [x // scale for x in target]) is not None
 
 
-def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
-    """Decide closedness of the Z-span and return its closure decomposition.
+def is_closed(field: QuadraticField, n: int, rows: IntegerRows) -> ClosedSubgroupDecomp:
+    """Decide closedness of the Z-span of generators in R^n, given as the
+    `exact.IntegerRows` ``rows`` of ``field``, and return its closure
+    decomposition, with exact entries in ``field``.
 
-    Vectors are integer rows [A..., B...] over Z[sqrt(R)] with one common
-    denominator (see `exact.integer_rows`).  Discreteness criterion: the
-    Z-span of vectors v_i in Q(sqrt r)^n is discrete iff the Q-rank of their
+    The rows are [A..., B...] over Z[sqrt(R)] with one common denominator
+    (see `exact.integer_rows`).  Discreteness criterion: the Z-span of
+    vectors v_i in Q(sqrt r)^n is discrete iff the Q-rank of their
     {1, sqrt r}-split images in Q^{2n} equals the dimension of their R-span,
     i.e. iff their Q(sqrt r)-dependencies are spanned by rational ones.  The
     span is then the lattice of the split images, read off their HNF.  The
@@ -400,15 +379,13 @@ def is_closed(group: GeneratedSubgroup) -> ClosedSubgroupDecomp:
     eliminates them all, zero ones included (a zero column is a free column
     whose u is 0, so it changes no decision), and its echelon is returned as
     `generator_echelon`: for a skew matrix whose rows are minus the
-    generators, as on the torus, it is the echelon of that matrix's rows.  One column HNF H = G U of the split generator
-    matrix G gives the relations among the generators, U's columns over H's
-    zero columns, and, when the span is discrete, its lattice, H's nonzero
-    columns.  Otherwise the lattice is read off a second HNF, of the
+    generators, as on the torus, it is the echelon of that matrix's rows.
+    One column HNF H = G U of the split generator matrix G gives the
+    relations among the generators, U's columns over H's zero columns, and,
+    when the span is discrete, its lattice, H's nonzero columns.  Otherwise the lattice is read off a second HNF, of the
     generators reduced mod V.
     """
-    field = group.field
-    n = group.ambient_dim
-    gens, den, q, R = group.rows
+    gens, den, q, R = rows
     # the closure's subspace as `pivot_row`s, zero at each other's pivots
     vrows: list[tuple[list[int], int]] = []
     first = None  # the first round's echelon, of the raw generators

@@ -104,8 +104,9 @@ class PhasePath:
     def endpoint(self) -> PhasePoint:
         return PhasePoint(self.base.endpoint(), self.base._shaped(self.end_momenta()))
 
-    def concat(self, other: "PhasePath", split: float = 0.5) -> "PhasePath":
-        base = concat_paths(self.base, other.base, split)
+    def concat(self, other: "PhasePath") -> "PhasePath":
+        """First traverse this path on [0, 1/2], then other on [1/2, 1]."""
+        base = concat_paths(self.base, other.base)
         p, q = self.base, other.base
         starts_p = p.offsets[:-1] + np.arange(len(p))
         starts_q = q.offsets[:-1] + np.arange(len(q)) + 1

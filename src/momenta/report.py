@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .cylinder import deck_group_of_reduced_cover, gamma_mu, orbit_descriptor
-from .errors import ConfigError, InputError
 from .lattices import LatticeSubgroup
 from .verification import CheckReport, check_rng, run_checks
 
@@ -131,10 +130,7 @@ def _per_mu_entry(sc, index: int, mu, seed: int) -> dict:
     entry["gammaMu"] = {"rank": g_mu.rank, "basis": [list(c) for c in g_mu.columns]}
 
     gamma_n = sc.gamma_n if sc.gamma_n is not None else LatticeSubgroup.zero(sc.gamma_dim)
-    try:
-        deck = deck_group_of_reduced_cover(sc, mu, gamma_n)
-    except InputError as exc:
-        raise ConfigError("gammaN", str(exc)) from exc
+    deck = deck_group_of_reduced_cover(sc, mu, gamma_n)
     entry["deckInvariants"] = {"freeRank": deck.free_rank, "torsion": list(deck.torsion)}
     entry["deckDescription"] = deck.describe()
     entry["symplectomorphism"] = deck.is_trivial

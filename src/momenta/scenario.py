@@ -23,10 +23,10 @@ from .exact import QuadraticField, echelon, float_row, from_integer_row
 from .groups import GroupModel, GroupPath, circle_count
 from .lattices import (
     CoverDescriptor,
-    GeneratedSubgroup,
     LatticeSubgroup,
     classify_cover,
     is_closed,
+    subgroup_is_hamiltonian,
 )
 from .momentum import PhasePath
 from .symplectic import CocycleTheta, MagneticCotangent
@@ -260,7 +260,7 @@ class Scenario:
         self.holonomy_generators = tuple(columns[a] for a in self.group.circles)
         rows = self.theta.rows
         self._generator_rows = rows._replace(ints=[[-x for x in rows.ints[a]] for a in self.group.circles])
-        self.decomp = is_closed(GeneratedSubgroup.from_rows(self.field, self.n, self._generator_rows))
+        self.decomp = is_closed(self.field, self.n, self._generator_rows)
         self.cylinder = Cylinder(self.decomp)
         # the deck loops with zero holonomy: the generators' relations
         self.gamma0 = self.decomp.relations
@@ -269,6 +269,8 @@ class Scenario:
         self.gamma_n = (
             None if config.gamma_n is None else LatticeSubgroup(self.gamma_dim, config.gamma_n)
         )
+        if self.gamma_n is not None and not subgroup_is_hamiltonian(self.gamma_n, self.gamma0):
+            raise ConfigError("gammaN", "not a Hamiltonian cover: gamma_n is not contained in gamma_0")
         log.info(
             "built %s scenario: holonomy closed=%s, gamma0 rank=%d",
             self.kind,

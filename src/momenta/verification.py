@@ -277,16 +277,14 @@ def _chk_cylinder_K_path_independence(sc, rng, samples):
 def _chk_cylinder_equivariance(sc, rng, samples):
     g_path, x = sc.draw_paths(rng, samples, "cover", "phase")
     lhs = cyl.K(sc.model, sc.cylinder, lifted_action_on_path(g_path, x))
-    rhs = cyl.affine_cylinder_action(
-        sc.model, sc.cylinder, g_path.ends(), cyl.K(sc.model, sc.cylinder, x), lift_path=g_path
-    )
+    rhs = cyl.affine_cylinder_action(sc.model, sc.cylinder, cyl.K(sc.model, sc.cylinder, x), g_path)
     return float(sc.cylinder.distance(lhs, rhs).max()), samples, ""
 
 
 def _chk_cylinder_cocycle(sc, rng, samples):
     used = min(samples, 50)
     pq, rhs = _cocycle_sides(sc, rng, used)
-    lhs = cyl.sigma_K(sc.model, sc.cylinder, pq.ends(), pq)
+    lhs = cyl.sigma_K(sc.model, sc.cylinder, pq)
     return float(sc.cylinder.distance(lhs, sc.cylinder.project(rhs)).max()), used, ""
 
 

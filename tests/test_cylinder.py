@@ -97,6 +97,23 @@ class TestCylinderPoints:
             v = RNG.uniform(-3.0, 3.0, c.V.shape[0]) @ c.V
             assert c.distance(c.project(mu), c.project(mu + v)) <= 1e-9
 
+    @pytest.mark.parametrize("sc", [SC_DENSE, SC_TORUS3, SC_HEIS], ids=["dense3", "torus3", "heis"])
+    def test_representative_coordinates(self, sc):
+        # the representative has no V component and Lambda coordinates in
+        # [0, 1], and it differs from mu by V plus integer multiples of Lambda
+        c = sc.cylinder
+        nv = c.V.shape[0]
+        mus = np.random.default_rng(5).uniform(-4.0, 4.0, (100, sc.n))
+        reps = c.project(mus).representative
+
+        def coords(x):
+            return np.linalg.lstsq(np.vstack([c.V, c.L]).T, x.T, rcond=None)[0].T
+
+        rep, shift = coords(reps), coords(reps - mus)[:, nv:]
+        assert np.abs(rep[:, :nv]).max(initial=0.0) <= 1e-12
+        assert np.all(rep[:, nv:] >= -1e-12) and np.all(rep[:, nv:] <= 1.0 + 1e-12)
+        assert np.abs(shift - np.round(shift)).max() <= 1e-9
+
     def test_equality_tolerance(self):
         c = SC_TORUS.cylinder
         p = c.project([0.25, 0.5])
@@ -122,13 +139,7 @@ class TestK:
                 x = sc.random_phase_path(RNG)
                 moved = lifted_action_on_path(g_path, x)
                 lhs = K(sc.model, sc.cylinder, moved)
-                rhs = affine_cylinder_action(
-                    sc.model,
-                    sc.cylinder,
-                    g_path.endpoint(),
-                    K(sc.model, sc.cylinder, x),
-                    lift_path=g_path,
-                )
+                rhs = affine_cylinder_action(sc.model, sc.cylinder, K(sc.model, sc.cylinder, x), g_path)
                 assert sc.cylinder.distance(lhs, rhs) <= 1e-8
 
     def test_dense_holonomy_still_projects_away(self):
@@ -145,18 +156,11 @@ class TestSigmaK:
         for sc in (SC_TORUS, SC_HEIS):
             for _ in range(10):
                 lift = sc.random_cover_path(RNG)
-                g = lift.endpoint()
                 loop = sc.loop_path(sc.random_loop_coefficients(RNG))
                 other = concat_paths(loop, lift)
-                a = sigma_K(sc.model, sc.cylinder, g, lift)
-                b = sigma_K(sc.model, sc.cylinder, g, other)
+                a = sigma_K(sc.model, sc.cylinder, lift)
+                b = sigma_K(sc.model, sc.cylinder, other)
                 assert sc.cylinder.distance(a, b) <= 1e-8
-
-    def test_endpoint_mismatch_rejected(self):
-        sc = SC_HEIS
-        lift = GroupPath.straight(sc.cover, [0.25, 0.5, 0.0])
-        with pytest.raises(InputError):
-            sigma_K(sc.model, sc.cylinder, [0.5, 0.5, 0.0], lift)
 
     def test_cylinder_cocycle(self):
         # sigma_J(p*q) = sigma_J(p) + Ad*_{p(1)^{-1}} sigma_J(q) descends to the
@@ -166,7 +170,7 @@ class TestSigmaK:
                 p = sc.random_cover_path(RNG)
                 q = sc.random_cover_path(RNG)
                 pq = path_product(p, q)
-                lhs = sigma_K(sc.model, sc.cylinder, pq.endpoint(), pq)
+                lhs = sigma_K(sc.model, sc.cylinder, pq)
                 coad = sc.cover.coadjoint_inv(p.endpoint())
                 rhs = sc.cylinder.project(
                     sigma_J(sc.model, p) + coad @ sigma_J(sc.model, q)
@@ -177,7 +181,7 @@ class TestSigmaK:
         sc = SC_FLAT
         for _ in range(5):
             lift = sc.random_cover_path(RNG)
-            point = sigma_K(sc.model, sc.cylinder, lift.endpoint(), lift)
+            point = sigma_K(sc.model, sc.cylinder, lift)
             assert sc.cylinder.distance(point, sc.cylinder.project(np.zeros(sc.n))) <= 1e-12
 
 

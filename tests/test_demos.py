@@ -19,14 +19,15 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 )
 def test_demo_exits_zero(demo, tmp_path):
     # the child runs in tmp_path, so put the absolute source root of the
-    # imported package first on its path
+    # imported package first on its path; any warning in it is an error, as
+    # in this process
     src = os.path.dirname(os.path.dirname(os.path.abspath(momenta.__file__)))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(DEMOS / f"{demo}.py")],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
+        env=dict(os.environ, PYTHONPATH=pythonpath, PYTHONWARNINGS="error"),
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr

@@ -438,7 +438,7 @@ class TestConcat:
         R2 = GroupModel("universal_torus", 2)
         p = GroupPath.straight(R2, [1.0, 0.0])
         q = GroupPath.straight(R2, [0.0, 2.0])
-        c = concat_paths(p, q, 0.5)
+        c = concat_paths(p, q)
         assert np.allclose(c.evaluate_many([0.5])[0], [1.0, 0.0], atol=1e-12)
         assert np.allclose(c.endpoint(), [1.0, 2.0], atol=1e-12)
 
@@ -448,12 +448,6 @@ class TestConcat:
         R2 = GroupModel("universal_torus", 2)
         gamma = GroupPath.straight(R2, [1.0, 0.0])
         x = GroupPath.straight(R2, [0.5, 0.5])
-        c = concat_paths(gamma, x, 0.5)
+        c = concat_paths(gamma, x)
         assert np.allclose(c.evaluate_many([0.75])[0], [1.25, 0.25], atol=1e-12)
         assert np.allclose(c.endpoint(), [1.5, 0.5], atol=1e-12)
-
-    def test_concat_split_validated(self):
-        R1 = GroupModel("universal_torus", 1)
-        p = GroupPath.straight(R1, [1.0])
-        with pytest.raises(InputError):
-            concat_paths(p, p, 1.0)

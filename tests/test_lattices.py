@@ -13,7 +13,6 @@ from momenta import lattices
 from momenta.exact import QuadraticField, integer_rows, nullspace, rank
 from momenta.lattices import (
     AbelianInvariants,
-    GeneratedSubgroup,
     LatticeSubgroup,
     _row_hermite,
     classify_cover,
@@ -32,6 +31,11 @@ AL = Elt(0, 1)  # sqrt(2)
 def theta_kernel(theta):
     """{k : theta k = 0} through `kernel_lattice` of theta's columns."""
     return kernel_lattice(integer_rows(list(zip(*theta))).ints)
+
+
+def closure(field, n, gens):
+    """`is_closed` of the Z-span of exact generator vectors in R^n."""
+    return is_closed(field, n, integer_rows(gens))
 
 
 def integer_determinant(A) -> int:
@@ -438,7 +442,7 @@ class TestClosureOracle:
     @given(generator_sets())
     def test_matches_exact_scalar_closure(self, drawn):
         field, n, gens = drawn
-        d = is_closed(GeneratedSubgroup(field, n, gens))
+        d = closure(field, n, gens)
         closed, subspace, lattice = reference_is_closed(field, n, gens)
         assert (d.closed, d.subspace_basis, d.lattice_basis) == (closed, subspace, lattice)
         for v in d.subspace_basis + d.lattice_basis:
@@ -451,7 +455,7 @@ class TestClosureOracle:
         # R(1,1,0) plus Z(0,1,0) (the images (0,-2,0) and (0,3,0)), not the
         # whole plane
         gens = exact([[2, 0, 0], [0, 3, 0], [1 + AL, 1 + AL, 0]], F2)
-        d = is_closed(GeneratedSubgroup(F2, 3, gens))
+        d = closure(F2, 3, gens)
         assert (d.closed, d.subspace_basis, d.lattice_basis) == reference_is_closed(F2, 3, gens)
         assert [[x.format() for x in v] for v in d.subspace_basis] == [["1", "1", "0"]]
         assert [[x.format() for x in v] for v in d.lattice_basis] == [["0", "1", "0"]]
@@ -459,30 +463,27 @@ class TestClosureOracle:
     def test_dense_after_rational_dependency(self):
         # (1, 0), (2, 0) and (sqrt2, 1): a rational and an irrational relation
         gens = exact([[1, 0], [2, 0], [AL, 1], [0, 1]], F2)
-        d = is_closed(GeneratedSubgroup(F2, 2, gens))
+        d = closure(F2, 2, gens)
         assert (d.closed, d.subspace_basis, d.lattice_basis) == reference_is_closed(F2, 2, gens)
         assert not d.closed
 
 
 class TestClosure:
     def test_standard_lattice_closed(self):
-        g = GeneratedSubgroup(F2, 2, [[1, 0], [0, 1]])
-        d = is_closed(g)
+        d = closure(F2, 2, [[1, 0], [0, 1]])
         assert d.closed
         assert d.subspace_basis == ()
         assert [[x.format() for x in v] for v in d.lattice_basis] == [["1", "0"], ["0", "1"]]
 
     def test_rationals_merge_to_gcd(self):
         # Z/2 + Z/3 = Z/6 inside R^1
-        g = GeneratedSubgroup(F2, 1, [[Fraction(1, 2)], [Fraction(1, 3)]])
-        d = is_closed(g)
+        d = closure(F2, 1, [[Fraction(1, 2)], [Fraction(1, 3)]])
         assert d.closed
         assert [[x.format() for x in v] for v in d.lattice_basis] == [["1/6"]]
 
     def test_one_and_alpha_dense(self):
         # Q-rank 2 > R-span dimension 1
-        g = GeneratedSubgroup(F2, 1, [[1], [F2.scalar(0, 1)]])
-        d = is_closed(g)
+        d = closure(F2, 1, [[1], [F2.scalar(0, 1)]])
         assert not d.closed
         assert len(d.subspace_basis) == 1
         assert d.lattice_basis == ()
@@ -491,8 +492,7 @@ class TestClosure:
         # {(1,0),(0,1),(al,1)}: closure is R e1 + Z e2 -- no generator's real
         # span is contained in the closure, the dense direction is e1
         al = F2.scalar(0, 1)
-        g = GeneratedSubgroup(F2, 2, [[1, 0], [0, 1], [al, 1]])
-        d = is_closed(g)
+        d = closure(F2, 2, [[1, 0], [0, 1], [al, 1]])
         assert not d.closed
         assert [[x.format() for x in v] for v in d.subspace_basis] == [["1", "0"]]
         assert [[x.format() for x in v] for v in d.lattice_basis] == [["0", "1"]]
@@ -501,8 +501,7 @@ class TestClosure:
         # columns of the acceptance dense-theta instance:
         # c1=(0,-1,-al), c2=(1,0,-1), c3=(al,1,0); closure R(1,0,-1) + Z(0,1,al)
         al = F2.scalar(0, 1)
-        g = GeneratedSubgroup(F2, 3, [[0, -1, -al], [1, 0, -1], [al, 1, 0]])
-        d = is_closed(g)
+        d = closure(F2, 3, [[0, -1, -al], [1, 0, -1], [al, 1, 0]])
         assert not d.closed
         assert [[x.format() for x in v] for v in d.subspace_basis] == [["1", "0", "-1"]]
         assert [[x.format() for x in v] for v in d.lattice_basis] == [["0", "1", "1*al"]]
@@ -511,18 +510,17 @@ class TestClosure:
         # discrete instances: no nonzero combination with |coeff| <= 50 gets
         # norm below 1/50 (oracle run as a test, not shipped logic)
         vs = [[Fraction(1, 2)], [Fraction(1, 3)]]
-        assert is_closed(GeneratedSubgroup(F2, 1, vs)).closed
+        assert closure(F2, 1, vs).closed
         assert brute_force_min_norm(vs, 50) > Fraction(1, 50)
 
     def test_brute_force_oracle_dense(self):
         vs = [[F2.one], [F2.scalar(0, 1)]]
-        assert not is_closed(GeneratedSubgroup(F2, 1, vs)).closed
+        assert not closure(F2, 1, vs).closed
         assert brute_force_min_norm(lift(vs), 50) < Fraction(1, 50)
 
     def test_exact_membership(self):
         al = F2.scalar(0, 1)
-        g = GeneratedSubgroup(F2, 2, [[1, 0], [0, 1], [al, 1]])
-        d = is_closed(g)
+        d = closure(F2, 2, [[1, 0], [0, 1], [al, 1]])
         assert d.contains_exact([al, 3])          # (al, 0) in R e1, (0,3) in Z e2
         assert d.contains_exact([Fraction(1, 7), 0])
         assert not d.contains_exact([0, Fraction(1, 2)])

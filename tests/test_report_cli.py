@@ -349,9 +349,8 @@ class TestReport:
 
     def test_gamma_n_outside_gamma0_is_config_error(self):
         text = TORUS_TEXT.replace('"muList"', '"gammaN": [[1, 0]], "muList"')
-        sc = build_scenario(parse_config(text))
         with pytest.raises(ConfigError, match="Hamiltonian cover") as err:
-            build_analysis(sc, checks=[], timestamp="T0")
+            build_scenario(parse_config(text))
         assert err.value.field == "gammaN"
 
 
@@ -502,6 +501,24 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and f"config error: {field}" in captured.err
 
+    @pytest.mark.parametrize("command", ["analyze", "verify", "orbit"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            TORUS_TEXT.replace('"muList"', '"gammaN": [[1, 0]], "muList"'),
+            # gamma0 is trivial and the closure is not closed, so no deck group is built
+            DENSE_TEXT.replace('"muList"', '"gammaN": [[1, 0, 0]], "muList"'),
+        ],
+        ids=["torus2", "dense3"],
+    )
+    def test_gamma_n_outside_gamma0_exit_2(self, tmp_path, capsys, command, text):
+        cfg = write_config(tmp_path, text)
+        args = ["--mu", "0"] if command == "orbit" else []
+        assert cli.main([command, "--config", cfg] + args) == 2
+        captured = capsys.readouterr()
+        line = "config error: gammaN: not a Hamiltonian cover: gamma_n is not contained in gamma_0"
+        assert captured.out == "" and line in captured.err
+
     @pytest.mark.parametrize("command", ["verify", "orbit"])
     @pytest.mark.parametrize("mu", ["[1e150, 0, 0]", "[1e300, 0, 0]", "[0, -1.5e100, 0]"])
     def test_mu_above_bound_exit_2(self, tmp_path, capsys, command, mu):
@@ -544,10 +561,11 @@ class TestLogging:
         )
         # The child runs in tmp_path, so an inherited relative PYTHONPATH would
         # not find the package: put the absolute source root of the imported
-        # package first.
+        # package first.  Any warning in the child is an error, as in this
+        # process.
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, MOMENTA_LOG=level, PYTHONPATH=pythonpath)
+        env = dict(os.environ, MOMENTA_LOG=level, PYTHONPATH=pythonpath, PYTHONWARNINGS="error")
         proc = subprocess.run(
             [sys.executable, "-m", "momenta.cli", "verify", "--config", cfg],
             capture_output=True,
