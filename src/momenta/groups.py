@@ -23,10 +23,15 @@ more slowly.
 
 Paths carry a constant left-trivialized velocity on each segment, so the left
 logarithm of the velocity is exact and every path integrand downstream is
-piecewise-analytic.  A product path (``path_product``) adds no sample times:
-it hits p(t) q(t) at the union of its factors' breakpoints and takes one
-exponential step between them.  The cover is simply connected, so that
-fixes its homotopy class, which is all a product path is read for.
+piecewise-analytic.  Every path keeps one breakpoint invariant, checked when
+it is built: its breakpoints run in order from exactly 0 to exactly 1, each
+one before the last below 1.  A product path (``path_product``) adds no
+sample times: it hits p(t) q(t) at the union of its factors' breakpoints and
+takes one exponential step between them.  By the invariant that union is
+already a valid run of breakpoints, so the product's table is built from it
+directly, without re-sampling or re-checking it.  The cover is simply
+connected, so that fixes the product's homotopy class, which is all a
+product path is read for.
 """
 
 from __future__ import annotations
@@ -256,8 +261,11 @@ class GroupPath:
     ``endpoint()`` and every kernel result on it have shape (n,).  A batch
     (``batched``) gives them a leading axis of length B.
 
-    Segment durations must sum to 1 within 1e-12 on every path.  Instances
-    are treated as immutable after construction.
+    Segment durations must be positive and sum to 1 within 1e-12 on every
+    path.  A path's breakpoints then run in order from exactly 0 to exactly
+    1, and the one before the last must lie below 1, or building the path
+    raises InputError.  Instances are treated as immutable after
+    construction.
     """
 
     __slots__ = ("model", "directions", "durations", "offsets", "bases", "batched", "times", "nodes", "_first", "_points")
@@ -325,9 +333,16 @@ class GroupPath:
         else:
             raise InputError(f"expected base of shape ({n},), got {np.shape(base)}")
 
+        # the breakpoints run from exactly 0 to exactly 1: the last is set to 1,
+        # so the one before it must lie below 1 (positive durations keep the
+        # rest in order), or the last segment would run backwards
         times = np.zeros((nb, width + 1))
         times[:, 1:] = cum
-        times[np.arange(nb), counts] = 1.0
+        rows = np.arange(nb)
+        inner = times[rows, counts - 1]
+        if not inner.max() < 1.0:
+            raise InputError(f"breakpoint {inner[~(inner < 1.0)][0]} before a path's end is not below 1")
+        times[rows, counts] = 1.0
         # node_{k+1} = node_k * exp(duration_k direction_k): in the exponential
         # chart the product is a running sum, plus the central terms
         # [node_k, step_k]/2, which read only non-central coordinates.  A cumsum
@@ -382,21 +397,30 @@ class GroupPath:
             raise InputError("sample times must increase from 0 to 1")
         lasts = sizes.cumsum() - 1
         firsts = lasts - sizes + 1
-        ends = abs(ts.take(firsts)).max() <= 1e-12 and abs(ts.take(lasts) - 1.0).max() <= 1e-12
+        if not (abs(ts.take(firsts)).max() <= 1e-12 and abs(ts.take(lasts) - 1.0).max() <= 1e-12):
+            raise InputError("sample times must increase from 0 to 1")
         ts[firsts], ts[lasts] = 0.0, 1.0
-        # a step joins each two consecutive samples; the one from a path's
-        # last sample to the next path's first is dropped
+        return cls._from_nodes(model, ts, gs, firsts, lasts, counts is not None)
+
+    @classmethod
+    def _from_nodes(cls, model: GroupModel, ts, gs, firsts, lasts, batched: bool) -> "GroupPath":
+        """The segment table through nodes ``gs`` at breakpoints ``ts``, both
+        kept as given: path b owns the rows firsts[b] to lasts[b], whose times
+        must run from exactly 0 to exactly 1.  Only the steps between them are
+        checked, to be positive."""
+        # a step joins each two consecutive nodes; the one from a path's last
+        # node to the next path's first is dropped
         steps = np.empty(len(ts) - 1, dtype=bool)
         steps.fill(True)
         steps[lasts[:-1]] = False
         path = cls.__new__(cls)
-        path.model, path.batched = model, counts is not None
-        path.offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
-        path.offsets[1:] = lasts - np.arange(len(sizes))  # path b ends after lasts[b] - b segments
-        path._first = first = steps.nonzero()[0]  # the sample starting each segment
+        path.model, path.batched = model, batched
+        path.offsets = np.zeros(len(lasts) + 1, dtype=np.intp)
+        path.offsets[1:] = lasts - np.arange(len(lasts))  # path b ends after lasts[b] - b segments
+        path._first = first = steps.nonzero()[0]  # the node starting each segment
         path._points = None
         path.durations = (ts[1:] - ts[:-1]).take(first)
-        if not (ends and path.durations.min() > 0):  # NaN fails
+        if not path.durations.min() > 0:  # NaN fails
             raise InputError("sample times must increase from 0 to 1")
         path.times, path.nodes, path.bases = ts, gs, gs.take(firsts, axis=0)
         # g_i^{-1} g_{i+1} is its own logarithm in the exponential chart
@@ -496,14 +520,6 @@ class GroupPath:
         return f"GroupPath({self.model!r}, {len(self.durations)} segments)"
 
 
-def _run_ends(a) -> np.ndarray:
-    """Mask of the entries that differ from the next one, and of the last."""
-    out = np.empty(len(a), dtype=bool)
-    out[-1] = True
-    np.not_equal(a[1:], a[:-1], out=out[:-1])
-    return out
-
-
 def _union_grids(p: GroupPath, q: GroupPath):
     """Sample times for each pair of paths of p and q: the sorted, distinct
     union of both paths' breakpoints.  Returns the times, the segment rows of
@@ -515,12 +531,20 @@ def _union_grids(p: GroupPath, q: GroupPath):
     # starts included; a pair ends at 1 and the next starts at 0, so a run
     # stays in its pair
     order = np.lexsort((grid, owner))
-    grid, owner = grid.take(order), owner.take(order)
+    grid = grid.take(order)
     at_p = (order < len(p.times)).cumsum() - 1  # last breakpoint of p passed
-    kp = np.minimum(at_p - owner, p.offsets[1:].take(owner) - 1)
-    kq = np.minimum(np.arange(len(grid)) - at_p - 1 - owner, q.offsets[1:].take(owner) - 1)
-    last = _run_ends(grid)
-    return grid[last], kp[last], kq[last], np.bincount(owner[last])
+    ends = np.empty(len(grid), dtype=bool)
+    ends[-1] = True
+    np.not_equal(grid[1:], grid[:-1], out=ends[:-1])
+    ends = ends.nonzero()[0]
+    grid, owner, at_p = grid.take(ends), owner.take(order.take(ends)), at_p.take(ends)
+    # by the breakpoint invariant a pair's last time, and only it, is 1,
+    # where both paths have passed their last breakpoint: its segments are
+    # the ones before
+    last = grid == 1.0
+    kp = at_p - owner - last
+    kq = ends - at_p - owner - 1 - last
+    return grid, kp, kq, np.bincount(owner)
 
 
 # endpoint bound of path_product: absolute at unit scale, relative beyond
@@ -532,12 +556,16 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
     for batches of the same size.
 
     Both paths must be based at the identity of the same simply connected
-    model.  The pointwise product is sampled at the union of both paths'
-    breakpoints, and each step between samples is re-expressed through the
-    left logarithm.  The representative hits p(t) q(t) at every sample.  On
-    a torus cover it is the pointwise product; on a nonabelian model it is
-    homotopic to it with the ends fixed, which is all that the momentum
-    map, the cocycle and the lifted action read.  Its endpoint differs from
+    model.  The pointwise product is sampled once, at the union of both
+    paths' breakpoints, and each step between samples is re-expressed through
+    the left logarithm.  The breakpoint invariant of every path makes that
+    union run strictly from exactly 0 to exactly 1 on each pair, so it is
+    the product's breakpoints as it stands: the table is built from it
+    without re-sampling or re-checking, only the product's steps checked to
+    be positive.  The representative hits p(t) q(t) at every sample.  On a
+    torus cover it is the pointwise product; on a nonabelian model it is
+    homotopic to it with the ends fixed, which is all that the momentum map,
+    the cocycle and the lifted action read.  Its endpoint differs from
     p(1) q(1) by rounding only.  A gap above
     max(1e-10, 1e-13 times the largest endpoint coordinate) raises
     NumericalError: the relative part covers coordinates far from unit scale,
@@ -550,16 +578,17 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
         raise InputError("path_product needs two single paths or two batches of the same size")
     if not model.is_simply_connected:
         raise InputError("path_product is defined on universal-cover models")
-    bases = np.concatenate([p.bases, q.bases])
-    if bases.any() and model.distance(bases, model.identity()).max() > 1e-10:
-        raise InputError("path_product needs identity-based paths")
+    if p.bases.any() or q.bases.any():
+        if model.distance(np.concatenate([p.bases, q.bases]), model.identity()).max() > 1e-10:
+            raise InputError("path_product needs identity-based paths")
 
     ts, kp, kq, counts = _union_grids(p, q)
     prods = model.multiply(p.at_segments(kp, ts), q.at_segments(kq, ts))
-    out = GroupPath.from_samples(model, ts, prods, counts if p.batched else None)
+    lasts = counts.cumsum() - 1
+    out = GroupPath._from_nodes(model, ts, prods, lasts - counts + 1, lasts, p.batched)
     target = model.multiply(p.ends(), q.ends())
     bound = np.maximum(_ENDPOINT_ABS, _ENDPOINT_REL * np.abs(target).max(axis=1))
-    if not (model.distance(out.ends(), target) <= bound).all():
+    if not (model.distance(prods.take(lasts, axis=0), target) <= bound).all():
         raise NumericalError("path_product endpoint tolerance not met")
     return out
 

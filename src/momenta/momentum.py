@@ -164,7 +164,7 @@ def _check_phase_path(model: MagneticCotangent, x: PhasePath, at_base: bool):
     if at_base:
         _require_identity_based(x.base)
         starts = x.momenta.take(x.base.offsets[:-1] + np.arange(len(x.base)), axis=0)
-        if np.any(np.linalg.norm(starts, axis=1) > 1e-12):
+        if starts.any() and np.any(np.linalg.norm(starts, axis=1) > 1e-12):
             raise InputError("path must start at the base point (e, 0)")
 
 
@@ -202,9 +202,8 @@ def momentum_of_path(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
 def momentum_closed_form(model: MagneticCotangent, g_path: GroupPath, mu) -> np.ndarray:
     """Ad*_{g^{-1}} mu + Theta(g_path) for g the endpoint of g_path; on a
     batch mu may give one row per path."""
-    _require_identity_based(g_path)
-    coad = g_path._shaped(g_path.model.coadjoint_inv_apply(g_path.ends(), mu))
-    return coad + theta_integral(g_path.model, model.theta, g_path)
+    theta = theta_integral(g_path.model, model.theta, g_path)  # checks the base
+    return g_path._shaped(g_path.model.coadjoint_inv_apply(g_path.ends(), mu)) + theta
 
 
 def _simpson_sweeps(vals, w) -> tuple[np.ndarray, np.ndarray]:

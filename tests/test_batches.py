@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momenta import cylinder, groups
 from momenta.cli import main as cli_main
@@ -273,26 +275,57 @@ def test_from_samples_keeps_its_samples():
         assert np.array_equal(batch.bases[b], g[0])
 
 
+# one pair of a product batch: segments of p and of q, and how many leading
+# breakpoints of p q shares (0: none), the last of them moved by -1, 0 or 1 ulp
+PAIRS = st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(0, 39), st.sampled_from((-1, 0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CONFIGS)), st.lists(PAIRS, min_size=1, max_size=5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_product_table_equals_from_samples(name, pairs, batched, seed):
+    # path_product builds its table from the union grid as it stands; checked
+    # and built again by from_samples from the same samples, it is the same
+    # table bit for bit, and its breakpoints run strictly from 0 to 1
+    sc, rng = scenario(name), np.random.default_rng(seed)
+    pairs = pairs if batched else pairs[:1]
+    p, q = [], []
+    for mp, mq, k, ulps in pairs:
+        p.append(draw_segments(sc, rng, mp))
+        q.append(sharing_breakpoints(sc, rng, p[-1], k, ulps) if 0 < k < mp else draw_segments(sc, rng, mq))
+    if batched:
+        p, q = cover_batch(sc, p), cover_batch(sc, q)
+    else:
+        p, q = GroupPath(sc.cover, zip(*p[0])), GroupPath(sc.cover, zip(*q[0]))
+    got = path_product(p, q)
+    ts, kp, kq, counts = groups._union_grids(p, q)
+    prods = sc.cover.multiply(p.at_segments(kp, ts), q.at_segments(kq, ts))
+    want = GroupPath.from_samples(sc.cover, ts, prods, counts if batched else None)
+    assert got.model == want.model and got.batched == want.batched == batched
+    for field in ("times", "nodes", "directions", "durations", "offsets", "_first", "bases"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    starts = got.offsets[:-1] + np.arange(len(got))
+    assert (got.times[starts] == 0.0).all() and (got.times[starts + got.counts()] == 1.0).all()
+    assert (got.times.take(got._first + 1) > got.times.take(got._first)).all()
+
+
 def test_path_product_raises_on_a_miss(monkeypatch):
     # the representative hits every sample, so its endpoint gap is rounding
-    # only and refining cannot shrink it: a miss raises after one from_samples
+    # only and refining cannot shrink it: a miss raises after one product
+    # build, which samples each factor once on the union grid
     sc = scenario("heis")
     monkeypatch.setattr(groups, "_ENDPOINT_ABS", 0.0)
     monkeypatch.setattr(groups, "_ENDPOINT_REL", 0.0)
-    calls = []
-    from_samples = GroupPath.from_samples.__func__
-
-    def counted(cls, *args, **kwargs):
-        calls.append(args)
-        return from_samples(cls, *args, **kwargs)
-
-    monkeypatch.setattr(GroupPath, "from_samples", classmethod(counted))
     rng = np.random.default_rng(10)
     p = cover_batch(sc, [draw_segments(sc, rng, 7) for _ in range(4)])
     q = cover_batch(sc, [draw_segments(sc, rng, 5) for _ in range(4)])
+    grid = len(groups._union_grids(p, q)[0])
+    sampled = []
+    at_segments = GroupPath.at_segments
+    monkeypatch.setattr(GroupPath, "at_segments", lambda path, ks, ts: sampled.append(len(ts)) or at_segments(path, ks, ts))
     with pytest.raises(NumericalError, match="endpoint tolerance"):
         path_product(p, q)
-    assert len(calls) == 1
+    assert sampled == [grid, grid]
 
 
 @pytest.mark.parametrize("scale", [1e5, 1e6])

@@ -287,6 +287,19 @@ class TestGroupPath:
             with pytest.raises(InputError):
                 GroupPath.from_samples(R2, ts, np.zeros((3, 2)))
 
+    def test_breakpoint_past_one_rejected(self):
+        # durations positive and summing to 1 within 1e-12 can still put the
+        # breakpoint before the last at or past 1, where the last is set to 1
+        R2 = GroupModel("universal_torus", 2)
+        dirs, good = [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]
+        for bad in ([1.0 + 5e-13, 1e-13], [1.0, 1e-13]):
+            with pytest.raises(InputError, match="before a path's end is not below 1"):
+                GroupPath.from_table(R2, dirs, bad)
+            with pytest.raises(InputError, match="before a path's end is not below 1"):
+                GroupPath.from_table(R2, dirs * 3, good + bad + good, counts=[2, 2, 2])
+        batch = GroupPath.from_table(R2, dirs * 3 + dirs[:1], good * 3 + [1.0], counts=[2, 2, 2, 1])
+        assert np.array_equal(batch.times, [0.0, 0.5, 1.0] * 3 + [0.0, 1.0])
+
     def test_parameter_range_validated(self):
         R2 = GroupModel("universal_torus", 2)
         p = GroupPath.straight(R2, [1.0, 0.0])
