@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 
-from .cylinder import affine_action, heisenberg_casimir, orbit_descriptor
+from .cylinder import affine_action, casimir, orbit_descriptor
 from .errors import ConfigError, MomentaError
 from .groups import GroupPath
 from .report import build_analysis
@@ -103,27 +103,20 @@ def _cmd_orbit(args) -> int:
     desc = orbit_descriptor(sc, mu, rng=check_rng(seed, f"orbit[{args.mu}]"))
 
     rng = check_rng(seed, f"orbit-rows[{args.mu}]")
-    with_casimir = sc.kind == "central_extension"
-    buf = io.StringIO()
-    buf.write(f"# descriptor: {desc.summary()}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    header = (
-        ["sample"]
-        + [f"g{i}" for i in range(sc.n)]
-        + [f"mu{i}" for i in range(sc.n)]
-        + (["casimir"] if with_casimir else [])
-    )
-    writer.writerow(header)
     # one block of directions, the same numbers as drawing them row by row
     us = rng.uniform(-2.0, 2.0, (args.samples, sc.n))
     moved = affine_action(sc.model, GroupPath.straight(sc.cover, us), mu)
-    if with_casimir:
-        casimir = heisenberg_casimir(sc.theta.sigma, moved[:, 0], moved[:, 1:])
-    for i, (u, m) in enumerate(zip(us, moved)):
-        row = [i] + [f"{x:.12g}" for x in u] + [f"{x:.12g}" for x in m]
-        if with_casimir:
-            row.append(f"{casimir[i]:.12g}")
-        writer.writerow(row)
+    header = ["sample"] + [f"g{i}" for i in range(sc.n)] + [f"mu{i}" for i in range(sc.n)]
+    columns = [us, moved]
+    if desc.casimir_value is not None:  # a level set: the Casimir is the orbit's constant
+        header.append("casimir")
+        columns.append(casimir(sc.model, moved)[:, None])
+    buf = io.StringIO()
+    buf.write(f"# descriptor: {desc.summary()}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for i, parts in enumerate(zip(*columns)):
+        writer.writerow([i] + [f"{x:.12g}" for part in parts for x in part])
     _emit(buf.getvalue(), args.out)
     return 0
 

@@ -39,7 +39,7 @@ __all__ = [
     "deck_group_of_reduced_cover",
     "OrbitDescriptor",
     "orbit_descriptor",
-    "heisenberg_casimir",
+    "casimir",
     "noether_check",
     "reduction_fiber_check",
 ]
@@ -157,6 +157,7 @@ class OrbitDescriptor:
     # orthonormal columns spanning the rows of basis (`Scenario.orbit_frame`),
     # which the affine residual projects onto
     frame: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    model: MagneticCotangent | None = None  # whose Casimir gives the level set
 
     def summary(self) -> str:
         if self.kind == "affineSubspace":
@@ -172,8 +173,7 @@ class OrbitDescriptor:
             diff = mus - self.basepoint
             diff = diff - (diff @ self.frame) @ self.frame.T
             return np.linalg.norm(diff, axis=1)
-        sigma = self.basepoint  # stored sigma covector for the level set
-        return np.abs(heisenberg_casimir(sigma, mus[:, 0], mus[:, 1:]) - self.casimir_value)
+        return np.abs(casimir(self.model, mus) - self.casimir_value)
 
     def contains(self, mu, tol: float = 1e-8) -> bool:
         """Whether ``mu``, one point or every stacked row, lies on the orbit."""
@@ -183,23 +183,21 @@ class OrbitDescriptor:
 def orbit_descriptor(scenario, mu, rng=None, samples: int = 200) -> OrbitDescriptor:
     """Orbit of mu under the dual-space affine action, with the analytic
     description validated on ``samples`` straight lifts of random directions
-    drawn from [-2, 2]^n."""
+    drawn from [-2, 2]^n: a Casimir level set when the model has a bracket
+    pair, else an affine subspace."""
     mu = np.asarray(mu, dtype=float)
     rng = np.random.default_rng(0) if rng is None else rng
     model = scenario.model
-    if scenario.kind == "torus":
+    if model.group.pairs:
+        value = casimir(model, mu)
+        desc = OrbitDescriptor("casimirLevelSet", mu.copy(), casimir_value=value, validated_samples=samples, model=model)
+        # the Casimir is quadratic in mu, so its rounding gap grows like |mu|^2
+        bound = 1e-8 * max(1.0, float(mu @ mu))
+    else:
         desc = OrbitDescriptor(
             "affineSubspace", mu.copy(), scenario.orbit_basis, validated_samples=samples, frame=scenario.orbit_frame
         )
         bound = 1e-8
-    else:
-        sigma = np.array([float(s) for s in scenario.theta.sigma])
-        value = heisenberg_casimir(sigma, mu[0], mu[1:])
-        desc = OrbitDescriptor(
-            "casimirLevelSet", sigma, casimir_value=value, validated_samples=samples
-        )
-        # the Casimir is quadratic in mu, so its rounding gap grows like |mu|^2
-        bound = 1e-8 * max(1.0, float(mu @ mu))
 
     directions = rng.uniform(-2.0, 2.0, (samples, model.n))
     moved = affine_action(model, GroupPath.straight(model.cover, directions), mu)
@@ -208,15 +206,19 @@ def orbit_descriptor(scenario, mu, rng=None, samples: int = 200) -> OrbitDescrip
     return desc
 
 
-def heisenberg_casimir(sigma, psi, nu):
-    """Casimir f(psi, nu) = psi^2/2 - <w, nu> with w the vector satisfying
-    i_w omega = sigma, i.e. w = (sigma_2, -sigma_1); constancy along affine
-    orbits pins this convention (the opposite sign fails it).  psi and the
-    rows of nu may be stacked."""
-    s = np.array([float(x) for x in sigma])
-    nu = np.asarray(nu, dtype=float)
-    w = np.array([s[1], -s[0]])
-    return 0.5 * psi * psi - nu @ w
+def casimir(model: MagneticCotangent, mu):
+    """Casimir f(mu) = psi^2/2 - <w, nu> of a model with one central bracket
+    pair (a, b, k): psi = mu_k, nu = (mu_a, mu_b) and w = (theta_kb, -theta_ka)
+    from row k of theta, the vector with i_w omega = (theta_ka, theta_kb).
+    Constancy along affine orbits pins this convention (the opposite sign
+    fails it).  The rows of mu may be stacked."""
+    ((a, b, k),) = model.group.pairs
+    mu = np.asarray(mu, dtype=float)
+    row = model.sigma_matrix[:, k]  # row k of theta
+    psi, w = mu[..., k], np.array([row[b], -row[a]])
+    # (mu_a, mu_b) as a strided view of mu: BLAS can round the product with
+    # a copy of those columns differently in the last bit
+    return 0.5 * psi * psi - mu[..., a :: b - a][..., :2] @ w
 
 
 def _kinetic_field(model: MagneticCotangent) -> tuple[np.ndarray, np.ndarray]:

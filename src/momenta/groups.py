@@ -23,9 +23,9 @@ more slowly.
 
 Paths carry a constant left-trivialized velocity on each segment, so the left
 logarithm of the velocity is exact and every path integrand downstream is
-piecewise-analytic.  Every path keeps one breakpoint invariant, checked when
-it is built: its breakpoints run in order from exactly 0 to exactly 1, each
-one before the last below 1.  A product path (``path_product``) adds no
+piecewise-analytic.  Every path keeps one breakpoint invariant, checked by
+every constructor: its breakpoints increase strictly from exactly 0 to
+exactly 1.  A product path (``path_product``) adds no
 sample times: it hits p(t) q(t) at the union of its factors' breakpoints and
 takes one exponential step between them.  By the invariant that union is
 already a valid run of breakpoints, so the product's table is built from it
@@ -69,11 +69,13 @@ class GroupModel:
     """One of the supported groups, with chart arithmetic and algebra data.
 
     The model is its bracket pairs and its circle coordinates; ``kind`` only
-    labels it.  Every operation takes one element of shape (n,) or stacked
-    ones of shape (rows, n) (more leading axes broadcast alike), and a single
-    element broadcasts against rows: the result has one row, matrix or
-    distance per row, each computed with the arithmetic of a single
-    element."""
+    labels it.  A scenario reads the same two data, never the label: a
+    bracket pair gives a Casimir and level-set orbits, and coordinates that
+    are all circles give the torus cover text.  Every operation takes one
+    element of shape (n,) or stacked ones of shape (rows, n) (more leading
+    axes broadcast alike), and a single element broadcasts against rows: the
+    result has one row, matrix or distance per row, each computed with the
+    arithmetic of a single element."""
 
     __slots__ = ("kind", "dim", "pairs", "circles", "structure", "_circle")
 
@@ -262,9 +264,10 @@ class GroupPath:
     (``batched``) gives them a leading axis of length B.
 
     Segment durations must be positive and sum to 1 within 1e-12 on every
-    path.  A path's breakpoints then run in order from exactly 0 to exactly
-    1, and the one before the last must lie below 1, or building the path
-    raises InputError.  Instances are treated as immutable after
+    path.  A path's breakpoints, their running sums with the last set to
+    exactly 1, must then increase strictly from exactly 0, or building the
+    path raises InputError: a sum can absorb a tiny duration or pass 1
+    before the last.  Instances are treated as immutable after
     construction.
     """
 
@@ -333,16 +336,16 @@ class GroupPath:
         else:
             raise InputError(f"expected base of shape ({n},), got {np.shape(base)}")
 
-        # the breakpoints run from exactly 0 to exactly 1: the last is set to 1,
-        # so the one before it must lie below 1 (positive durations keep the
-        # rest in order), or the last segment would run backwards
+        # the breakpoints run strictly from exactly 0 to exactly 1: the last is
+        # set to 1, and a running sum may absorb a positive duration or pass 1
+        # before the last, so every step is compared, the padding excepted
         times = np.zeros((nb, width + 1))
         times[:, 1:] = cum
-        rows = np.arange(nb)
-        inner = times[rows, counts - 1]
-        if not inner.max() < 1.0:
-            raise InputError(f"breakpoint {inner[~(inner < 1.0)][0]} before a path's end is not below 1")
-        times[rows, counts] = 1.0
+        times[np.arange(nb), counts] = 1.0
+        rising = (times[:, 1:] > times[:, :-1]) | (False if valid is None else ~valid[:, 1:])
+        if not rising.all():
+            b, k = np.argwhere(~rising)[0]
+            raise InputError(f"breakpoint {times[b, k]} before a path's end is not below {times[b, k + 1]}, the next one")
         # node_{k+1} = node_k * exp(duration_k direction_k): in the exponential
         # chart the product is a running sum, plus the central terms
         # [node_k, step_k]/2, which read only non-central coordinates.  A cumsum

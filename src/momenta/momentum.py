@@ -164,7 +164,8 @@ def _check_phase_path(model: MagneticCotangent, x: PhasePath, at_base: bool):
     if at_base:
         _require_identity_based(x.base)
         starts = x.momenta.take(x.base.offsets[:-1] + np.arange(len(x.base)), axis=0)
-        if starts.any() and np.any(np.linalg.norm(starts, axis=1) > 1e-12):
+        # NaN is nonzero, so it reaches the norm, whose test it fails
+        if starts.any() and not np.all(np.linalg.norm(starts, axis=1) <= 1e-12):
             raise InputError("path must start at the base point (e, 0)")
 
 

@@ -12,7 +12,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -239,14 +239,16 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 class Scenario:
-    """Everything derived from a config: models, holonomy, cylinder, lattices."""
+    """Everything derived from a config: models, holonomy, cylinder, lattices.
+    Every decision reads the model's bracket pairs and circles, never
+    ``kind``, the model's label."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.field = config.field
         self.theta = config.theta
-        self.kind = _GROUP_KIND[config.group]
-        self.group = GroupModel(self.kind, config.dim)
+        self.group = GroupModel(_GROUP_KIND[config.group], config.dim)
+        self.kind = self.group.kind  # the family's label; no decision here reads it
         self.model = MagneticCotangent(self.group, self.theta)
         self.cover = self.model.cover
         self.n = self.model.n
@@ -281,30 +283,28 @@ class Scenario:
     # -- exact structure ---------------------------------------------------
 
     def _cover_descriptor(self) -> CoverDescriptor:
-        if self.kind == "torus":
-            return classify_cover(self.gamma0, self.gamma_dim)
-        # minimal Hamiltonian cover of the compact-center group: unwinding the
-        # center when sigma != 0, the group itself when sigma = 0
-        text = "S^1 x R^2" if self.gamma0.rank else "R^3"
-        return CoverDescriptor(
-            rank=self.gamma0.rank, dim=3, text=text, basis=self.gamma0.columns
-        )
+        """The minimal Hamiltonian cover R^n / gamma_0 = T^r x R^(n - r); a
+        model with non-circle coordinates spells its kept circle S^1."""
+        cover = classify_cover(self.gamma0, self.n)
+        if self.gamma_dim == self.n:
+            return cover
+        return replace(cover, text=cover.text.replace("T^1 x", "S^1 x"))
 
     @cached_property
     def orbit_basis(self) -> np.ndarray:
         """Rows of an exact basis (reduced row echelon form) of the real span
-        of the theta columns, as floats; affine-action orbits on the torus are
-        translates of that span.  Computed once per scenario.
+        of the theta columns, as floats; affine-action orbits of an abelian
+        model are translates of that span.  Computed once per scenario.
 
         The columns of the skew theta span what its rows span, so this is
-        the echelon of theta's integer rows.  On the torus every coordinate
-        is a circle and generator a is minus row a of theta, so the matrix
+        the echelon of theta's integer rows.  When every coordinate is a
+        circle, generator a is minus row a of theta, so the matrix
         whose columns are the generators, which `is_closed` eliminates
         first, is theta itself: when theta has a sqrt part, that echelon
         (`ClosedSubgroupDecomp.generator_echelon`) is this one, and theta is
         not eliminated again."""
         ints, _, q, R = self.theta.rows
-        form = self.decomp.generator_echelon if self.kind == "torus" else None
+        form = self.decomp.generator_echelon if self.gamma_dim == self.n else None
         red, pivots = echelon(ints, self.n, R) if form is None else form
         rows = [float_row(row, row[c], q, R, self.field.sqrt_r) for row, c in zip(red, pivots)]
         basis = np.array(rows, dtype=float).reshape(len(pivots), self.n)

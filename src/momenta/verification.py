@@ -302,13 +302,12 @@ def _chk_cylinder_infinitesimal(sc, rng, samples):
 
 
 def _chk_casimir_invariance(sc, rng, samples):
-    sigma = np.array([float(s) for s in sc.theta.sigma])
     worst = 0.0
     for mu in sc.mu_list:
-        f0 = cyl.heisenberg_casimir(sigma, mu[0], mu[1:])
+        f0 = cyl.casimir(sc.model, mu)
         (paths,) = sc.draw_paths(rng, samples, "cover")
         moved = cyl.affine_action(sc.model, paths, mu)
-        worst = float(np.maximum(worst, np.abs(cyl.heisenberg_casimir(sigma, moved[:, 0], moved[:, 1:]) - f0).max()))
+        worst = float(np.maximum(worst, np.abs(cyl.casimir(sc.model, moved) - f0).max()))
     return worst, samples * len(sc.mu_list), ""
 
 
@@ -377,12 +376,7 @@ def registry() -> list[CheckSpec]:
         CheckSpec("cylinder_equivariance", 1e-8, _chk_cylinder_equivariance),
         CheckSpec("cylinder_cocycle", 1e-8, _chk_cylinder_cocycle),
         CheckSpec("cylinder_infinitesimal", 1e-5, _chk_cylinder_infinitesimal),
-        CheckSpec(
-            "casimir_invariance",
-            1e-8,
-            _chk_casimir_invariance,
-            lambda sc: sc.kind == "central_extension",
-        ),
+        CheckSpec("casimir_invariance", 1e-8, _chk_casimir_invariance, lambda sc: bool(sc.group.pairs)),
         CheckSpec("noether_drift", 1e-6, _chk_noether_drift),
         CheckSpec(
             "reduction_fiber", 1e-8, _chk_reduction_fiber, lambda sc: sc.decomp.closed

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from momenta import cylinder, groups
 from momenta.cli import main as cli_main
-from momenta.cylinder import K, affine_action, heisenberg_casimir, noether_check, reduction_fiber_check
+from momenta.cylinder import K, affine_action, casimir, noether_check, reduction_fiber_check
 from momenta.errors import InputError, NumericalError
 from momenta.groups import GroupPath, path_product
 from momenta.momentum import (
@@ -487,14 +487,13 @@ def test_orbit_rows_match_the_per_row_loop(tmp_path):
     assert cli_main(["orbit", "--config", str(cfg), "--mu", "0", "--samples", "50", "--out", str(out)]) == 0
     sc = build_scenario(parse_config(STREAM_TEXTS["heis"]))
     rng = check_rng(42, "orbit-rows[0]")
-    sigma = [float(s) for s in sc.theta.sigma]
     lines = out.read_text().splitlines()[2:]
     assert len(lines) == 50
     for i, line in enumerate(lines):
         u = rng.uniform(-2.0, 2.0, sc.n)
         moved = affine_action(sc.model, GroupPath.straight(sc.cover, u), sc.mu_list[0])
         row = [str(i)] + [f"{x:.12g}" for x in u] + [f"{x:.12g}" for x in moved]
-        row.append(f"{heisenberg_casimir(sigma, moved[0], moved[1:]):.12g}")
+        row.append(f"{casimir(sc.model, moved):.12g}")
         assert line == ",".join(row)
 
 

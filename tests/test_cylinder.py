@@ -12,9 +12,9 @@ from momenta.cylinder import (
     _kinetic_flow,
     affine_action,
     affine_cylinder_action,
+    casimir,
     deck_group_of_reduced_cover,
     gamma_mu,
-    heisenberg_casimir,
     noether_check,
     orbit_descriptor,
     reduction_fiber_check,
@@ -313,33 +313,32 @@ class TestOrbits:
         # 1e-8 * |mu|^2 but not the absolute residual the checks read
         mu = np.array([5e5, 1e5, -4e5])
         desc = orbit_descriptor(SC_HEIS, mu, rng=np.random.default_rng(14))
-        assert desc.casimir_value == heisenberg_casimir([1.0, 0.0], mu[0], mu[1:])
+        assert desc.casimir_value == casimir(SC_HEIS.model, mu)
         moved = affine_action(SC_HEIS.model, SC_HEIS.random_cover_path(RNG), mu)
         assert desc.residuals(moved)[0] <= 1e-8 * (mu @ mu)
 
     def test_casimir_invariance(self):
         sc = SC_HEIS
-        sigma = np.array([1.0, 0.0])
         mu = np.array([0.5, 0.1, -0.4])
-        f0 = heisenberg_casimir(sigma, mu[0], mu[1:])
+        f0 = casimir(sc.model, mu)
         for _ in range(100):
             moved = affine_action(sc.model, sc.random_cover_path(RNG), mu)
-            assert abs(heisenberg_casimir(sigma, moved[0], moved[1:]) - f0) <= 1e-8
+            assert abs(casimir(sc.model, moved) - f0) <= 1e-8
 
     def test_casimir_sign_is_pinned(self):
         # the opposite contraction sign w -> -w is NOT conserved, so this
-        # invariance test genuinely pins the convention
+        # invariance test genuinely pins the convention: psi^2/2 + <w, nu>
+        # is psi^2 minus the Casimir
         sc = SC_HEIS
-        sigma = np.array([1.0, 0.0])
         mu = np.array([0.5, 0.1, -0.4])
 
-        def wrong(psi, nu):
-            return 0.5 * psi * psi + np.array([sigma[1], -sigma[0]]) @ nu
+        def wrong(m):
+            return m[0] * m[0] - casimir(sc.model, m)
 
         worst = 0.0
         for _ in range(50):
             moved = affine_action(sc.model, sc.random_cover_path(RNG), mu)
-            worst = max(worst, abs(wrong(moved[0], moved[1:]) - wrong(mu[0], mu[1:])))
+            worst = max(worst, abs(wrong(moved) - wrong(mu)))
         assert worst > 0.1
 
     def test_torus_basis_is_reduced_once_per_scenario(self, monkeypatch):

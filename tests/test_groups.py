@@ -300,6 +300,19 @@ class TestGroupPath:
         batch = GroupPath.from_table(R2, dirs * 3 + dirs[:1], good * 3 + [1.0], counts=[2, 2, 2, 1])
         assert np.array_equal(batch.times, [0.0, 0.5, 1.0] * 3 + [0.0, 1.0])
 
+    def test_absorbed_duration_rejected(self):
+        # a positive duration that the running sum absorbs would give a
+        # segment of zero width, which segment_index never picks
+        R1 = GroupModel("universal_torus", 1)
+        dirs, bad, good = [[1.0], [5.0], [1.0]], [0.5, 1e-17, 0.5], [0.25, 0.25, 0.5]
+        with pytest.raises(InputError, match="0.5 before a path's end is not below 0.5"):
+            GroupPath.from_table(R1, dirs, bad)
+        for counts in ([3, 3, 3], [3, 3, 3, 1]):  # uniform and ragged
+            with pytest.raises(InputError, match="0.5 before a path's end is not below 0.5"):
+                GroupPath.from_table(R1, (dirs * 4)[: sum(counts)], (good + bad + good + [1.0])[: sum(counts)], counts=counts)
+        batch = GroupPath.from_table(R1, dirs * 3, good * 3, counts=[3, 3, 3])
+        assert np.array_equal(batch.times, [0.0, 0.25, 0.5, 1.0] * 3)
+
     def test_parameter_range_validated(self):
         R2 = GroupModel("universal_torus", 2)
         p = GroupPath.straight(R2, [1.0, 0.0])

@@ -156,12 +156,12 @@ class TestMomentumOfPath:
     def test_start_momentum_boundary(self):
         # the base-point check skips its norm on exact zeros; a start of norm
         # 2e-12 is off the base point and one of 5e-13 on it, alone or in a
-        # batch.  A NaN start passes the check and gives NaN
+        # batch.  A NaN start is not the base point either
         model = torus_model()
         one, two = GroupPath.straight(model.cover, [1.0, 0.5]), GroupPath.straight(model.cover, [[1.0, 0.5]] * 2)
         mu = np.array([0.3, 0.1])
-        for size, rejected in ((2e-12, True), (5e-13, False)):
-            start = np.array([0.6, 0.8]) * size
+        for start, rejected in (([1.2e-12, 1.6e-12], True), ([3e-13, 4e-13], False), ([np.nan, 0.0], True)):
+            start = np.array(start)
             single = PhasePath.with_linear_momentum(one, mu, mu_start=start)
             batch = PhasePath.with_linear_momentum(two, mu, mu_start=[np.zeros(2), start])
             for x in (single, batch):
@@ -170,8 +170,6 @@ class TestMomentumOfPath:
                         momentum_of_path(model, x)
                 else:
                     assert np.isfinite(momentum_of_path(model, x)).all()
-        nan = momentum_of_path(model, PhasePath.with_linear_momentum(one, mu, mu_start=[np.nan, 0.0]))
-        assert np.isnan(nan[0]) and np.isfinite(nan[1])
 
     def test_homotopy_invariance_same_endpoint(self):
         # the cover phase space is simply connected: J depends only on the

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momenta.cli as cli
+import momenta.scenario as scenario_module
 from momenta.errors import ConfigError, MomentaError, NumericalError
 from momenta.report import AnalysisReport, build_analysis
 from momenta.scenario import build_scenario, parse_config
@@ -352,6 +353,48 @@ class TestReport:
         with pytest.raises(ConfigError, match="Hamiltonian cover") as err:
             build_scenario(parse_config(text))
         assert err.value.field == "gammaN"
+
+
+FAMILY_TEXTS = {
+    "torus2": TORUS_TEXT,
+    "dense3": DENSE_TEXT,
+    "heis": HEIS_TEXT,
+    "heis flat": HEIS_TEXT.replace('["1", "0"]', '["0", "0"]'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_TEXTS))
+def test_family_label_decides_nothing(tmp_path, monkeypatch, name):
+    # every decision reads the model's bracket pairs and circles: a scenario
+    # and group labelled with a name no family has give the same report,
+    # check results (durations aside) and orbit CSV
+    config = write_config(tmp_path, FAMILY_TEXTS[name])
+    out = tmp_path / "orbit.csv"
+
+    def outputs():
+        sc = cli._load_scenario(str(config))
+        checks = run_checks(sc)
+        assert cli.main(["orbit", "--config", str(config), "--mu", "0", "--samples", "20", "--out", str(out)]) == 0
+        return sc.kind, build_analysis(sc, checks=checks).without_header(), checks, out.read_text()
+
+    kind, *expected = outputs()
+    real_model, real_build = scenario_module.GroupModel, cli.build_scenario
+
+    def bogus_model(kind, dim):
+        group = real_model(kind, dim)
+        group.kind = "bogus"
+        return group
+
+    def bogus_build(config):
+        sc = real_build(config)
+        sc.kind = sc.cover.kind = "bogus"
+        return sc
+
+    monkeypatch.setattr(scenario_module, "GroupModel", bogus_model)
+    monkeypatch.setattr(cli, "build_scenario", bogus_build)
+    bogus, *relabelled = outputs()
+    assert kind != bogus == "bogus"
+    assert relabelled == expected
 
 
 def read_orbit_csv(path):
