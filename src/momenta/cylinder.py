@@ -7,6 +7,14 @@ coordinates (a, b) along V and Lambda is stored as mu - a V - floor(b) Lambda,
 so its V coordinates are 0 and its Lambda coordinates lie in [0, 1).  The
 coordinates come from the pseudo-inverse of one thin SVD of the stacked V and
 Lambda rows, whose rank cut is the only float decision.
+
+The cylinder-valued maps are projections of the dual-space ones: K of J,
+the cocycle sigma_K of sigma_J and the cylinder affine action of
+``affine_action``, each by ``Cylinder.project``.  A group element acts
+through any lift to the cover.  Two lifts differ by a fundamental-group loop
+whose sigma_J value lies in H, so sigma_K does not depend on the lift.  The
+coadjoint part of the affine action descends because it fixes H-bar
+pointwise.
 """
 
 from __future__ import annotations
@@ -33,8 +41,6 @@ __all__ = [
     "CylinderPoint",
     "K",
     "affine_action",
-    "sigma_K",
-    "affine_cylinder_action",
     "gamma_mu",
     "deck_group_of_reduced_cover",
     "OrbitDescriptor",
@@ -103,24 +109,6 @@ def affine_action(model: MagneticCotangent, g_path: GroupPath, mu) -> np.ndarray
     mu may give one row per path."""
     coad = g_path._shaped(g_path.model.coadjoint_inv_apply(g_path.ends(), mu))
     return coad + sigma_J(model, g_path)
-
-
-def sigma_K(model: MagneticCotangent, cylinder: Cylinder, lift_path: GroupPath) -> CylinderPoint:
-    """Projected non-equivariance cocycle at the group element where the lift
-    ends; lift-independent because two lifts differ by a fundamental-group
-    loop whose sigma_J value lies in H.  A batch of lifts gives one point
-    each."""
-    return cylinder.project(sigma_J(model, lift_path))
-
-
-def affine_cylinder_action(
-    model: MagneticCotangent, cylinder: Cylinder, point: CylinderPoint, lift_path: GroupPath
-) -> CylinderPoint:
-    """Cylinder affine action of the group element where the lift ends: the
-    coadjoint part descends because H-bar is pointwise fixed, and the
-    cocycle part is sigma_K.  A batch of lifts moves one row of ``point``
-    each."""
-    return cylinder.project(affine_action(model, lift_path, point.representative))
 
 
 # -- scenario-level reduction data ------------------------------------------

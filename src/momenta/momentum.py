@@ -6,7 +6,8 @@ representing path from the base point z0 = (e, 0).  This module provides that
 quadrature, the group cocycle integral Theta with its closed form,
 the closed-form momentum map, an independent transport oracle, the
 non-equivariance cocycle, and a finite-difference validator for the momentum
-condition.
+condition.  The cocycle's rate at the identity, the Chu map at z0, is theta
+(see ``symplectic``), so the cocycle sigma_J is Theta, read from theta.
 
 Every group here is 2-step nilpotent, so on each segment of a path the
 kernel's integrands are affine (see ``numerics``) and the transport oracle's
@@ -265,12 +266,15 @@ def horizontal_transport(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
 
 
 def sigma_J(model: MagneticCotangent, g_path: GroupPath) -> np.ndarray:
-    """Non-equivariance cocycle: quadrature of the base-point Chu form
-    contracted with Ad_{g(t)^{-1}} basis directions and the path velocity."""
+    """Non-equivariance cocycle of the lifted momentum map along each path.
+    Its rate at the identity, the base-point Chu map, is theta, so it is the
+    group cocycle Theta: the integral of Ad*_{g(t)^{-1}} theta(left velocity).
+    theta is read as ``model.sigma_matrix.T``, a view that no call copies,
+    with the layout of ``theta_integral``'s copy, so both round alike."""
     if g_path.model != model.cover:
         raise InputError("cocycle paths must live on the universal-cover model")
     _require_identity_based(g_path)
-    return _coadjoint_integral(g_path, model.chu_at_base())
+    return _coadjoint_integral(g_path, model.sigma_matrix.T)
 
 
 def lifted_action_on_path(g_path: GroupPath, x: PhasePath) -> PhasePath:

@@ -57,10 +57,6 @@ class AnalysisReport:
     def exact(self) -> dict:
         return self.data["exact"]
 
-    @property
-    def checks(self) -> list[CheckReport]:
-        return [CheckReport.from_dict(d) for d in self.data["numeric"]["checks"]]
-
     def without_header(self) -> dict:
         return {k: v for k, v in self.data.items() if k != "header"}
 

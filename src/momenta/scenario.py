@@ -105,20 +105,28 @@ def _config_int(value, field_name: str, minimum: int) -> int:
     return value
 
 
+def _parse_scalar(field: QuadraticField, entry, name: str):
+    """The exact scalar of a theta or sigma entry; its float must be finite,
+    since every numeric layer reads theta as floats."""
+    try:
+        x = field.coerce(entry)
+        if math.isfinite(float(x)):
+            return x
+    except (ValueError, TypeError) as err:
+        raise ConfigError(name, str(err)) from err
+    except OverflowError:
+        pass
+    raise ConfigError(name, "value is beyond the float range")
+
+
 def _parse_theta(field: QuadraticField, rows, dim: int) -> CocycleTheta:
     ok = isinstance(rows, list) and len(rows) == dim
     ok = ok and all(isinstance(r, list) and len(r) == dim for r in rows)
     if not ok:
         raise ConfigError("theta", f"expected a {dim}x{dim} matrix of exact scalars")
-    parsed = []
-    for i, row in enumerate(rows):
-        out = []
-        for j, entry in enumerate(row):
-            try:
-                out.append(field.coerce(entry))
-            except (ValueError, TypeError) as err:
-                raise ConfigError(f"theta[{i}][{j}]", str(err)) from err
-        parsed.append(out)
+    parsed = [
+        [_parse_scalar(field, entry, f"theta[{i}][{j}]") for j, entry in enumerate(row)] for i, row in enumerate(rows)
+    ]
     try:
         return CocycleTheta(field, parsed)
     except InputError as err:
@@ -200,6 +208,8 @@ def parse_config(text: str) -> ScenarioConfig:
         field = QuadraticField(raw.get("field", 2))
     except (ValueError, TypeError) as err:
         raise ConfigError("field", str(err)) from err
+    except OverflowError as err:  # from its square root
+        raise ConfigError("field", "square root is beyond the float range") from err
 
     if group == "torus":
         if "sigma" in raw:
@@ -215,13 +225,7 @@ def parse_config(text: str) -> ScenarioConfig:
         sig = raw.get("sigma")
         if not (isinstance(sig, list) and len(sig) == 2):
             raise ConfigError("sigma", "expected a pair of exact scalars")
-        vals = []
-        for i, entry in enumerate(sig):
-            try:
-                vals.append(field.coerce(entry))
-            except (ValueError, TypeError) as err:
-                raise ConfigError(f"sigma[{i}]", str(err)) from err
-        theta = CocycleTheta.from_sigma(field, vals)
+        theta = CocycleTheta.from_sigma(field, [_parse_scalar(field, x, f"sigma[{i}]") for i, x in enumerate(sig)])
 
     mu_list = _parse_mu_list(raw.get("muList"), dim)
     gamma_n = _parse_gamma_n(raw.get("gammaN"), circle_count(_GROUP_KIND[group], dim))

@@ -5,6 +5,12 @@ form plus a left-invariant two-form built from a skew cocycle matrix theta
 (its value at the identity is Sigma(xi, eta) = <theta xi, eta>).  All tangent
 data is body-frame: a tangent vector is a pair (xi, nu) with xi the
 left-trivialized base velocity and nu the momentum velocity.
+
+At the base point z0 = (e, 0) the form on the generators of e_i and e_j
+(the Chu map there) is -Sigma = theta, since C(0) = 0 whatever the
+canonical sign: the rate at the identity of the non-equivariance cocycle.
+So that cocycle is the group cocycle Theta generated by theta, and
+``momentum.sigma_J`` integrates theta itself.
 """
 
 from __future__ import annotations
@@ -134,8 +140,6 @@ class MagneticCotangent:
         self.n = group.dim
         # Sigma(xi, eta) = <theta xi, eta> = xi^T theta^T eta
         self.sigma_matrix = theta.float_matrix().T
-        self._chu_base = self.chu_map(self.base_point())
-        self._chu_base.flags.writeable = False  # shared by every sigma_J
 
     # -- small validators --------------------------------------------------
 
@@ -152,9 +156,6 @@ class MagneticCotangent:
     def tangent(self, xi, nu) -> PhaseTangent:
         """A phase tangent, or stacked ones when xi and nu hold rows."""
         return PhaseTangent(*self._pair(xi, nu, "phase tangent"))
-
-    def base_point(self) -> PhasePoint:
-        return PhasePoint(self.group.identity(), np.zeros(self.n))
 
     # -- the form ----------------------------------------------------------
     # Points and tangents may stack rows along broadcasting leading axes; each
@@ -184,21 +185,10 @@ class MagneticCotangent:
         out = s * canon - _dot(xi1, _dot(self.sigma_matrix, xi2[..., None, :]))
         return float(out) if out.ndim == 0 else out
 
-    # -- generators and the Chu map ----------------------------------------
+    # -- generators ---------------------------------------------------------
 
     def generator(self, xi, z: PhasePoint) -> PhaseTangent:
         """Infinitesimal generator of lifted left translation: (Ad_{g^-1} xi, 0)."""
         adj = self.group.adjoint(self.group.inverse(z.g))
         body = _dot(adj, np.asarray(xi, dtype=float)[..., None, :])
         return PhaseTangent(body, np.zeros(body.shape))
-
-    def chu_map(self, z: PhasePoint) -> np.ndarray:
-        """Psi(z)_ij = omega(z)(e_i-generator, e_j-generator)."""
-        adj = self.group.adjoint(self.group.inverse(z.g))
-        top = _CANON_SIGN * self.bracket_form(z.mu) - self.sigma_matrix
-        return np.swapaxes(adj, -1, -2) @ top @ adj
-
-    def chu_at_base(self) -> np.ndarray:
-        """The Chu map at the base point, computed once per model (read-only).
-        It is -Sigma whatever the canonical sign, since C(0) = 0."""
-        return self._chu_base

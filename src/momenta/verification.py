@@ -85,17 +85,6 @@ class CheckReport:
             "notes": self.notes,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckReport":
-        return cls(
-            check_name=d["checkName"],
-            max_error=d["maxError"],
-            tolerance=d["tolerance"],
-            passed=d["passed"],
-            sample_count=d["sampleCount"],
-            notes=d.get("notes", ""),
-        )
-
 
 @dataclass(frozen=True)
 class CheckSpec:
@@ -277,27 +266,27 @@ def _chk_cylinder_K_path_independence(sc, rng, samples):
 def _chk_cylinder_equivariance(sc, rng, samples):
     g_path, x = sc.draw_paths(rng, samples, "cover", "phase")
     lhs = cyl.K(sc.model, sc.cylinder, lifted_action_on_path(g_path, x))
-    rhs = cyl.affine_cylinder_action(sc.model, sc.cylinder, cyl.K(sc.model, sc.cylinder, x), g_path)
+    rhs = sc.cylinder.project(cyl.affine_action(sc.model, g_path, cyl.K(sc.model, sc.cylinder, x).representative))
     return float(sc.cylinder.distance(lhs, rhs).max()), samples, ""
 
 
 def _chk_cylinder_cocycle(sc, rng, samples):
     used = min(samples, 50)
     pq, rhs = _cocycle_sides(sc, rng, used)
-    lhs = cyl.sigma_K(sc.model, sc.cylinder, pq)
+    lhs = sc.cylinder.project(sigma_J(sc.model, pq))
     return float(sc.cylinder.distance(lhs, sc.cylinder.project(rhs)).max()), used, ""
 
 
 def _chk_cylinder_infinitesimal(sc, rng, samples):
     used = min(samples, 50)
-    h, hm = 1e-4, 1e-6
-    psi0 = sc.model.chu_at_base()
+    h = 1e-4
     mu, xi = _uniform(rng, used, sc.n, (-1.5, 1.5), (-1.0, 1.0))
     plus = cyl.affine_action(sc.model, GroupPath.straight(sc.cover, h * xi), mu)
     minus = cyl.affine_action(sc.model, GroupPath.straight(sc.cover, -h * xi), mu)
     fd = (plus - minus) / (2.0 * h)
-    coad_rate = (sc.cover.coadjoint_inv(hm * xi) - sc.cover.coadjoint_inv(-hm * xi)) / (2.0 * hm)
-    rate = np.einsum("bij,bj->bi", coad_rate, mu) + xi @ psi0.T
+    # the generator (C(mu) + theta) xi, from the bracket form and theta
+    # (sigma_matrix is theta^T), not from the coadjoint kernel
+    rate = np.einsum("bij,bj->bi", sc.model.bracket_form(mu), xi) + xi @ sc.model.sigma_matrix
     return _worst(fd - rate), used, "affine-action generator vs base Chu contraction"
 
 

@@ -14,9 +14,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from momenta.cylinder import deck_group_of_reduced_cover, sigma_K
+from momenta.cylinder import deck_group_of_reduced_cover
 from momenta.groups import concat_paths
 from momenta.lattices import LatticeSubgroup, quotient_invariants
+from momenta.momentum import sigma_J
 from momenta.report import build_analysis
 from momenta.scenario import build_scenario, parse_config
 from momenta.verification import run_checks
@@ -209,8 +210,8 @@ def test_cylinder_suite(text):
     for _ in range(50):
         lift = sc.random_cover_path(rng)
         loop = sc.loop_path(sc.random_loop_coefficients(rng))
-        a = sigma_K(sc.model, sc.cylinder, lift)
-        b = sigma_K(sc.model, sc.cylinder, concat_paths(loop, lift))
+        a = sc.cylinder.project(sigma_J(sc.model, lift))
+        b = sc.cylinder.project(sigma_J(sc.model, concat_paths(loop, lift)))
         assert sc.cylinder.distance(a, b) <= 1e-8
 
 

@@ -11,14 +11,12 @@ from momenta.cylinder import (
     _kinetic_field,
     _kinetic_flow,
     affine_action,
-    affine_cylinder_action,
     casimir,
     deck_group_of_reduced_cover,
     gamma_mu,
     noether_check,
     orbit_descriptor,
     reduction_fiber_check,
-    sigma_K,
 )
 from momenta.errors import InputError, NumericalError
 from momenta.groups import GroupPath, concat_paths, path_product
@@ -139,7 +137,7 @@ class TestK:
                 x = sc.random_phase_path(RNG)
                 moved = lifted_action_on_path(g_path, x)
                 lhs = K(sc.model, sc.cylinder, moved)
-                rhs = affine_cylinder_action(sc.model, sc.cylinder, K(sc.model, sc.cylinder, x), g_path)
+                rhs = sc.cylinder.project(affine_action(sc.model, g_path, K(sc.model, sc.cylinder, x).representative))
                 assert sc.cylinder.distance(lhs, rhs) <= 1e-8
 
     def test_dense_holonomy_still_projects_away(self):
@@ -158,8 +156,8 @@ class TestSigmaK:
                 lift = sc.random_cover_path(RNG)
                 loop = sc.loop_path(sc.random_loop_coefficients(RNG))
                 other = concat_paths(loop, lift)
-                a = sigma_K(sc.model, sc.cylinder, lift)
-                b = sigma_K(sc.model, sc.cylinder, other)
+                a = sc.cylinder.project(sigma_J(sc.model, lift))
+                b = sc.cylinder.project(sigma_J(sc.model, other))
                 assert sc.cylinder.distance(a, b) <= 1e-8
 
     def test_cylinder_cocycle(self):
@@ -170,7 +168,7 @@ class TestSigmaK:
                 p = sc.random_cover_path(RNG)
                 q = sc.random_cover_path(RNG)
                 pq = path_product(p, q)
-                lhs = sigma_K(sc.model, sc.cylinder, pq)
+                lhs = sc.cylinder.project(sigma_J(sc.model, pq))
                 coad = sc.cover.coadjoint_inv(p.endpoint())
                 rhs = sc.cylinder.project(
                     sigma_J(sc.model, p) + coad @ sigma_J(sc.model, q)
@@ -181,7 +179,7 @@ class TestSigmaK:
         sc = SC_FLAT
         for _ in range(5):
             lift = sc.random_cover_path(RNG)
-            point = sigma_K(sc.model, sc.cylinder, lift)
+            point = sc.cylinder.project(sigma_J(sc.model, lift))
             assert sc.cylinder.distance(point, sc.cylinder.project(np.zeros(sc.n))) <= 1e-12
 
 
@@ -198,11 +196,10 @@ class TestAffineActions:
 
     def test_infinitesimal_generator(self):
         # d/dt|_0 of the affine action along exp(t xi) at mu: coadjoint rate
-        # plus the base Chu form psi0 @ xi (psi0 = -Sigma; for the torus this
-        # is theta @ xi, i.e. -Psi^T xi by skewness)
+        # plus the cocycle's rate theta @ xi
         h = 1e-4
         for sc in (SC_TORUS, SC_HEIS):
-            psi0 = sc.model.chu_at_base()
+            theta = sc.theta.float_matrix()
             for _ in range(10):
                 mu = RNG.uniform(-1.5, 1.5, sc.n)
                 xi = RNG.uniform(-1.0, 1.0, sc.n)
@@ -213,23 +210,23 @@ class TestAffineActions:
                     coad_rate = np.zeros(sc.n)
                 else:
                     coad_rate = np.array([0.0, xi[2] * mu[0], -xi[1] * mu[0]])
-                assert np.linalg.norm(fd - (coad_rate + psi0 @ xi)) <= 1e-5
+                assert np.linalg.norm(fd - (coad_rate + theta @ xi)) <= 1e-5
 
     def test_infinitesimal_generator_at_base_mu(self):
         # at mu = 0 the coadjoint part drops out and the rate is exactly the
-        # projected Chu contraction
+        # cocycle's, theta @ xi, also in the cylinder
         h = 1e-4
         for sc in (SC_TORUS, SC_HEIS):
-            psi0 = sc.model.chu_at_base()
+            theta = sc.theta.float_matrix()
             for _ in range(5):
                 xi = RNG.uniform(-1.0, 1.0, sc.n)
                 mu = np.zeros(sc.n)
                 plus = affine_action(sc.model, GroupPath.straight(sc.cover, h * xi), mu)
                 minus = affine_action(sc.model, GroupPath.straight(sc.cover, -h * xi), mu)
                 fd = (plus - minus) / (2.0 * h)
-                assert np.linalg.norm(fd - psi0 @ xi) <= 1e-5
+                assert np.linalg.norm(fd - theta @ xi) <= 1e-5
                 lhs = sc.cylinder.project(fd)
-                rhs = sc.cylinder.project(psi0 @ xi)
+                rhs = sc.cylinder.project(theta @ xi)
                 assert sc.cylinder.distance(lhs, rhs) <= 1e-5
 
 

@@ -78,11 +78,11 @@ def assert_segments_match(got, want, segments, n):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_fixed_rule_matches_refined_rule(name, monkeypatch):
     # every path integrand is affine on a segment: the momentum integrand and
-    # the coadjoint one of Theta and sigma_J; paths start at the identity and
-    # elsewhere, as flow tails do
+    # the coadjoint one of Theta and sigma_J, which both integrate theta;
+    # paths start at the identity and elsewhere, as flow tails do
     sc = build_scenario(parse_config(CONFIGS[name]))
     n = sc.n
-    matrices = sc.model.theta.float_matrix(), sc.model.chu_at_base()
+    theta = sc.model.sigma_matrix.T
     for i in range(70):
         segments = int(RNG.integers(1, 513))
         durs = RNG.uniform(0.5, 1.5, segments)
@@ -94,10 +94,9 @@ def test_fixed_rule_matches_refined_rule(name, monkeypatch):
         got = momentum_segments(sc.model, x)
         want = refined_segments(derived_integrand(sc.model, x), p.times)
         assert_segments_match(got, want, segments, n)
-        for matrix in matrices:
-            got = coadjoint_segments(monkeypatch, p, matrix)
-            want = refined_segments(coadjoint_integrand(p, matrix), p.times)
-            assert_segments_match(got, want, segments, n)
+        got = coadjoint_segments(monkeypatch, p, theta)
+        want = refined_segments(coadjoint_integrand(p, theta), p.times)
+        assert_segments_match(got, want, segments, n)
 
 
 def test_midpoint_rule_is_exact_on_affine_integrands_and_of_degree_one():
@@ -160,4 +159,4 @@ def test_integrands_never_read_circle_coordinates():
     assert np.array_equal(down.nodes[:, 1:], up.nodes[:, 1:])
     assert np.abs(down.midpoints()[:, 0] - up.midpoints()[:, 0]).max() > 0.4
     assert np.array_equal(theta_integral(sc.group, sc.theta, down), theta_integral(sc.cover, sc.theta, up))
-    assert np.array_equal(_coadjoint_integral(down, sc.model.chu_at_base()), sigma_J(sc.model, up))
+    assert np.array_equal(_coadjoint_integral(down, sc.model.sigma_matrix.T), sigma_J(sc.model, up))

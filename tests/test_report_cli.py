@@ -46,6 +46,9 @@ HEIS_TEXT = """
   "verify": {"sampleCount": 25, "seed": 7}
 }
 """
+# exact scalars whose floats are not finite: 10^400, and 1.5e308 * sqrt(2)
+HUGE = "1" + "0" * 400
+HUGE_AL = "15" + "0" * 307 + "*al"
 DENSE_TEXT = """
 {
   "group": "torus", "dim": 3, "field": 2,
@@ -85,8 +88,11 @@ def write_config(tmp_path, text, name="config.json"):
 class TestCheckReport:
     def test_round_trip_with_infinity(self):
         r = CheckReport("boom", float("inf"), 1e-8, False, 0, "numerical failure: x")
-        back = CheckReport.from_dict(json.loads(json.dumps(r.to_dict())))
-        assert back == r and math.isinf(back.max_error)
+        report = AnalysisReport({"numeric": {"checks": [r.to_dict()], "allPassed": False}})
+        text = report.to_json()
+        assert '"maxError": Infinity' in text
+        back = AnalysisReport.from_json(text)
+        assert back == report and math.isinf(back.data["numeric"]["checks"][0]["maxError"])
 
     def test_passed_consistent_with_tolerance(self, torus_checks):
         for r in torus_checks:
@@ -121,8 +127,8 @@ class TestCheckReport:
         rep = run_check(torus_sc, CheckSpec("sleepy", 1e-8, runner), seed=0, tol_scale=1.0, samples=5)
         assert rep.duration_seconds >= 0.01
         assert "durationSeconds" not in rep.to_dict() and "duration_seconds" not in rep.to_dict()
-        # equality and round trips ignore the time
-        assert CheckReport.from_dict(rep.to_dict()) == rep
+        # equality ignores the time
+        assert dataclasses.replace(rep, duration_seconds=0.0) == rep
 
 
 class TestRunChecks:
@@ -543,6 +549,27 @@ class TestCLI:
         assert cli.main([command, "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"config error: {field}" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            (TORUS_TEXT.replace('"1"],["-1"', f'"{HUGE}"],["-{HUGE}"'), "theta[0][1]"),
+            (HEIS_TEXT.replace('["1", "0"]', f'["1", "{HUGE}"]'), "sigma[1]"),
+            (TORUS_TEXT.replace('"dim": 2', f'"dim": 2, "field": {HUGE}1'), "field"),
+            # exact and below 1e309, but times sqrt(2) its float is inf
+            (TORUS_TEXT.replace('"1"],["-1"', f'"{HUGE_AL}"],["-{HUGE_AL}"'), "theta[0][1]"),
+        ],
+        ids=["theta", "sigma", "field", "theta-al"],
+    )
+    def test_beyond_float_range_exit_2(self, tmp_path, capsys, command, text, field):
+        # at the parent the first three crashed with an OverflowError (exit 1)
+        # and the last exited 3 with a cylinder message
+        cfg = write_config(tmp_path, text)
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config error: {field}: " in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["analyze", "verify", "orbit"])
     @pytest.mark.parametrize(

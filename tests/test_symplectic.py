@@ -12,7 +12,9 @@ from field_reference import FIELDS, Elt, elements, exact, lift
 from momenta.errors import InputError
 from momenta.exact import QuadraticField
 from momenta.groups import GroupModel
+from momenta.scenario import build_scenario, parse_config
 from momenta.symplectic import CocycleTheta, MagneticCotangent, PhaseTangent
+from test_acceptance import DENSE3_TEXT, FLAT2_TEXT, HEIS_TEXT, TORUS2_TEXT, TORUS3_TEXT
 
 RNG = np.random.default_rng(77002)
 F2 = QuadraticField(2)
@@ -29,6 +31,8 @@ def heisenberg_model(sigma=("1", "0")):
 
 
 THETA_2D = [["0", "1"], ["-1", "0"]]
+CANONICAL = [TORUS2_TEXT, FLAT2_TEXT, TORUS3_TEXT, DENSE3_TEXT, HEIS_TEXT]
+CANONICAL_IDS = ["torus2", "flat2", "torus3", "dense3", "heis"]
 
 
 def random_tangent(model):
@@ -305,7 +309,7 @@ class TestGenerator:
     def test_at_identity(self):
         model = heisenberg_model()
         xi = RNG.uniform(-2, 2, 3)
-        v = model.generator(xi, model.base_point())
+        v = model.generator(xi, model.point(model.group.identity(), np.zeros(3)))
         assert np.allclose(v.xi, xi, atol=1e-14)
         assert np.array_equal(v.nu, np.zeros(3))
 
@@ -343,30 +347,15 @@ class TestGenerator:
             assert np.linalg.norm(fd - v.xi) <= 1e-6 * max(1.0, np.linalg.norm(v.xi))
 
 
-class TestChuMap:
-    def test_base_point_is_minus_sigma(self):
-        model = heisenberg_model(("1", "1/2"))
-        assert np.allclose(model.chu_at_base(), -model.sigma_matrix, atol=1e-14)
-
-    def test_torus_constant_minus_sigma(self):
-        model = torus_model(THETA_2D)
-        for _ in range(10):
-            z = random_point(model)
-            assert np.allclose(model.chu_map(z), -model.sigma_matrix, atol=1e-13)
-
-    def test_zero_theta_zero_mu(self):
-        model = heisenberg_model(("0", "0"))
-        z = model.point(RNG.uniform(-1, 1, 3), np.zeros(3))
-        assert np.allclose(model.chu_map(z), np.zeros((3, 3)), atol=1e-14)
-
-    def test_matches_componentwise_omega(self):
-        model = heisenberg_model(("1/3", "2"))
-        for _ in range(10):
-            z = random_point(model)
-            psi = model.chu_map(z)
-            assert np.allclose(psi, -psi.T, atol=1e-12)
-            for i in range(3):
-                for j in range(3):
-                    e_i, e_j = np.eye(3)[i], np.eye(3)[j]
-                    direct = model.omega(z, model.generator(e_i, z), model.generator(e_j, z))
-                    assert abs(psi[i, j] - direct) <= 1e-12
+class TestCocycleRate:
+    @pytest.mark.parametrize("text", CANONICAL, ids=CANONICAL_IDS)
+    def test_base_point_rate_is_theta(self, text):
+        # the Chu map at z0 = (e, 0), omega(z0)(xi_i, xi_j) with xi_i the
+        # generator of e_i, is the rate of the non-equivariance cocycle at
+        # the identity: theta, which sigma_J integrates
+        model = build_scenario(parse_config(text)).model
+        n = model.n
+        z0 = model.point(model.group.identity(), np.zeros(n))
+        gens = [model.generator(e, z0) for e in np.eye(n)]
+        chu = np.array([[model.omega(z0, a, b) for b in gens] for a in gens])
+        assert np.abs(chu - model.theta.float_matrix()).max() <= 1e-12
