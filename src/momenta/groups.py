@@ -110,7 +110,7 @@ class GroupModel:
         return self.dim, self.pairs, self.circles
 
     def __eq__(self, other):
-        return isinstance(other, GroupModel) and self._data() == other._data()
+        return other is self or isinstance(other, GroupModel) and self._data() == other._data()
 
     def __hash__(self):
         return hash(self._data())
@@ -503,8 +503,7 @@ class GroupPath:
         is not a circle.  A wrapped circle coordinate has no such midpoint,
         but no circle is the input of a bracket pair, so Ad* never reads
         one."""
-        f = self._first
-        return 0.5 * (self.nodes.take(f, axis=0) + self.nodes.take(f + 1, axis=0))
+        return 0.5 * (self.nodes[:-1] + self.nodes[1:]).take(self._first, axis=0)
 
     def evaluate_many(self, ts, paths=None) -> np.ndarray:
         """Points at parameters ``ts``; ``paths`` names the path of each when
@@ -581,8 +580,8 @@ def path_product(p: GroupPath, q: GroupPath) -> GroupPath:
         raise InputError("path_product needs two single paths or two batches of the same size")
     if not model.is_simply_connected:
         raise InputError("path_product is defined on universal-cover models")
-    if p.bases.any() or q.bases.any():
-        if model.distance(np.concatenate([p.bases, q.bases]), model.identity()).max() > 1e-10:
+    if np.count_nonzero(p.bases) or np.count_nonzero(q.bases):  # a NaN base is nonzero and fails the test
+        if not np.all(model.distance(np.concatenate([p.bases, q.bases]), model.identity()) <= 1e-10):
             raise InputError("path_product needs identity-based paths")
 
     ts, kp, kq, counts = _union_grids(p, q)

@@ -10,9 +10,10 @@ condition.  The cocycle's rate at the identity, the Chu map at z0, is theta
 (see ``symplectic``), so the cocycle sigma_J is Theta, read from theta.
 
 Every group here is 2-step nilpotent, so on each segment of a path the
-kernel's integrands are affine (see ``numerics``) and the transport oracle's
-is at most quadratic: one Simpson panel integrates it exactly, and the
-oracle's Richardson gap, blind below the fourth degree, guards that premise.
+integrands are affine: an integral is one row per segment, at its midpoint,
+times its width (``numerics.segment_integrals``).  The transport oracle's is
+at most quadratic: one Simpson panel integrates it exactly, and its
+Richardson gap, blind below the fourth degree, guards that premise.
 
 Sign discipline: the quadrature integrands here are derived once with the
 canonical-part sign fixed to +1, while the transport oracle and the
@@ -28,7 +29,7 @@ import numpy as np
 from . import symplectic as _sym
 from .errors import InputError, NumericalError
 from .groups import GroupModel, GroupPath, _interleave, concat_paths, path_product
-from .numerics import adaptive_path_quadrature
+from .numerics import segment_integrals
 from .symplectic import CocycleTheta, MagneticCotangent, PhasePoint
 
 __all__ = [
@@ -95,8 +96,7 @@ class PhasePath:
     def midpoints(self) -> np.ndarray:
         """Momentum at the middle of each segment, in table order: the curve
         is affine on a segment, so this is the mean of its two samples."""
-        f = self.base._first
-        return 0.5 * (self.momenta.take(f, axis=0) + self.momenta.take(f + 1, axis=0))
+        return 0.5 * (self.momenta[:-1] + self.momenta[1:]).take(self.base._first, axis=0)
 
     def end_momenta(self) -> np.ndarray:
         """Final momentum of each path, shape (B, n) also for a single path."""
@@ -116,20 +116,16 @@ class PhasePath:
 
 
 def _require_identity_based(p: GroupPath):
-    if p.bases.any() and np.any(p.model.distance(p.bases, p.model.identity()) > 1e-12):
+    # a NaN base is nonzero, so it reaches the distance, whose test it fails
+    if np.count_nonzero(p.bases) and not np.all(p.model.distance(p.bases, p.model.identity()) <= 1e-12):
         raise InputError("path must be based at the identity")
 
 
 def _coadjoint_integral(p: GroupPath, matrix) -> np.ndarray:
     """Integral of Ad*_{g(t)^{-1}} (matrix @ left velocity) dt along each
-    path of p: the integrand of Theta and sigma_J.  The kernel's nodes are
-    the segment midpoints in table order, so the integrand reads g there
-    from the table (``GroupPath.midpoints``) and ignores the parameters."""
-
-    def integrand(ts):
-        return p.model.coadjoint_inv_apply(p.midpoints(), p.directions @ matrix.T)
-
-    return p.sum_segments(adaptive_path_quadrature(integrand, p.times))
+    path of p, as Theta and sigma_J take it, from the segment midpoints."""
+    rows = p.model.coadjoint_inv_apply(p.midpoints(), p.directions @ matrix.T)
+    return p.sum_segments(segment_integrals(p, rows))
 
 
 def theta_integral(model: GroupModel, theta: CocycleTheta, p: GroupPath) -> np.ndarray:
@@ -166,22 +162,15 @@ def _check_phase_path(model: MagneticCotangent, x: PhasePath, at_base: bool):
         _require_identity_based(x.base)
         starts = x.momenta.take(x.base.offsets[:-1] + np.arange(len(x.base)), axis=0)
         # NaN is nonzero, so it reaches the norm, whose test it fails
-        if starts.any() and not np.all(np.linalg.norm(starts, axis=1) <= 1e-12):
+        if np.count_nonzero(starts) and not np.all(np.linalg.norm(starts, axis=1) <= 1e-12):
             raise InputError("path must start at the base point (e, 0)")
 
 
 def _segment_momenta(model: MagneticCotangent, x: PhasePath) -> np.ndarray:
-    """``momentum_segments`` without the input check.  The kernel's nodes
-    are the segment midpoints in table order; g and mu are affine on a
-    segment, so the integrand reads them there from the table
-    (``GroupPath.midpoints``, ``PhasePath.midpoints``) and ignores the
-    parameters."""
+    """``momentum_segments`` without the input check; g and mu at each
+    segment's midpoint are the means of its table rows (``midpoints``)."""
     p = x.base
-
-    def integrand(ts):
-        return _momentum_rows(model, p.midpoints(), x.midpoints(), p.directions, x.slopes)
-
-    return adaptive_path_quadrature(integrand, p.times)
+    return segment_integrals(p, _momentum_rows(model, p.midpoints(), x.midpoints(), p.directions, x.slopes))
 
 
 def momentum_segments(model: MagneticCotangent, x: PhasePath) -> np.ndarray:

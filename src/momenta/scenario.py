@@ -106,17 +106,21 @@ def _config_int(value, field_name: str, minimum: int) -> int:
 
 
 def _parse_scalar(field: QuadraticField, entry, name: str):
-    """The exact scalar of a theta or sigma entry; its float must be finite,
-    since every numeric layer reads theta as floats."""
+    """The exact scalar of a theta or sigma entry.  Every numeric layer reads
+    theta as floats, so a float must be finite, and normal unless the entry
+    is 0: a zero or subnormal one breaks the cylinder of the exact lattice."""
     try:
         x = field.coerce(entry)
-        if math.isfinite(float(x)):
-            return x
+        size = abs(float(x))
     except (ValueError, TypeError) as err:
         raise ConfigError(name, str(err)) from err
     except OverflowError:
-        pass
-    raise ConfigError(name, "value is beyond the float range")
+        size = math.inf
+    if not size <= sys.float_info.max:  # inf and NaN fail
+        raise ConfigError(name, "value is beyond the float range")
+    if x and size < sys.float_info.min:
+        raise ConfigError(name, "nonzero value is below the normal float range")
+    return x
 
 
 def _parse_theta(field: QuadraticField, rows, dim: int) -> CocycleTheta:

@@ -122,7 +122,8 @@ class TestBatchMatchesPathByPath:
         assert np.array_equal(got, sigma_J(sc.model, GroupPath.from_table(sc.cover, *table, counts=counts))[:9])
 
     def test_kernel_nodes_map_to_their_segments(self, name):
-        # one kernel call over a batch skips the drops between paths
+        # the general rule skips the drops between a batch's paths, as the
+        # table kernel's widths do
         p = mixed_phase_paths(scenario(name), np.random.default_rng(7))[0].base
         seen = []
         adaptive_path_quadrature(lambda ts: seen.append(ts) or np.ones((len(ts), 1)), p.times)

@@ -171,6 +171,24 @@ class TestMomentumOfPath:
                 else:
                     assert np.isfinite(momentum_of_path(model, x)).all()
 
+    @pytest.mark.parametrize("entry", ["theta_integral", "sigma_J", "momentum_of_path", "path_product"])
+    def test_nan_base_is_not_the_identity(self, entry):
+        # a NaN base is nonzero, so it reaches the distance test, which it
+        # fails, alone or as one path of a batch
+        model = heisenberg_model()
+        cover, bad, xi = model.cover, np.array([np.nan, 0.0, 0.0]), np.array([1.0, 0.5, -0.2])
+        calls = {
+            "theta_integral": lambda p: theta_integral(cover, model.theta, p),
+            "sigma_J": lambda p: sigma_J(model, p),
+            "momentum_of_path": lambda p: momentum_of_path(model, PhasePath.with_linear_momentum(p, [0.2, -0.1, 0.3])),
+            "path_product": lambda p: path_product(p, GroupPath.straight(cover, np.ones_like(p.base))),
+        }
+        single = GroupPath.straight(cover, xi, base=bad)
+        batch = GroupPath.straight(cover, [xi, -xi], base=[np.zeros(3), bad])
+        for p in (single, batch):
+            with pytest.raises(InputError, match="identity"):
+                calls[entry](p)
+
     def test_homotopy_invariance_same_endpoint(self):
         # the cover phase space is simply connected: J depends only on the
         # endpoint, so wildly different segmentations must agree

@@ -5,7 +5,9 @@ every other check passes.
 
 A check catches a mutant when it fails with a max error far above its
 tolerance (> 1e-2), so that rounding cannot account for the catch.  No check
-of any row fails below that, so no row names one.
+of any row fails below that, so no row names one.  An equivalent mutant,
+which cannot move an output beyond rounding, is listed with its reason, and
+every check passes under it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,15 @@ def negate_coadjoint_integral(m):
     m.setattr(momentum, "_coadjoint_integral", lambda p, matrix: -integral(p, matrix))
 
 
+def widths_as_end_times(m):
+    # the table kernel weighs each segment's row by its end time, not its width
+    m.setattr(momentum, "segment_integrals", lambda p, rows: p.times.take(p._first + 1)[:, None] * rows)
+
+
+def widths_from_durations(m):
+    m.setattr(momentum, "segment_integrals", lambda p, rows: p.durations[:, None] * rows)
+
+
 def flip_bracket_form(m):
     # only the generator of cylinder_infinitesimal reads C(mu) outside the
     # form's determinant, which does not depend on it
@@ -59,6 +70,22 @@ def flip_bracket_form(m):
 # the quadrature integrand freezes the sign; the transport oracle, the
 # momentum-condition validator and the kinetic field read it
 SIGN_CATCHERS = {"momentum_transport", "momentum_condition", "noether_drift"}
+
+# the momentum-condition tails are one-segment paths, whose end time is their
+# width, and each segment of a Noether flow path integrates to a direction
+# that the cylinder projection removes, whatever its weight
+END_TIME_CATCHERS = {
+    "momentum_closed_form",
+    "momentum_transport",
+    "momentum_additivity",
+    "momentum_equivariance",
+    "cocycle_matches_theta",
+    "cocycle_identity",
+    "cylinder_K_path_independence",
+    "cylinder_equivariance",
+    "cylinder_cocycle",
+    "reduction_fiber",
+}
 
 # (mutant, config, the checks that catch it)
 MATRIX = [
@@ -98,6 +125,21 @@ MATRIX = [
         },
     ),
     ("bracket_form sign flipped", flip_bracket_form, "heis", {"cylinder_infinitesimal"}),
+    ("widths read as segment end times", widths_as_end_times, "torus2", END_TIME_CATCHERS),
+    (
+        "widths read as segment end times",
+        widths_as_end_times,
+        "heis",
+        END_TIME_CATCHERS | {"casimir_invariance", "orbit_descriptor"},
+    ),
+]
+
+# mutants that cannot move any output beyond rounding: (mutant, why)
+EQUIVALENT = [
+    (
+        widths_from_durations,
+        "a segment's duration and its breakpoint difference differ only by the rounding of the running sum",
+    ),
 ]
 
 
@@ -113,3 +155,14 @@ def test_mutant_is_caught(monkeypatch, mutate, config, catchers):
     assert caught == catchers
     for r in reports:
         assert r.passed or r.check_name in catchers, f"{r.check_name}: {r.max_error} ({r.notes})"
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("mutate, why", EQUIVALENT, ids=[row[0].__name__ for row in EQUIVALENT])
+def test_equivalent_mutant_passes_every_check(monkeypatch, mutate, why, config):
+    sc = build_scenario(parse_config(CONFIGS[config]))
+    with monkeypatch.context() as m:
+        mutate(m)
+        reports = run_checks(sc)
+    for r in reports:
+        assert r.passed, f"{r.check_name}: {r.max_error} ({r.notes}), although {why}"

@@ -3,10 +3,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momenta import groups, momentum
+from momenta import cylinder, groups, momentum, numerics
 from momenta.groups import GroupModel, GroupPath
-from momenta.momentum import PhasePath, _coadjoint_integral, _momentum_rows, momentum_segments, sigma_J, theta_integral
-from momenta.numerics import adaptive_path_quadrature
+from momenta.momentum import (
+    PhasePath,
+    _coadjoint_integral,
+    _momentum_rows,
+    horizontal_transport,
+    momentum_closed_form,
+    momentum_of_path,
+    momentum_segments,
+    sigma_J,
+    theta_integral,
+    verify_momentum_condition,
+)
+from momenta.numerics import adaptive_path_quadrature, segment_integrals
 from momenta.scenario import build_scenario, parse_config
 
 RNG = np.random.default_rng(70331)
@@ -45,12 +56,12 @@ def coadjoint_segments(monkeypatch, p, matrix):
     call."""
     rows = []
 
-    def spy(f_many, breakpoints):
-        rows.append(adaptive_path_quadrature(f_many, breakpoints))
+    def spy(path, integrand_rows):
+        rows.append(segment_integrals(path, integrand_rows))
         return rows[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(momentum, "adaptive_path_quadrature", spy)
+        m.setattr(momentum, "segment_integrals", spy)
         _coadjoint_integral(p, matrix)
     (got,) = rows
     return got
@@ -99,6 +110,86 @@ def test_fixed_rule_matches_refined_rule(name, monkeypatch):
         assert_segments_match(got, want, segments, n)
 
 
+def ragged_durations(rng, counts):
+    return np.concatenate([w / w.sum() for w in (rng.uniform(0.5, 1.5, m) for m in counts)])
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_table_kernel_matches_the_general_rule_on_ragged_batches(name, monkeypatch):
+    # the general rule evaluates the path at the parameters it passes, node i
+    # in segment i; the table kernel reads the same segments from the table.
+    # Its widths are the breakpoint differences bit for bit, drops skipped
+    sc = build_scenario(parse_config(CONFIGS[name]))
+    rng = np.random.default_rng(70334)
+    counts = np.array([1, 5, 1, 2, 33, 1])
+    durs = ragged_durations(rng, counts)
+    segments, n, ks = len(durs), sc.n, np.arange(len(durs))
+    dirs, bases = rng.uniform(-1.5, 1.5, (segments, n)), rng.uniform(-2.0, 2.0, (len(counts), n))
+    p = GroupPath.from_table(sc.cover, dirs, durs, bases, counts)
+    x = PhasePath(p, rng.uniform(-1.5, 1.5, (len(p.times), n)))
+    theta = sc.model.sigma_matrix.T
+
+    def derived(ts):
+        return _momentum_rows(sc.model, p.at_segments(ks, ts), x._at_segments(ks, ts), p.directions, x.slopes)
+
+    def coadjoint(ts):
+        return p.model.coadjoint_inv_apply(p.at_segments(ks, ts), p.directions @ theta.T)
+
+    want = adaptive_path_quadrature(derived, p.times)
+    assert_segments_match(momentum_segments(sc.model, x), want, segments, n)
+    want = adaptive_path_quadrature(coadjoint, p.times)
+    assert_segments_match(coadjoint_segments(monkeypatch, p, theta), want, segments, n)
+    steps = np.diff(p.times)
+    assert (steps < 0).sum() == len(counts) - 1  # the drops
+    assert np.array_equal(segment_integrals(p, np.ones((segments, 1)))[:, 0], steps[steps > 0])
+
+
+@pytest.mark.parametrize("name", ["torus2", "heis"])
+def test_every_integral_makes_one_kernel_call(name, monkeypatch):
+    # every path integral goes through the table kernel, once per batch of
+    # paths; the transport oracle stays independent of it, and no program
+    # code calls the general rule
+    sc = build_scenario(parse_config(CONFIGS[name]))
+    model, cover, n = sc.model, sc.cover, sc.n
+    rng = np.random.default_rng(70335)
+    calls = []
+
+    def counted(p, rows):
+        calls.append(len(rows))
+        return segment_integrals(p, rows)
+
+    def general(f_many, breakpoints):
+        raise AssertionError("the general rule was called")
+
+    monkeypatch.setattr(momentum, "segment_integrals", counted)
+    monkeypatch.setattr(numerics, "adaptive_path_quadrature", general)
+    counts = np.array([1, 4, 2])
+    durs = ragged_durations(rng, counts)
+    single = GroupPath.from_table(cover, rng.uniform(-1.5, 1.5, (4, n)), durs[1:5])
+    batch = GroupPath.from_table(cover, rng.uniform(-1.5, 1.5, (len(durs), n)), durs, counts=counts)
+    for p in (single, batch):
+        rows = (len(p), n) if p.batched else (n,)
+        mu, xi = rng.uniform(-1.0, 1.0, rows), rng.uniform(-1.0, 1.0, rows)
+        x = PhasePath.with_linear_momentum(p, mu)
+        integrals = {
+            "theta_integral": (1, lambda: theta_integral(cover, sc.theta, p)),
+            "sigma_J": (1, lambda: sigma_J(model, p)),
+            "momentum_of_path": (1, lambda: momentum_of_path(model, x)),
+            "momentum_segments": (1, lambda: momentum_segments(model, x)),
+            "momentum_closed_form": (1, lambda: momentum_closed_form(model, p, mu)),
+            "K": (1, lambda: cylinder.K(model, sc.cylinder, x)),
+            "affine_action": (1, lambda: cylinder.affine_action(model, p, mu)),
+            # J of x, then the segments of the flow paths
+            "noether_check": (2, lambda: cylinder.noether_check(model, sc.cylinder, x, 0.5)),
+            "verify_momentum_condition": (1, lambda: verify_momentum_condition(model, x.endpoint(), xi)),
+            "horizontal_transport": (0, lambda: horizontal_transport(model, x)),
+        }
+        for label, (expected, run) in integrals.items():
+            calls.clear()
+            run()
+            assert len(calls) == expected, f"{label} on {p}: {len(calls)} kernel calls"
+
+
 def test_midpoint_rule_is_exact_on_affine_integrands_and_of_degree_one():
     # a drop in the breakpoints starts a second path and is not a segment
     breakpoints = np.array([0.0, 0.2, 0.25, 1.0, 0.0, 0.6, 1.0])
@@ -125,7 +216,7 @@ def test_table_midpoints_are_path_midpoints(kind):
     cover = GroupModel(kind, 3)
     rng = np.random.default_rng(70332)
     counts = np.array([1, 5, 2, 33, 1])
-    durs = np.concatenate([w / w.sum() for w in (rng.uniform(0.5, 1.5, m) for m in counts)])
+    durs = ragged_durations(rng, counts)
     p = GroupPath.from_table(cover, rng.uniform(-1.5, 1.5, (len(durs), 3)), durs, rng.uniform(-2.0, 2.0, (5, 3)), counts)
     x = PhasePath(p, rng.uniform(-1.5, 1.5, (len(p.times), 3)))
     seen = []

@@ -571,6 +571,23 @@ class TestCLI:
         assert captured.out == "" and f"config error: {field}: " in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("zeros,code", [(400, 2), (310, 2), (300, 0)])
+    @pytest.mark.parametrize("family", ["theta", "sigma"])
+    def test_nonzero_entry_below_the_normal_floats(self, tmp_path, capsys, family, zeros, code):
+        # 1/10^400 is 0.0 as a float and 1/10^310 subnormal; the parent
+        # exited 3 on the first and failed checks with an overflow warning
+        # on the second.  1/10^300 is a normal float
+        tiny = "1/1" + "0" * zeros
+        if family == "theta":
+            text, field = TORUS_TEXT.replace('"1"],["-1"', f'"{tiny}"],["-{tiny}"'), "theta[0][1]"
+        else:
+            text, field = HEIS_TEXT.replace('["1", "0"]', f'["1", "{tiny}"]'), "sigma[1]"
+        assert cli.main(["verify", "--config", write_config(tmp_path, text)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == "" and f"config error: {field}: " in captured.err
+            assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["analyze", "verify", "orbit"])
     @pytest.mark.parametrize(
         "text",
